@@ -16,6 +16,13 @@ probing mechanism without enumerating failure sets:
   nodes' paths brackets the index within one; the greedy cover size with the
   standard logarithmic guarantee gives computable bounds at any scale.
 
+Each instance's per-node tables live in one :class:`Analysis`, built on
+first use; a set index is a minimum over a table and a maximal set a
+threshold of one. The functions take an :class:`Analysis`, whose tables they
+read, or a topology, analysed afresh; nothing is cached across calls. Given a
+topology, the single-node readers (``omega_cap``, ``csp_internals``,
+``omega_csp``) run only that node's cuts rather than a whole table.
+
 The brute-force oracle (:mod:`faultscope.oracle`) is the ground truth these
 results are validated against; nothing here consults it unless a caller
 explicitly opts into exact-cover tightening.
@@ -26,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -151,75 +158,145 @@ def _check_k(k: int, sigma: int) -> None:
         raise ValueError(f"k must be in 1..{sigma}")
 
 
+def fold_bounds(table: Mapping[str, IntBounds], members: Iterable[str]) -> IntBounds:
+    """Index bounds of a set: the member-wise minimum of a per-node table."""
+    bounds = [table[v] for v in members]
+    return IntBounds(min(b.lo for b in bounds), min(b.hi for b in bounds))
+
+
+def threshold_bounds(table: Mapping[str, IntBounds], k: int) -> SetBounds:
+    """Maximal k-identifiable set approximations: the nodes whose lower
+    (inner) or upper (outer) bound reaches k."""
+    inner = frozenset(v for v, b in table.items() if b.lo >= k)
+    outer = frozenset(v for v, b in table.items() if b.hi >= k)
+    return SetBounds(inner, outer)
+
+
 # ---------------------------------------------------------------------------
-# cached per-topology structures
+# the analysis context
 
 
-@lru_cache(maxsize=256)
-def _star(t: Topology):
-    return build_star(t)
+class Analysis:
+    """The per-node tables of one (topology, UP path set), each built once on
+    first use: the CAP and CSP cut tables, the single-failure sets and the raw
+    and refined bounds per mechanism. Pass it wherever a function takes a
+    topology; every reader shares the tables, which it hands out read-only.
+    """
+
+    def __init__(self, t: Topology, ps: PathSet | None = None) -> None:
+        t.require_monitored()
+        self.t = t
+        self.ps = ps
+        self._tables: dict[tuple[Mechanism, bool, bool], dict[str, IntBounds]] = {}
+
+    @property
+    def paths(self) -> PathSet:
+        """The UP path set, checked against the topology's non-monitors."""
+        if self.ps is None:
+            raise ValueError("routing-determined analysis needs a path set")
+        if tuple(self.ps.universe) != self.t.non_monitors:
+            raise ValueError("path set universe does not match the topology's non-monitors")
+        return self.ps
+
+    @cached_property
+    def cap(self) -> Mapping[str, int]:
+        """The CAP cut table (see :func:`cap_values`)."""
+        return cap_values(self)
+
+    @cached_property
+    def csp(self) -> Mapping[str, CspInternals]:
+        """The CSP cut table (see :func:`csp_internals_all`)."""
+        return csp_internals_all(self)
+
+    @cached_property
+    def csp_anchored(self) -> frozenset[str]:
+        """Nodes two-connected to the virtual monitor in the extended graph."""
+        return _two_connected_set(build_extended(self.t), VIRTUAL_MONITOR)
+
+    @cached_property
+    def csp_reach(self) -> Mapping[str, frozenset[str]]:
+        """Per non-monitor w, :attr:`csp_anchored` with w removed from the graph."""
+        t = self.t
+        return {
+            w: _two_connected_set(build_extended_minus(t, w), VIRTUAL_MONITOR)
+            for w in t.non_monitors
+        }
+
+    @cached_property
+    def csp_single(self) -> frozenset[str]:
+        """Non-monitors whose single failure CSP can localize."""
+        return _csp_single_failure_nodes(self)
+
+    @cached_property
+    def up_single(self) -> frozenset[str]:
+        """Non-monitors whose single failure the UP paths can localize."""
+        ps = self.paths
+        return frozenset(v for v in ps.universe if _single_failure_up(ps, [v]).is_identifiable)
+
+    def table(
+        self, mechanism: Mechanism, *, refine_single: bool = True, exact_cover: bool = False
+    ) -> Mapping[str, IntBounds]:
+        """The per-node bounds table, built by :func:`per_node_bounds` on first use."""
+        key = (Mechanism(mechanism), refine_single, exact_cover)
+        if key not in self._tables:
+            self._tables[key] = per_node_bounds(
+                self, key[0], refine_single=refine_single, exact_cover=exact_cover
+            )
+        return MappingProxyType(self._tables[key])
 
 
-@lru_cache(maxsize=256)
-def _minus_graphs(t: Topology):
-    return tuple(build_minus_monitor(t, m) for m in sorted(t.monitors))
+def _node(t: Topology | Analysis, v: str) -> tuple[Topology, Analysis | None]:
+    """The topology behind a single-node query, and its context if one was given."""
+    a = t if isinstance(t, Analysis) else None
+    topo = a.t if a is not None else t
+    topo.require_monitored()
+    _check_members(topo, [v])
+    return topo, a
 
 
-@lru_cache(maxsize=256)
-def cap_values(t: Topology) -> Mapping[str, int]:
+def _analysis(t: Topology | Analysis, ps: PathSet | None = None) -> Analysis:
+    if not isinstance(t, Analysis):
+        return Analysis(t, ps)
+    if ps is not None and ps is not t.ps:
+        raise ValueError("an Analysis carries its own path set")
+    return t
+
+
+def cap_values(t: Topology | Analysis) -> Mapping[str, int]:
     """Per-node CAP index: cut to the virtual monitor in the star graph."""
-    t.require_monitored()
-    star = _star(t)
+    a = _analysis(t)
+    star = build_star(a.t)
     return MappingProxyType(
-        {v: min_vertex_cut_size(star, v, VIRTUAL_MONITOR).cut_size for v in t.non_monitors}
+        {v: min_vertex_cut_size(star, v, VIRTUAL_MONITOR).cut_size for v in a.t.non_monitors}
     )
 
 
-@lru_cache(maxsize=256)
-def csp_internals_all(t: Topology) -> Mapping[str, CspInternals]:
+def csp_internals_all(t: Topology | Analysis) -> Mapping[str, CspInternals]:
     """CSP cut quantities for every non-monitor at once."""
-    t.require_monitored()
-    stars = cap_values(t)
-    minus = _minus_graphs(t)
+    a = _analysis(t)
+    stars = a.cap
+    minus = [build_minus_monitor(a.t, m) for m in sorted(a.t.monitors)]
     out: dict[str, CspInternals] = {}
-    for v in t.non_monitors:
+    for v in a.t.non_monitors:
         delta_min = min(min_vertex_cut_size(g, v, VIRTUAL_MONITOR).cut_size for g in minus)
         out[v] = CspInternals(delta_star=stars[v], delta_min=delta_min)
     return MappingProxyType(out)
 
 
-@lru_cache(maxsize=256)
-def _csp_single_failure_nodes(t: Topology) -> frozenset[str]:
+def _csp_single_failure_nodes(t: Topology | Analysis) -> frozenset[str]:
     # Exact single-failure identifiability under CSP, via biconnected
     # decompositions of the extended graphs: v qualifies when (a) v is
     # two-connected to the virtual monitor in the extended graph and (b) for
     # every other non-monitor w, v stays two-connected with w removed or w
     # stays two-connected with v removed (otherwise {v} and {w} can disrupt
     # identical path sets). One decomposition per removed node suffices.
-    t.require_monitored()
-    anchored = _two_connected_set(build_extended(t), VIRTUAL_MONITOR)
-    reach = {
-        w: _two_connected_set(build_extended_minus(t, w), VIRTUAL_MONITOR)
-        for w in t.non_monitors
-    }
+    a = _analysis(t)
+    anchored, reach = a.csp_anchored, a.csp_reach
     ok: set[str] = set()
-    for v in t.non_monitors:
+    for v in a.t.non_monitors:
         if v not in anchored:
             continue
-        if all(v in reach[w] or w in reach[v] for w in t.non_monitors if w != v):
-            ok.add(v)
-    return frozenset(ok)
-
-
-@lru_cache(maxsize=256)
-def _up_single_failure_nodes(ps: PathSet) -> frozenset[str]:
-    # v's single failure is localizable iff some path sees v and no other
-    # node disrupts exactly the same paths.
-    masks = ps.incidence_masks
-    ok: set[str] = set()
-    for v in ps.universe:
-        mv = masks[v]
-        if mv and all(mv != masks[w] for w in ps.universe if w != v):
+        if all(v in reach[w] or w in reach[v] for w in a.t.non_monitors if w != v):
             ok.add(v)
     return frozenset(ok)
 
@@ -228,19 +305,21 @@ def _up_single_failure_nodes(ps: PathSet) -> frozenset[str]:
 # CAP
 
 
-def omega_cap(t: Topology, v: str) -> IntBounds:
+def omega_cap(t: Topology | Analysis, v: str) -> IntBounds:
     """Exact per-node index under unconstrained walk probing."""
-    _check_members(t, [v])
-    return IntBounds.exactly(cap_values(t)[v])
+    topo, a = _node(t, v)
+    if a is not None:
+        return IntBounds.exactly(a.cap[v])
+    return IntBounds.exactly(min_vertex_cut_size(build_star(topo), v, VIRTUAL_MONITOR).cut_size)
 
 
-def k_identifiable_cap(t: Topology, group: Iterable[str], k: int) -> TriState:
+def k_identifiable_cap(t: Topology | Analysis, group: Iterable[str], k: int) -> TriState:
     """Exact test: the group is k-identifiable iff every member's cut to the
     virtual monitor in the star graph reaches k. Never undetermined."""
-    members = _check_members(t, group)
-    _check_k(k, t.sigma)
-    values = cap_values(t)
-    if min(values[v] for v in members) >= k:
+    a = _analysis(t)
+    members = _check_members(a.t, group)
+    _check_k(k, a.t.sigma)
+    if min(a.cap[v] for v in members) >= k:
         return TriState(Status.IDENTIFIABLE, "star-cut")
     return TriState(Status.NOT_IDENTIFIABLE, "star-cut")
 
@@ -249,10 +328,16 @@ def k_identifiable_cap(t: Topology, group: Iterable[str], k: int) -> TriState:
 # CSP
 
 
-def csp_internals(t: Topology, v: str) -> CspInternals:
+def csp_internals(t: Topology | Analysis, v: str) -> CspInternals:
     """The cut pair (delta_star, delta_min) behind the CSP results for ``v``."""
-    _check_members(t, [v])
-    return csp_internals_all(t)[v]
+    topo, a = _node(t, v)
+    if a is not None:
+        return a.csp[v]
+    delta_min = min(
+        min_vertex_cut_size(build_minus_monitor(topo, m), v, VIRTUAL_MONITOR).cut_size
+        for m in sorted(topo.monitors)
+    )
+    return CspInternals(delta_star=omega_cap(topo, v).lo, delta_min=delta_min)
 
 
 def _near_complete(t: Topology, v: str) -> bool:
@@ -267,7 +352,7 @@ def _near_complete(t: Topology, v: str) -> bool:
     )
 
 
-def omega_csp(t: Topology, v: str) -> IntBounds:
+def omega_csp(t: Topology | Analysis, v: str) -> IntBounds:
     """Per-node index under simple-path probing.
 
     Resolution order: (1) two monitor neighbors give the full index sigma;
@@ -277,9 +362,10 @@ def omega_csp(t: Topology, v: str) -> IntBounds:
     exactly, the second via the near-complete-neighborhood condition;
     (5) otherwise the index is pinned to [pi - 1, pi].
     """
-    _check_members(t, [v])
+    ints = csp_internals(t, v)
+    if isinstance(t, Analysis):
+        t = t.t
     sigma = t.sigma
-    ints = csp_internals_all(t)[v]
     if t.monitor_degree(v) >= 2:
         return IntBounds.exactly(sigma)
     if ints.delta_star == 1:
@@ -291,7 +377,7 @@ def omega_csp(t: Topology, v: str) -> IntBounds:
     return IntBounds(max(ints.pi - 1, 0), ints.pi)
 
 
-def k_identifiable_csp(t: Topology, group: Iterable[str], k: int) -> TriState:
+def k_identifiable_csp(t: Topology | Analysis, group: Iterable[str], k: int) -> TriState:
     """k-identifiability under simple-path probing.
 
     The two near-full regimes (k == sigma and k == sigma - 1) and the single
@@ -299,6 +385,8 @@ def k_identifiable_csp(t: Topology, group: Iterable[str], k: int) -> TriState:
     conditions give a sufficient check and a necessary check one unit apart,
     so the verdict can be undetermined.
     """
+    a = _analysis(t)
+    t = a.t
     members = _check_members(t, group)
     sigma = t.sigma
     _check_k(k, sigma)
@@ -317,8 +405,8 @@ def k_identifiable_csp(t: Topology, group: Iterable[str], k: int) -> TriState:
             "near-complete-neighborhood",
         )
     if k == 1:
-        return one_identifiable(t, members, Mechanism.CSP)
-    internals = csp_internals_all(t)
+        return one_identifiable(a, members, Mechanism.CSP)
+    internals = a.csp
     g_star = min(internals[v].delta_star for v in members)
     g_minus = min(internals[v].delta_min for v in members)
     if g_star >= k + 2 and g_minus >= k + 1:
@@ -333,7 +421,7 @@ def k_identifiable_csp(t: Topology, group: Iterable[str], k: int) -> TriState:
 
 
 def one_identifiable(
-    t: Topology,
+    t: Topology | Analysis,
     group: Iterable[str],
     mechanism: Mechanism,
     ps: PathSet | None = None,
@@ -345,29 +433,34 @@ def one_identifiable(
     extended graphs; under UP it is a direct comparison of path incidence
     (``ps`` required).
     """
-    members = _check_members(t, group)
+    a = _analysis(t, ps)
+    members = _check_members(a.t, group)
     mechanism = Mechanism(mechanism)
     if mechanism is Mechanism.CAP:
-        t.require_monitored()
         return TriState(Status.IDENTIFIABLE, "any-monitor-reachable")
-    if mechanism is Mechanism.CSP:
-        anchored = _two_connected_set(build_extended(t), VIRTUAL_MONITOR)
-        for v in members:
-            if v not in anchored:
-                return TriState(
-                    Status.NOT_IDENTIFIABLE, f"single-failure-test:not-two-connected:{v}"
-                )
-        ok = _csp_single_failure_nodes(t)
-        for v in members:
-            if v not in ok:
-                w = _first_confusable_csp(t, v)
-                return TriState(
-                    Status.NOT_IDENTIFIABLE, f"single-failure-test:confusable-pair:{v}~{w}"
-                )
-        return TriState(Status.IDENTIFIABLE, "single-failure-test")
-    if ps is None:
-        raise ValueError("routing-determined analysis needs a path set")
-    _check_universe(t, ps)
+    if mechanism is Mechanism.UP:
+        return _single_failure_up(a.paths, members)
+    for v in members:
+        if v not in a.csp_anchored:
+            return TriState(Status.NOT_IDENTIFIABLE, f"single-failure-test:not-two-connected:{v}")
+    reach = a.csp_reach
+    for v in members:
+        if v not in a.csp_single:
+            # v is anchored, so some w breaks condition (b) of the single-failure set.
+            w = next(
+                w
+                for w in a.t.non_monitors
+                if w != v and v not in reach[w] and w not in reach[v]
+            )
+            return TriState(
+                Status.NOT_IDENTIFIABLE, f"single-failure-test:confusable-pair:{v}~{w}"
+            )
+    return TriState(Status.IDENTIFIABLE, "single-failure-test")
+
+
+def _single_failure_up(ps: PathSet, members: Iterable[str]) -> TriState:
+    # v's single failure is localizable iff some path sees v and no other
+    # node disrupts exactly the same paths.
     masks = ps.incidence_masks
     for v in members:
         if masks[v] == 0:
@@ -378,22 +471,6 @@ def one_identifiable(
                     Status.NOT_IDENTIFIABLE, f"single-failure-test:confusable-pair:{v}~{w}"
                 )
     return TriState(Status.IDENTIFIABLE, "single-failure-test")
-
-
-def _first_confusable_csp(t: Topology, v: str) -> str:
-    reach_v = _two_connected_set(build_extended_minus(t, v), VIRTUAL_MONITOR)
-    for w in t.non_monitors:
-        if w == v:
-            continue
-        reach_w = _two_connected_set(build_extended_minus(t, w), VIRTUAL_MONITOR)
-        if v not in reach_w and w not in reach_v:
-            return w
-    return "?"
-
-
-def _check_universe(t: Topology, ps: PathSet) -> None:
-    if tuple(ps.universe) != t.non_monitors:
-        raise ValueError("path set universe does not match the topology's non-monitors")
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +555,7 @@ def k_identifiable_up(
             "all-directly-measured",
         )
     if k == 1:
-        masks = ps.incidence_masks
-        for v in members:
-            if masks[v] == 0:
-                return TriState(Status.NOT_IDENTIFIABLE, f"single-failure-test:no-path:{v}")
-            for w in ps.universe:
-                if w != v and masks[w] == masks[v]:
-                    return TriState(
-                        Status.NOT_IDENTIFIABLE,
-                        f"single-failure-test:confusable-pair:{v}~{w}",
-                    )
-        return TriState(Status.IDENTIFIABLE, "single-failure-test")
+        return _single_failure_up(ps, members)
     bounds = [omega_up(ps, v, exact_cover=exact_cover) for v in members]
     if min(b.lo for b in bounds) >= k:
         return TriState(Status.IDENTIFIABLE, "cover-sufficient")
@@ -502,7 +569,7 @@ def k_identifiable_up(
 
 
 def per_node_bounds(
-    t: Topology,
+    t: Topology | Analysis,
     mechanism: Mechanism,
     ps: PathSet | None = None,
     *,
@@ -515,25 +582,25 @@ def per_node_bounds(
     the form [0, hi>=1] is settled by the exact single-failure test: the
     node either is 1-identifiable (lower bound lifts to 1) or is not (the
     index is exactly 0). Per-node report rows use ``refine_single=False`` to
-    show the raw theorem bounds.
+    show the raw theorem bounds. Given an :class:`Analysis`, the refined
+    table starts from the raw one when that is already built. The result is
+    always a fresh dict.
     """
-    t.require_monitored()
+    a = _analysis(t, ps)
     mechanism = Mechanism(mechanism)
-    if mechanism is Mechanism.CAP:
-        return {v: IntBounds.exactly(value) for v, value in cap_values(t).items()}
-    if mechanism is Mechanism.CSP:
-        table = {v: omega_csp(t, v) for v in t.non_monitors}
-        if refine_single:
-            ok = _csp_single_failure_nodes(t)
-            table = _refine_with_single(table, ok)
-        return table
-    if ps is None:
-        raise ValueError("routing-determined analysis needs a path set")
-    _check_universe(t, ps)
-    table = {v: omega_up(ps, v, exact_cover=exact_cover) for v in ps.universe}
-    if refine_single:
-        table = _refine_with_single(table, _up_single_failure_nodes(ps))
-    return table
+    raw = a._tables.get((mechanism, False, exact_cover))
+    if raw is None:
+        if mechanism is Mechanism.CAP:
+            raw = {v: IntBounds.exactly(value) for v, value in a.cap.items()}
+        elif mechanism is Mechanism.CSP:
+            raw = {v: omega_csp(a, v) for v in a.t.non_monitors}
+        else:
+            up_paths = a.paths
+            raw = {v: omega_up(up_paths, v, exact_cover=exact_cover) for v in up_paths.universe}
+    if not refine_single or mechanism is Mechanism.CAP:
+        return dict(raw)
+    ok = a.csp_single if mechanism is Mechanism.CSP else a.up_single
+    return _refine_with_single(raw, ok)
 
 
 def _refine_with_single(
@@ -549,7 +616,7 @@ def _refine_with_single(
 
 
 def omega_set(
-    t: Topology,
+    t: Topology | Analysis,
     group: Iterable[str],
     mechanism: Mechanism,
     ps: PathSet | None = None,
@@ -557,16 +624,13 @@ def omega_set(
     exact_cover: bool = False,
 ) -> IntBounds:
     """Index bounds for a set: the member-wise minimum of the per-node bounds."""
-    members = _check_members(t, group)
-    table = per_node_bounds(t, mechanism, ps, exact_cover=exact_cover)
-    return IntBounds(
-        min(table[v].lo for v in members),
-        min(table[v].hi for v in members),
-    )
+    a = _analysis(t, ps)
+    members = _check_members(a.t, group)
+    return fold_bounds(a.table(mechanism, exact_cover=exact_cover), members)
 
 
 def max_identifiable_set(
-    t: Topology,
+    t: Topology | Analysis,
     k: int,
     mechanism: Mechanism,
     ps: PathSet | None = None,
@@ -582,10 +646,7 @@ def max_identifiable_set(
     per-node values), UP is exact at sigma, and the folded single-failure
     test makes k = 1 exact for every mechanism.
     """
-    _check_k(k, t.sigma)
-    table = per_node_bounds(
-        t, mechanism, ps, refine_single=refine_single, exact_cover=exact_cover
-    )
-    inner = frozenset(v for v, b in table.items() if b.lo >= k)
-    outer = frozenset(v for v, b in table.items() if b.hi >= k)
-    return SetBounds(inner, outer)
+    a = _analysis(t, ps)
+    _check_k(k, a.t.sigma)
+    table = a.table(mechanism, refine_single=refine_single, exact_cover=exact_cover)
+    return threshold_bounds(table, k)

@@ -40,6 +40,12 @@ def _guard(value: int, limit: int, default: int, what: str) -> None:
         )
 
 
+def check_universe_size(sigma: int) -> None:
+    """Raise OracleCapError when a universe of ``sigma`` non-monitors is past
+    the default cap. Callers that enumerate paths for the oracle check it first."""
+    _guard(sigma, DEFAULT_MAX_SIGMA, DEFAULT_MAX_SIGMA, "universe size")
+
+
 def distinguishable(ps: PathSet, f1: Iterable[str], f2: Iterable[str]) -> bool:
     """True iff the two failure sets disrupt different sets of paths."""
     return affected(ps, f1) != affected(ps, f2)

@@ -11,17 +11,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .identify import (
+    Analysis,
     IntBounds,
     Mechanism,
     SetBounds,
-    max_identifiable_set,
-    per_node_bounds,
+    fold_bounds,
+    threshold_bounds,
 )
 from .oracle import oracle_omega, oracle_omega_all
 from .probing import PathSet, enumerate_cap, enumerate_csp, route_up
@@ -282,7 +284,14 @@ def normalize_mechanisms(mechanisms: Iterable[Mechanism | str]) -> tuple[Mechani
     return tuple(out)
 
 
-def _mechanism_paths(t: Topology, mechanism: Mechanism, ps: PathSet | None) -> PathSet:
+def _context(t: Topology, mechs: tuple[Mechanism, ...], ps: PathSet | None) -> Analysis:
+    """The one analysis context of a report; UP without given paths is routed here, once."""
+    if ps is None and Mechanism.UP in mechs:
+        ps = route_up(t)
+    return Analysis(t, ps)
+
+
+def _mechanism_paths(a: Analysis, mechanism: Mechanism) -> PathSet:
     """The measurement paths a mechanism is judged on.
 
     UP is defined by its routes (supplied or derived); CAP and CSP are
@@ -290,25 +299,36 @@ def _mechanism_paths(t: Topology, mechanism: Mechanism, ps: PathSet | None) -> P
     path sets.
     """
     if mechanism is Mechanism.UP:
-        return ps if ps is not None else route_up(t)
+        return a.paths
     if mechanism is Mechanism.CSP:
-        return enumerate_csp(t)
-    return enumerate_cap(t)
+        return enumerate_csp(a.t)
+    return enumerate_cap(a.t)
 
 
-def _bounds_table(
-    t: Topology,
-    mechanism: Mechanism,
-    ps: PathSet | None,
+def _tables(
+    a: Analysis,
+    mechs: tuple[Mechanism, ...],
     *,
     refine_single: bool,
     exact: bool,
-) -> dict[str, IntBounds]:
-    if exact:
-        values = oracle_omega_all(_mechanism_paths(t, mechanism, ps))
-        return {v: IntBounds.exactly(w) for v, w in values.items()}
-    up_paths = ps if ps is not None else (route_up(t) if mechanism is Mechanism.UP else None)
-    return per_node_bounds(t, mechanism, up_paths, refine_single=refine_single)
+) -> dict[Mechanism, Mapping[str, IntBounds]]:
+    """Per mechanism, the context's bound table, or oracle values if ``exact``."""
+    if not exact:
+        return {m: a.table(m, refine_single=refine_single) for m in mechs}
+    return {
+        m: {v: IntBounds.exactly(w) for v, w in oracle_omega_all(_mechanism_paths(a, m)).items()}
+        for m in mechs
+    }
+
+
+def _set_row(
+    mechanism: Mechanism, members: tuple[str, ...], table: Mapping[str, IntBounds]
+) -> SetRow:
+    unknown = [v for v in members if v not in table]
+    if not members or unknown:
+        bad = unknown[0] if unknown else "(empty)"
+        raise ValueError(f"queried set must be non-monitors, got {bad!r}")
+    return SetRow(mechanism, members, fold_bounds(table, members))
 
 
 def analyze(
@@ -331,9 +351,8 @@ def analyze(
     t.require_monitored()
     mechs = normalize_mechanisms(mechanisms)
     meta = meta or ReportMeta()
-    tables = {
-        m: _bounds_table(t, m, ps, refine_single=False, exact=exact) for m in mechs
-    }
+    a = _context(t, mechs, ps)
+    tables = _tables(a, mechs, refine_single=False, exact=exact)
     rows = [
         AnalysisRow(
             node=v,
@@ -347,29 +366,15 @@ def analyze(
     first = mechs[0]
     rows.sort(key=lambda r: (-r.bound(first).hi, -r.bound(first).lo, r.node))
 
+    folded = tables
+    if not exact and (group is not None or include_maxsets):
+        folded = _tables(a, mechs, refine_single=True, exact=False)
     set_rows: list[SetRow] = []
     if group is not None:
         members = tuple(sorted(set(group)))
-        for m in mechs:
-            folded = _bounds_table(t, m, ps, refine_single=True, exact=exact)
-            unknown = [v for v in members if v not in folded]
-            if not members or unknown:
-                bad = unknown[0] if unknown else "(empty)"
-                raise ValueError(f"queried set must be non-monitors, got {bad!r}")
-            set_rows.append(
-                SetRow(
-                    mechanism=m,
-                    members=members,
-                    bounds=IntBounds(
-                        min(folded[v].lo for v in members),
-                        min(folded[v].hi for v in members),
-                    ),
-                )
-            )
-
-    maxset_rows: list[MaxsetRow] = []
-    if include_maxsets:
-        maxset_rows = _maxset_rows(t, mechs, None, ps=ps, exact=exact)
+        set_rows = [_set_row(m, members, folded[m]) for m in mechs]
+    ks = range(1, t.sigma + 1) if include_maxsets else ()
+    maxset_rows = [MaxsetRow(m, k, threshold_bounds(folded[m], k)) for k in ks for m in mechs]
 
     return AnalysisReport(
         meta=meta,
@@ -379,36 +384,6 @@ def analyze(
         set_rows=tuple(set_rows),
         maxset_rows=tuple(maxset_rows),
     )
-
-
-def _maxset_rows(
-    t: Topology,
-    mechs: tuple[Mechanism, ...],
-    ks: Sequence[int] | None,
-    *,
-    ps: PathSet | None,
-    exact: bool,
-) -> list[MaxsetRow]:
-    sigma = t.sigma
-    wanted = list(ks) if ks is not None else list(range(1, sigma + 1))
-    for k in wanted:
-        if not 1 <= k <= sigma:
-            raise ValueError(f"k must be in 1..{sigma}")
-    exact_values: dict[Mechanism, dict[str, int]] = {}
-    if exact:
-        exact_values = {m: oracle_omega_all(_mechanism_paths(t, m, ps)) for m in mechs}
-    rows: list[MaxsetRow] = []
-    for k in wanted:
-        for m in mechs:
-            if exact:
-                exact_set = frozenset(v for v, w in exact_values[m].items() if w >= k)
-                rows.append(MaxsetRow(m, k, SetBounds(exact_set, exact_set)))
-            else:
-                up_paths = ps if ps is not None else (
-                    route_up(t) if m is Mechanism.UP else None
-                )
-                rows.append(MaxsetRow(m, k, max_identifiable_set(t, k, m, up_paths)))
-    return rows
 
 
 def maxset_report(
@@ -423,12 +398,18 @@ def maxset_report(
     """Maximal k-identifiable sets only (all k by default)."""
     t.require_monitored()
     mechs = normalize_mechanisms(mechanisms)
+    wanted = list(ks) if ks is not None else list(range(1, t.sigma + 1))
+    if any(not 1 <= k <= t.sigma for k in wanted):
+        raise ValueError(f"k must be in 1..{t.sigma}")
+    tables = _tables(_context(t, mechs, ps), mechs, refine_single=True, exact=exact)
     return AnalysisReport(
         meta=meta or ReportMeta(),
         sigma=t.sigma,
         mechanisms=mechs,
         rows=(),
-        maxset_rows=tuple(_maxset_rows(t, mechs, ks, ps=ps, exact=exact)),
+        maxset_rows=tuple(
+            MaxsetRow(m, k, threshold_bounds(tables[m], k)) for k in wanted for m in mechs
+        ),
     )
 
 
@@ -451,27 +432,15 @@ def set_report(
     t.require_monitored()
     mechs = normalize_mechanisms(mechanisms)
     members = tuple(sorted(set(group)))
-    set_rows: list[SetRow] = []
-    for m in mechs:
-        if oracle:
-            value = oracle_omega(_mechanism_paths(t, m, ps), members)
-            set_rows.append(SetRow(m, members, IntBounds.exactly(value)))
-        else:
-            folded = _bounds_table(t, m, ps, refine_single=True, exact=exact)
-            unknown = [v for v in members if v not in folded]
-            if not members or unknown:
-                bad = unknown[0] if unknown else "(empty)"
-                raise ValueError(f"queried set must be non-monitors, got {bad!r}")
-            set_rows.append(
-                SetRow(
-                    m,
-                    members,
-                    IntBounds(
-                        min(folded[v].lo for v in members),
-                        min(folded[v].hi for v in members),
-                    ),
-                )
-            )
+    a = _context(t, mechs, ps)
+    if oracle:
+        set_rows = [
+            SetRow(m, members, IntBounds.exactly(oracle_omega(_mechanism_paths(a, m), members)))
+            for m in mechs
+        ]
+    else:
+        tables = _tables(a, mechs, refine_single=True, exact=exact)
+        set_rows = [_set_row(m, members, tables[m]) for m in mechs]
     return AnalysisReport(
         meta=meta or ReportMeta(),
         sigma=t.sigma,
@@ -485,23 +454,6 @@ def set_report(
 # CCDF curves
 
 
-def _ccdf_rows_for(
-    t: Topology,
-    mechanism: Mechanism,
-    ps: PathSet | None,
-    *,
-    exact: bool,
-) -> list[tuple[int, float, float, bool]]:
-    table = _bounds_table(t, mechanism, ps, refine_single=True, exact=exact)
-    sigma = len(table)
-    rows: list[tuple[int, float, float, bool]] = []
-    for k in range(1, sigma + 1):
-        inner = sum(1 for b in table.values() if b.lo >= k)
-        outer = sum(1 for b in table.values() if b.hi >= k)
-        rows.append((k, inner / sigma, outer / sigma, inner == outer))
-    return rows
-
-
 def ccdf(
     t: Topology,
     mechanisms: Sequence[Mechanism | str],
@@ -513,13 +465,14 @@ def ccdf(
     """Fraction of k-identifiable non-monitors for every k in 1..sigma."""
     t.require_monitored()
     mechs = normalize_mechanisms(mechanisms)
-    mu = t.mu
+    tables = _tables(_context(t, mechs, ps), mechs, refine_single=True, exact=exact)
+    sigma = t.sigma
     rows: list[CcdfRow] = []
-    per_mech = {m: _ccdf_rows_for(t, m, ps, exact=exact) for m in mechs}
-    for k in range(1, t.sigma + 1):
+    for k in range(1, sigma + 1):
         for m in mechs:
-            kk, inner, outer, ex = per_mech[m][k - 1]
-            rows.append(CcdfRow(kk, m, mu, inner, outer, ex))
+            sets = threshold_bounds(tables[m], k)
+            inner, outer = len(sets.inner) / sigma, len(sets.outer) / sigma
+            rows.append(CcdfRow(k, m, t.mu, inner, outer, sets.exact))
     return CcdfTable(meta=meta or ReportMeta(), rows=tuple(rows))
 
 
@@ -535,41 +488,70 @@ class BatchSpec(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: dict) -> "BatchSpec":
-        try:
-            return cls(
-                count=int(d["count"]),
-                n=int(d["n"]),
-                p=float(d["p"]),
-                mus=tuple(int(m) for m in d["mus"]),
-                seed=int(d["seed"]),
-                mechanisms=normalize_mechanisms(d.get("mechanisms", ["cap", "csp", "up"])),
-            )
-        except KeyError as exc:
-            raise ValueError(f"batch spec is missing the {exc.args[0]!r} field") from None
+        """Parse a JSON batch spec; a missing or mistyped field raises a
+        ValueError that names it."""
+        d = {"mechanisms": ["cap", "csp", "up"], **d}
+        for name, what, ok in _BATCH_FIELDS:
+            if name not in d:
+                raise ValueError(f"batch spec is missing the {name!r} field")
+            check_field(name, d[name], what, ok)
+        return cls(
+            count=d["count"],
+            n=d["n"],
+            p=float(d["p"]),
+            mus=tuple(d["mus"]),
+            seed=d["seed"],
+            mechanisms=normalize_mechanisms(d["mechanisms"]),
+        )
+
+
+def check_field(name: str, value, what: str, ok: Callable[[object], bool]):
+    """``value`` when ``ok(value)``; otherwise a ValueError naming the spec field."""
+    if not ok(value):
+        raise ValueError(f"batch spec field {name!r} must be {what}, got {value!r}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_list_of(value, ok: Callable[[object], bool]) -> bool:
+    return isinstance(value, (list, tuple)) and all(ok(v) for v in value)
+
+
+#: (field, what it must be, test) for every BatchSpec field, in field order.
+_BATCH_FIELDS = (
+    ("count", "an integer", _is_int),
+    ("n", "an integer", _is_int),
+    ("p", "a number", _is_number),
+    ("mus", "a list of integers", lambda v: _is_list_of(v, _is_int)),
+    ("seed", "an integer", _is_int),
+    ("mechanisms", "a list of names", lambda v: _is_list_of(v, lambda m: isinstance(m, str))),
+)
 
 
 def _ccdf_instance(
-    task: tuple[int, float, int, int, tuple[int, ...], tuple[str, ...]],
-) -> list[tuple[int, str, int, float, float, bool]]:
+    task: tuple[int, float, int, int, tuple[int, ...], tuple[Mechanism, ...]],
+) -> list[CcdfRow]:
     """One batch instance, picklable for process pools.
 
     Monitor placements are nested across the mu values of one instance (a
     shared random node order is prefixed), so curves for different mu are
     comparable draw by draw.
     """
-    n, p, seed, index, mus, mech_values = task
+    n, p, seed, index, mus, mechs = task
     base = gen_er(n, p, seed + index).topology
     rng = random.Random((seed + index) * 1_000_003 + 17)
     order = rng.sample(sorted(base.nodes), len(base.nodes))
-    out: list[tuple[int, str, int, float, float, bool]] = []
+    rows: list[CcdfRow] = []
     for mu in mus:
-        t = base.with_monitors(frozenset(order[:mu]))
-        for value in mech_values:
-            mech = Mechanism(value)
-            ps = route_up(t) if mech is Mechanism.UP else None
-            for k, inner, outer, ex in _ccdf_rows_for(t, mech, ps, exact=False):
-                out.append((k, value, mu, inner, outer, ex))
-    return out
+        rows += ccdf(base.with_monitors(frozenset(order[:mu])), mechs).rows
+    return rows
 
 
 def ccdf_batch(
@@ -584,43 +566,36 @@ def ccdf_batch(
     order regardless of ``jobs``, so parallel runs are byte-identical to
     serial ones.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if spec.count < 1:
         raise ValueError("batch count must be at least 1")
     for mu in spec.mus:
         if not 1 <= mu < spec.n:
             raise ValueError(f"mu={mu} leaves no non-monitors to analyze (n={spec.n})")
-    mech_values = tuple(m.value for m in normalize_mechanisms(spec.mechanisms))
+    mechs = normalize_mechanisms(spec.mechanisms)
     tasks = [
-        (spec.n, spec.p, spec.seed, i, tuple(spec.mus), mech_values)
+        (spec.n, spec.p, spec.seed, i, tuple(spec.mus), mechs)
         for i in range(spec.count)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, spec.count, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_ccdf_instance, tasks))
     else:
         results = [_ccdf_instance(task) for task in tasks]
 
-    sums: dict[tuple[int, str, int], list] = {}
+    sums: dict[tuple[int, Mechanism, int], list] = {}
     for result in results:
-        for k, value, mu, inner, outer, ex in result:
-            acc = sums.setdefault((mu, value, k), [0.0, 0.0, True])
-            acc[0] += inner
-            acc[1] += outer
-            acc[2] = acc[2] and ex
+        for row in result:
+            acc = sums.setdefault((row.mu, row.mechanism, row.k), [0.0, 0.0, True])
+            acc[0] += row.inner_fraction
+            acc[1] += row.outer_fraction
+            acc[2] = acc[2] and row.exact
     rows: list[CcdfRow] = []
     for mu in spec.mus:
-        sigma = spec.n - mu
-        for k in range(1, sigma + 1):
-            for value in mech_values:
-                acc = sums[(mu, value, k)]
-                rows.append(
-                    CcdfRow(
-                        k,
-                        Mechanism(value),
-                        mu,
-                        acc[0] / spec.count,
-                        acc[1] / spec.count,
-                        acc[2],
-                    )
-                )
+        for k in range(1, spec.n - mu + 1):
+            for m in mechs:
+                inner, outer, exact = sums[(mu, m, k)]
+                rows.append(CcdfRow(k, m, mu, inner / spec.count, outer / spec.count, exact))
     return CcdfTable(meta=meta or ReportMeta(seed=spec.seed), rows=tuple(rows))

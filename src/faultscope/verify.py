@@ -16,11 +16,11 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cuts import min_vertex_cut_size, two_connected
-from .identify import Mechanism, cap_values, gsc, max_identifiable_set, omega_csp
-from .oracle import brute_vertex_cut, oracle_msc, oracle_omega_all
+from .identify import Analysis, Mechanism, gsc, max_identifiable_set, omega_csp
+from .oracle import brute_vertex_cut, check_universe_size, oracle_msc, oracle_omega_all
 from .probing import PathSet, enumerate_cap, enumerate_csp, route_up
 from .randomnet import gen_er, place_monitors, random_graph
-from .reports import VERSION
+from .reports import VERSION, _is_int, _is_list_of, _is_number, check_field
 from .topology import Topology
 
 SCHEMA_VERIFY = "faultscope/verify v1"
@@ -126,6 +126,7 @@ def verify_topologies(
         def load(mech: Mechanism) -> None:
             if mech in mech_paths:
                 return
+            check_universe_size(t.sigma)
             if mech is Mechanism.CAP:
                 ps = enumerate_cap(t, max_nodes=None, max_edges=None)
             elif mech is Mechanism.CSP:
@@ -141,9 +142,10 @@ def verify_topologies(
             load(Mechanism.CSP)
         if "up" in checks or want_sets:
             load(Mechanism.UP)
+        a = Analysis(t, mech_paths.get(Mechanism.UP))
 
         if "cap" in checks:
-            values = dict(cap_values(t))
+            values = dict(a.cap)
             if corrupt and index == 0 and t.non_monitors:
                 first = t.non_monitors[0]
                 values[first] += 1
@@ -163,7 +165,7 @@ def verify_topologies(
             target = mech_oracle[Mechanism.CSP]
             for v in t.non_monitors:
                 nchecks += 1
-                b = omega_csp(t, v)
+                b = omega_csp(a, v)
                 if not b.contains(target[v]):
                     failures.append(
                         CheckFailure(
@@ -213,11 +215,10 @@ def verify_topologies(
 
         if want_sets:
             for mech in (Mechanism.CAP, Mechanism.CSP, Mechanism.UP):
-                ps = mech_paths[mech] if mech is Mechanism.UP else None
                 omega = mech_oracle[mech]
                 for k in range(1, t.sigma + 1):
                     nchecks += 1
-                    bounds = max_identifiable_set(t, k, mech, ps)
+                    bounds = max_identifiable_set(a, k, mech)
                     exact_set = frozenset(v for v, w in omega.items() if w >= k)
                     if not (bounds.inner <= exact_set <= bounds.outer):
                         failures.append(
@@ -273,35 +274,55 @@ def verify_batch_spec(spec: dict, *, corrupt: bool = False) -> VerificationRepor
     instances and runs the closed-form-vs-oracle checks; ``cuts`` exercises
     the cut engine alone. Common fields: ``count``, ``seed``; er batteries
     also accept ``n_range``, ``p_range``, ``monitor_counts`` and ``checks``.
+    A field of the wrong JSON type raises a ValueError that names it.
     """
     kind = spec.get("kind", "er")
-    count = int(spec.get("count", 50))
-    seed = int(spec.get("seed", 0))
+    count = check_field("count", spec.get("count", 50), "an integer", _is_int)
+    seed = check_field("seed", spec.get("seed", 0), "an integer", _is_int)
     if kind == "cuts":
         return verify_cut_engine(
-            count,
-            seed,
-            n_range=_pair(spec.get("n_range", (2, 8))),
-            p_range=_fpair(spec.get("p_range", (0.1, 0.9))),
+            count, seed, n_range=_n_range(spec, (2, 8)), p_range=_p_range(spec, (0.1, 0.9))
         )
     if kind == "er":
         tops = er_battery(
             count,
             seed,
-            n_range=_pair(spec.get("n_range", (5, 10))),
-            p_range=_fpair(spec.get("p_range", (0.3, 0.55))),
-            monitor_counts=tuple(int(m) for m in spec.get("monitor_counts", (2, 3))),
+            n_range=_n_range(spec, (5, 10)),
+            p_range=_p_range(spec, (0.3, 0.55)),
+            monitor_counts=tuple(
+                check_field(
+                    "monitor_counts",
+                    spec.get("monitor_counts", (2, 3)),
+                    "a list of integers",
+                    lambda v: _is_list_of(v, _is_int),
+                )
+            ),
         )
-        checks = tuple(spec.get("checks", ALL_CHECKS))
-        return verify_topologies(tops, checks, corrupt=corrupt)
+        checks = check_field(
+            "checks",
+            spec.get("checks", ALL_CHECKS),
+            "a list of check names",
+            lambda v: _is_list_of(v, lambda c: isinstance(c, str)),
+        )
+        return verify_topologies(tops, tuple(checks), corrupt=corrupt)
     raise ValueError(f"unknown battery kind {kind!r}")
 
 
-def _pair(value) -> tuple[int, int]:
-    a, b = value
-    return (int(a), int(b))
+def _n_range(spec: dict, default: tuple[int, int]) -> tuple[int, int]:
+    lo, hi = check_field(
+        "n_range",
+        spec.get("n_range", default),
+        "a list of two integers",
+        lambda v: _is_list_of(v, _is_int) and len(v) == 2,
+    )
+    return (lo, hi)
 
 
-def _fpair(value) -> tuple[float, float]:
-    a, b = value
-    return (float(a), float(b))
+def _p_range(spec: dict, default: tuple[float, float]) -> tuple[float, float]:
+    lo, hi = check_field(
+        "p_range",
+        spec.get("p_range", default),
+        "a list of two numbers",
+        lambda v: _is_list_of(v, _is_number) and len(v) == 2,
+    )
+    return (float(lo), float(hi))

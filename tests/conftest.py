@@ -39,3 +39,21 @@ def csp_paths(golden: fs.Topology) -> fs.PathSet:
 def cap_paths(golden: fs.Topology) -> fs.PathSet:
     """The four probing walks of the worked example."""
     return fs.parse_paths(read_fixture("golden/cap.paths"), golden)
+
+
+@pytest.fixture()
+def table_builds(monkeypatch) -> list[tuple[str, object]]:
+    """Records each call of the identify table builders as (name, mechanism).
+
+    The mechanism is per_node_bounds' second argument, None for the others.
+    """
+    calls: list[tuple[str, object]] = []
+    for name in ("cap_values", "csp_internals_all", "_csp_single_failure_nodes", "per_node_bounds"):
+        original = getattr(fs.identify, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, args[1] if len(args) > 1 else None))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fs.identify, name, spy)
+    return calls

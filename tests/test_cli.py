@@ -230,6 +230,38 @@ class TestCcdf:
         )
         assert rc == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        ("field", "spec"),
+        [
+            ("mus", {"count": 2, "n": 10, "p": 0.4, "mus": 5, "seed": 1}),
+            ("mus", {"count": 2, "n": 10, "p": 0.4, "mus": ["2"], "seed": 1}),
+            ("count", {"count": "2", "n": 10, "p": 0.4, "mus": [2], "seed": 1}),
+            ("n", {"count": 2, "n": [10], "p": 0.4, "mus": [2], "seed": 1}),
+            ("p", {"count": 2, "n": 10, "p": "x", "mus": [2], "seed": 1}),
+            ("seed", {"count": 2, "n": 10, "p": 0.4, "mus": [2], "seed": 1.5}),
+            (
+                "mechanisms",
+                {"count": 2, "n": 10, "p": 0.4, "mus": [2], "seed": 1, "mechanisms": "cap"},
+            ),
+        ],
+    )
+    def test_batch_field_of_wrong_type(self, field, spec, capsys):
+        rc, out, err = run(capsys, "ccdf", "--batch", json.dumps(spec))
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert f"{field!r}" in line
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, jobs, capsys):
+        spec = '{"count": 2, "n": 8, "p": 0.4, "mus": [2], "seed": 5, "mechanisms": ["cap"]}'
+        rc, out, err = run(capsys, "ccdf", "--batch", spec, "--jobs", jobs)
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        (line,) = err.splitlines()
+        assert "jobs" in line
+
 
 class TestVerify:
     def test_cut_battery(self, capsys):
@@ -246,6 +278,39 @@ class TestVerify:
         assert rc == EXIT_OK
         doc = json.loads(out)
         assert doc["instances"] == 1 and doc["ok"] is True
+
+    @pytest.mark.parametrize(
+        ("field", "what", "spec"),
+        [
+            ("n_range", "two integers", {"kind": "er", "count": 2, "n_range": [5]}),
+            ("p_range", "two numbers", {"kind": "er", "count": 2, "p_range": [0.3]}),
+            ("n_range", "two integers", {"kind": "cuts", "count": 2, "n_range": 5}),
+            ("p_range", "two numbers", {"kind": "cuts", "count": 2, "p_range": [0.1, "x"]}),
+            ("count", "an integer", {"kind": "er", "count": [1]}),
+            ("seed", "an integer", {"kind": "cuts", "count": 2, "seed": "1"}),
+            ("monitor_counts", "integers", {"kind": "er", "count": 2, "monitor_counts": 5}),
+            ("checks", "check names", {"kind": "er", "count": 2, "checks": "cap"}),
+        ],
+    )
+    def test_batch_field_of_wrong_type(self, field, what, spec, capsys):
+        rc, out, err = run(capsys, "verify", "--batch", json.dumps(spec))
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        (line,) = err.splitlines()
+        assert f"{field!r}" in line and what in line
+
+    def test_oversized_battery_refused_before_enumeration(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("paths enumerated for an instance the oracle refuses")
+
+        monkeypatch.setattr("faultscope.verify.enumerate_cap", never)
+        monkeypatch.setattr("faultscope.verify.enumerate_csp", never)
+        spec = '{"kind": "er", "count": 2, "n_range": [14, 14], "monitor_counts": [2]}'
+        rc, out, err = run(capsys, "verify", "--batch", spec)
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        (line,) = err.splitlines()
+        assert "universe size 12 exceeds the oracle cap 10" in line
 
     def test_corruption_exits_nonzero(self, capsys):
         rc, out, _ = run(

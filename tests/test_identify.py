@@ -120,6 +120,25 @@ class TestCspInternals:
     def test_hub(self, hub):
         assert fs.csp_internals(hub, "v1") == CspInternals(3, 3)
 
+    def test_plain_topology_runs_only_the_nodes_cuts(self, golden, monkeypatch):
+        cuts: list[str] = []
+        original = fs.identify.min_vertex_cut_size
+
+        def spy(g, s, t):
+            cuts.append(s)
+            return original(g, s, t)
+
+        monkeypatch.setattr(fs.identify, "min_vertex_cut_size", spy)
+        a = fs.Analysis(golden)
+        tables = (a.cap, a.csp)
+        for v in golden.non_monitors:
+            del cuts[:]
+            assert fs.omega_cap(golden, v).lo == tables[0][v]
+            assert cuts == [v]
+            del cuts[:]
+            assert fs.csp_internals(golden, v) == tables[1][v]
+            assert cuts == [v] * (1 + golden.mu)
+
 
 class TestOmegaCsp:
     def test_chain4_single_cut_vertex(self, chain4):

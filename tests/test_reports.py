@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -207,3 +208,57 @@ class TestCcdfBatch:
     def test_from_dict_missing_field(self):
         with pytest.raises(ValueError, match="missing the 'n' field"):
             BatchSpec.from_dict({"count": 2})
+
+
+@pytest.fixture(scope="module")
+def er30():
+    base = fs.gen_er(30, 0.15, seed=3).topology
+    return fs.place_monitors(base, 4, seed=3)
+
+
+class TestTablesBuiltOnce:
+    """One analyze builds each cut table once and reads every max set off it."""
+
+    @pytest.fixture(params=["golden", "er30"])
+    def instance(self, request, golden, up_paths, er30):
+        if request.param == "golden":
+            return golden, up_paths
+        return er30, None
+
+    def test_analyze_builds_each_table_once(self, instance, table_builds, monkeypatch):
+        t, ps = instance
+        routes: list = []
+        monkeypatch.setattr(
+            fs.reports, "route_up", lambda topo: routes.append(topo) or fs.route_up(topo)
+        )
+
+        report = fs.analyze(t, ALL, ps=ps, group=t.non_monitors[:2])
+
+        built = Counter(table_builds)
+        for name in ("cap_values", "csp_internals_all", "_csp_single_failure_nodes"):
+            assert built[(name, None)] == 1
+        for m in ALL:
+            assert 1 <= built[("per_node_bounds", m)] <= 2
+        assert len(routes) == (0 if ps is not None else 1)
+        routed = ps if ps is not None else fs.route_up(t)
+        refined = {m: fs.per_node_bounds(t, m, routed) for m in ALL}
+        assert len(report.maxset_rows) == len(ALL) * t.sigma
+        for row in report.maxset_rows:
+            table = refined[row.mechanism]
+            assert row.sets.inner == {v for v, b in table.items() if b.lo >= row.k}
+            assert row.sets.outer == {v for v, b in table.items() if b.hi >= row.k}
+
+    def test_analysis_answers_repeated_queries_from_one_table_each(self, instance, table_builds):
+        t, ps = instance
+        a = fs.Analysis(t, ps if ps is not None else fs.route_up(t))
+        for m in ALL:
+            for k in range(1, t.sigma + 1):
+                fs.max_identifiable_set(a, k, m)
+            fs.omega_set(a, t.non_monitors, m)
+        for v in t.non_monitors:
+            fs.omega_csp(a, v)
+            fs.omega_cap(a, v)
+        cut_tables = ("cap_values", "csp_internals_all", "_csp_single_failure_nodes")
+        assert Counter(table_builds) == Counter(
+            [(name, None) for name in cut_tables] + [("per_node_bounds", m) for m in ALL]
+        )

@@ -42,6 +42,22 @@ class TestPerNodeBounds:
         with pytest.raises(ValueError):
             fs.per_node_bounds(golden, Mechanism.UP, ps=ps)
 
+    def test_analysis_keeps_its_own_path_set(self, golden, up_paths, csp_paths):
+        a = fs.Analysis(golden, up_paths)
+        assert fs.per_node_bounds(a, Mechanism.UP) == fs.per_node_bounds(
+            golden, Mechanism.UP, ps=up_paths
+        )
+        with pytest.raises(ValueError, match="carries its own path set"):
+            fs.per_node_bounds(a, Mechanism.UP, ps=csp_paths)
+
+    def test_tables_handed_out_cannot_change_the_context(self, golden):
+        a = fs.Analysis(golden)
+        table = fs.per_node_bounds(a, Mechanism.CAP)
+        table["v1"] = IntBounds.exactly(0)
+        assert fs.per_node_bounds(a, Mechanism.CAP)["v1"] != IntBounds.exactly(0)
+        with pytest.raises(TypeError):
+            a.table(Mechanism.CSP)["v1"] = IntBounds.exactly(0)
+
 
 class TestOmegaSet:
     def test_cap_golden(self, golden):

@@ -78,3 +78,13 @@ class TestVerificationReport:
         assert doc["schema"] == "faultscope/verify v1"
         assert doc["ok"] is True
         assert doc["failures"] == []
+
+
+def test_battery_builds_one_table_per_instance_and_mechanism(table_builds):
+    tops = fs.er_battery(6, seed=4)
+    assert fs.verify_topologies(tops).ok
+    assert table_builds.count(("cap_values", None)) == len(tops)
+    assert table_builds.count(("csp_internals_all", None)) == len(tops)
+    assert table_builds.count(("_csp_single_failure_nodes", None)) == len(tops)
+    for m in fs.Mechanism:
+        assert table_builds.count(("per_node_bounds", m)) == len(tops)
