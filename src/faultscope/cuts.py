@@ -1,23 +1,34 @@
 """Minimum vertex cuts between node pairs, in the convention the analyses need.
 
 The cut between non-adjacent s and t is the classic one: the smallest set of
-other nodes whose removal destroys every s-t path, computed via Menger's
-theorem as a unit-capacity max flow on the node-split digraph (each node
-other than s and t becomes an in/out pair joined by a capacity-1 arc; each
-undirected link becomes two arcs of capacity exceeding |V|). Augmenting paths
-are found by BFS, so each augmentation is a shortest path and the total work
-is O(cut_size * links).
+other nodes whose removal destroys every s-t path. By Menger's theorem it is
+the maximum number of internally vertex-disjoint s-t paths, computed as a
+unit-capacity max flow (Even & Tarjan, "Network flow and testing graph
+connectivity", 1975) on the node-split digraph: each node x becomes an arc
+x_in -> x_out of capacity 1, and each undirected link u-v the arcs
+u_out -> v_in and v_out -> u_in. A query runs from s_out to t_in, so the split
+arcs of s and t never carry flow, and no link arc can carry more than one
+unit, so capacity 1 on every arc gives the same maximum.
+
+:class:`CutNetwork` builds that digraph once per graph, in O(V + E). Each
+query copies the capacity array (O(E)) and augments along shortest paths by
+BFS, O(V + E) each. It stops as soon as the flow reaches min(deg s, deg t),
+an upper bound on any non-adjacent cut, or the caller's ``limit``, so the
+final failing search runs only when the cut is below both. A query costs
+O(min(cut + 1, bound) * (V + E)) and leaves the network as it found it.
 
 Adjacent pairs get the convention used throughout the identifiability
 results: C_G(s, t) := V(G) \\ {t}, i.e. cut size |V(G)| - 1. All public
 entry points honor it, including :func:`two_connected`.
+
+Two-connectivity to an anchor comes from the articulation-point DFS instead
+(linear in nodes + links), run only over the anchor's connected component.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterator, Mapping, Sequence
 
 from .topology import Graph
 
@@ -41,64 +52,74 @@ def _check_pair(g: Graph, s: str, t: str) -> None:
         raise ValueError("source and sink must differ")
 
 
-def _disjoint_path_count(g: Graph, s: str, t: str) -> int:
-    # Node-split unit-capacity max flow. Indices: s -> 0, t -> 1, every other
-    # node x -> (in, out) = (2i, 2i+1) with a capacity-1 internal arc.
-    others = [n for n in g.nodes if n != s and n != t]
-    node_in: dict[str, int] = {s: 0, t: 1}
-    node_out: dict[str, int] = {s: 0, t: 1}
-    nxt = 2
-    for x in others:
-        node_in[x] = nxt
-        node_out[x] = nxt + 1
-        nxt += 2
+class CutNetwork:
+    """The node-split unit-capacity flow network of one graph, built once and
+    queried for any number of (source, sink) pairs."""
 
-    big = len(g.nodes) + 1
-    to: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(nxt)]
+    def __init__(self, g: Graph) -> None:
+        self.graph = g
+        self._index = {v: i for i, v in enumerate(g.nodes)}
+        # Node i is split into in-node 2i and out-node 2i + 1. Arc 2j is a
+        # forward arc (capacity 1), arc 2j + 1 its reverse (capacity 0).
+        head: list[int] = []
+        arcs: list[list[int]] = [[] for _ in range(2 * len(g.nodes))]
 
-    def add_arc(a: int, b: int, c: int) -> None:
-        adj[a].append(len(to))
-        to.append(b)
-        cap.append(c)
-        adj[b].append(len(to))
-        to.append(a)
-        cap.append(0)
+        def add_arc(a: int, b: int) -> None:
+            arcs[a].append(len(head))
+            head.append(b)
+            arcs[b].append(len(head))
+            head.append(a)
 
-    for x in others:
-        add_arc(node_in[x], node_out[x], 1)
-    for u, v in g.edges:
-        add_arc(node_out[u], node_in[v], big)
-        add_arc(node_out[v], node_in[u], big)
+        for i in range(len(g.nodes)):
+            add_arc(2 * i, 2 * i + 1)
+        index = self._index
+        for u, v in g.edges:
+            add_arc(2 * index[u] + 1, 2 * index[v])
+            add_arc(2 * index[v] + 1, 2 * index[u])
+        self._head = head
+        self._arcs = arcs
+        self._capacity = bytearray([1, 0]) * (len(head) // 2)
 
-    src, dst = 0, 1
-    flow = 0
-    while True:
-        prev_edge = [-1] * nxt
-        prev_edge[src] = -2
-        queue = deque([src])
-        while queue and prev_edge[dst] == -1:
-            u = queue.popleft()
-            for eid in adj[u]:
-                if cap[eid] > 0 and prev_edge[to[eid]] == -1:
-                    prev_edge[to[eid]] = eid
-                    queue.append(to[eid])
-        if prev_edge[dst] == -1:
-            return flow
-        bottleneck = big
-        node = dst
-        while node != src:
-            eid = prev_edge[node]
-            bottleneck = min(bottleneck, cap[eid])
-            node = to[eid ^ 1]
-        node = dst
-        while node != src:
-            eid = prev_edge[node]
-            cap[eid] -= bottleneck
-            cap[eid ^ 1] += bottleneck
-            node = to[eid ^ 1]
-        flow += bottleneck
+    def cut_size(self, s: str, t: str, limit: int | None = None) -> int:
+        """min(cut between ``s`` and ``t``, ``limit``); the cut of an adjacent
+        pair is |V| - 1 by convention."""
+        g = self.graph
+        _check_pair(g, s, t)
+        if g.has_edge(s, t):
+            size = len(g.nodes) - 1
+            return size if limit is None else min(size, limit)
+        adj = g.adjacency
+        bound = min(len(adj[s]), len(adj[t]))
+        if limit is not None:
+            bound = min(bound, limit)
+        capacity = self._capacity[:]
+        src, dst = 2 * self._index[s] + 1, 2 * self._index[t]
+        flow = 0
+        while flow < bound and self._augment(capacity, src, dst):
+            flow += 1
+        return flow
+
+    def _augment(self, capacity: bytearray, src: int, dst: int) -> bool:
+        # One BFS for a shortest augmenting path; on success flip the
+        # residual capacities along it. Every path carries one unit.
+        head, arcs = self._head, self._arcs
+        prev = [-1] * len(arcs)
+        prev[src] = -2
+        queue = [src]
+        for u in queue:
+            for e in arcs[u]:
+                if capacity[e] and prev[head[e]] == -1:
+                    x = head[e]
+                    prev[x] = e
+                    if x == dst:
+                        while x != src:
+                            e = prev[x]
+                            capacity[e] = 0
+                            capacity[e ^ 1] = 1
+                            x = head[e ^ 1]
+                        return True
+                    queue.append(x)
+        return False
 
 
 def min_vertex_cut_size(g: Graph, s: str, t: str) -> CutQueryResult:
@@ -106,94 +127,83 @@ def min_vertex_cut_size(g: Graph, s: str, t: str) -> CutQueryResult:
 
     Adjacent pairs return |V(G)| - 1 by convention (no third-node set can
     separate them); other pairs return the Menger value, which is 0 when the
-    pair is already disconnected.
+    pair is already disconnected. Builds a :class:`CutNetwork` for the one
+    query; reuse one network for many queries on the same graph.
     """
-    _check_pair(g, s, t)
-    if g.has_edge(s, t):
-        return CutQueryResult(s, t, len(g.nodes) - 1, adjacent_case=True)
-    return CutQueryResult(s, t, _disjoint_path_count(g, s, t))
+    size = CutNetwork(g).cut_size(s, t)
+    return CutQueryResult(s, t, size, adjacent_case=g.has_edge(s, t))
 
 
-def gamma(g: Graph, group: Iterable[str], m: str) -> int:
-    """Smallest cut between any member of ``group`` and the anchor ``m``."""
-    members = sorted(set(group))
-    if not members:
-        raise ValueError("group must be non-empty")
-    if m in members:
-        raise ValueError("anchor must not belong to the group")
-    best: int | None = None
-    for w in members:
-        size = min_vertex_cut_size(g, w, m).cut_size
-        if best is None or size < best:
-            best = size
-            if best == 0:
-                break
-    assert best is not None
-    return best
+def _blocks(
+    adj: Mapping[str, Sequence[str]],
+    root: str,
+    skip: str | None = None,
+    disc: dict[str, int] | None = None,
+) -> Iterator[list[str]]:
+    # Articulation-point DFS (iterative) over root's connected component,
+    # with node ``skip`` treated as deleted. Yields each biconnected
+    # component as a node list whose last entry is the component's top node
+    # (the articulation point it hangs from, or root). ``disc`` carries the
+    # discovery times across calls.
+    if disc is None:
+        disc = {}
+    disc[root] = len(disc)
+    low = {root: disc[root]}
+    nodes = [root]
+    stack = [(root, None, iter(adj[root]), 0)]
+    while stack:
+        v, parent, it, _ = stack[-1]
+        for child in it:
+            if child == parent or child == skip:
+                continue
+            if child in disc:
+                if disc[child] < low[v]:
+                    low[v] = disc[child]
+                continue
+            disc[child] = low[child] = len(disc)
+            stack.append((child, v, iter(adj[child]), len(nodes)))
+            nodes.append(child)
+            break
+        else:
+            _, _, _, start = stack.pop()
+            if stack:
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    block = nodes[start:]
+                    del nodes[start:]
+                    block.append(u)
+                    yield block
 
 
 def biconnected_components(g: Graph) -> list[frozenset[str]]:
     """Node sets of the biconnected components, via the articulation-point
     DFS (iterative; linear in nodes + links). Isolated nodes yield no
     component."""
-    adj = g.adjacency
     disc: dict[str, int] = {}
-    low: dict[str, int] = {}
     comps: list[frozenset[str]] = []
-    edge_stack: list[tuple[str, str]] = []
-    clock = 0
-
     for root in g.nodes:
-        if root in disc:
-            continue
-        disc[root] = low[root] = clock
-        clock += 1
-        stack: list[tuple[str, str | None, Iterable[str]]] = [(root, None, iter(adj[root]))]
-        while stack:
-            v, parent, it = stack[-1]
-            child = next(it, None)  # type: ignore[arg-type]
-            if child is None:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:
-                        comp: set[str] = set()
-                        while True:
-                            e = edge_stack.pop()
-                            comp.update(e)
-                            if e == (u, v):
-                                break
-                        comps.append(frozenset(comp))
-                continue
-            if child == parent:
-                continue
-            if child in disc:
-                if disc[child] < disc[v]:
-                    edge_stack.append((v, child))
-                    low[v] = min(low[v], disc[child])
-            else:
-                disc[child] = low[child] = clock
-                clock += 1
-                edge_stack.append((v, child))
-                stack.append((child, v, iter(adj[child])))
-        # every edge of this DFS tree is popped when its subtree closes
-        assert not edge_stack
-
+        if root not in disc:
+            comps.extend(frozenset(b) for b in _blocks(g.adjacency, root, disc=disc))
     return comps
 
 
-def _two_connected_set(g: Graph, anchor: str) -> frozenset[str]:
-    """Nodes sharing a biconnected component of >= 3 nodes with ``anchor``.
+def _two_connected_set(
+    adj: Mapping[str, Sequence[str]], anchor: str, skip: str | None = None
+) -> frozenset[str]:
+    """Nodes sharing a biconnected component of >= 3 nodes with ``anchor``, in
+    the graph of adjacency ``adj`` with node ``skip`` (if given) deleted.
 
     For non-adjacent pairs this is exactly "minimum cut >= 2"; callers must
     not use it for pairs joined by an edge (the adjacent-pair convention of
     :func:`min_vertex_cut_size` does not reduce to component membership).
     """
     out: set[str] = set()
-    for comp in biconnected_components(g):
-        if anchor in comp and len(comp) >= 3:
-            out.update(comp)
+    for block in _blocks(adj, anchor, skip):
+        # the DFS starts at the anchor, so its components are those topped by it
+        if block[-1] == anchor and len(block) >= 3:
+            out.update(block)
     out.discard(anchor)
     return frozenset(out)
 
@@ -209,4 +219,4 @@ def two_connected(g: Graph, s: str, t: str) -> bool:
     _check_pair(g, s, t)
     if g.has_edge(s, t):
         return len(g.nodes) >= 3
-    return t in _two_connected_set(g, s)
+    return t in _two_connected_set(g.adjacency, s)

@@ -38,16 +38,9 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import oracle as _oracle
-from .cuts import _two_connected_set, min_vertex_cut_size
+from .cuts import CutNetwork, _two_connected_set
 from .probing import PathSet
-from .topology import (
-    VIRTUAL_MONITOR,
-    Topology,
-    build_extended,
-    build_extended_minus,
-    build_minus_monitor,
-    build_star,
-)
+from .topology import VIRTUAL_MONITOR, Topology, build_extended, build_minus_monitor, build_star
 
 
 class Mechanism(str, enum.Enum):
@@ -211,16 +204,14 @@ class Analysis:
     @cached_property
     def csp_anchored(self) -> frozenset[str]:
         """Nodes two-connected to the virtual monitor in the extended graph."""
-        return _two_connected_set(build_extended(self.t), VIRTUAL_MONITOR)
+        return _two_connected_set(build_extended(self.t).adjacency, VIRTUAL_MONITOR)
 
     @cached_property
     def csp_reach(self) -> Mapping[str, frozenset[str]]:
-        """Per non-monitor w, :attr:`csp_anchored` with w removed from the graph."""
-        t = self.t
-        return {
-            w: _two_connected_set(build_extended_minus(t, w), VIRTUAL_MONITOR)
-            for w in t.non_monitors
-        }
+        """Per non-monitor w, :attr:`csp_anchored` with w removed from the graph
+        (the DFS skips w, so no graph without w is built)."""
+        adj = build_extended(self.t).adjacency
+        return {w: _two_connected_set(adj, VIRTUAL_MONITOR, w) for w in self.t.non_monitors}
 
     @cached_property
     def csp_single(self) -> frozenset[str]:
@@ -262,25 +253,47 @@ def _analysis(t: Topology | Analysis, ps: PathSet | None = None) -> Analysis:
     return t
 
 
+def _star_cuts(t: Topology, nodes: Iterable[str]) -> dict[str, int]:
+    # delta_star per node: its cut to the virtual monitor in the star graph.
+    star = CutNetwork(build_star(t))
+    return {v: star.cut_size(v, VIRTUAL_MONITOR) for v in nodes}
+
+
+def _minus_cuts(t: Topology, delta_star: Mapping[str, int]) -> dict[str, int]:
+    # delta_min per node: its smallest cut to the virtual monitor over the
+    # minus-monitor graphs. Dropping monitor m unlinks the virtual monitor
+    # only from nodes whose one monitor neighbor is m, so every other m gives
+    # the star graph itself (cuts delta_star), and the m that are some node's
+    # only monitor neighbor give pairwise distinct graphs: one network each.
+    # A minus graph is a subgraph of the star, so delta_min <= delta_star and
+    # each query stops at the running minimum.
+    sole: set[str] = set()
+    for w in t.monitor_neighbors:
+        ms = [m for m in t.adjacency[w] if m in t.monitors]
+        if len(ms) == 1:
+            sole.add(ms[0])
+    delta_min = dict(delta_star)
+    for m in sorted(sole):
+        minus = CutNetwork(build_minus_monitor(t, m))
+        for v, best in delta_min.items():
+            delta_min[v] = minus.cut_size(v, VIRTUAL_MONITOR, best)
+    return delta_min
+
+
 def cap_values(t: Topology | Analysis) -> Mapping[str, int]:
     """Per-node CAP index: cut to the virtual monitor in the star graph."""
     a = _analysis(t)
-    star = build_star(a.t)
-    return MappingProxyType(
-        {v: min_vertex_cut_size(star, v, VIRTUAL_MONITOR).cut_size for v in a.t.non_monitors}
-    )
+    return MappingProxyType(_star_cuts(a.t, a.t.non_monitors))
 
 
 def csp_internals_all(t: Topology | Analysis) -> Mapping[str, CspInternals]:
     """CSP cut quantities for every non-monitor at once."""
     a = _analysis(t)
     stars = a.cap
-    minus = [build_minus_monitor(a.t, m) for m in sorted(a.t.monitors)]
-    out: dict[str, CspInternals] = {}
-    for v in a.t.non_monitors:
-        delta_min = min(min_vertex_cut_size(g, v, VIRTUAL_MONITOR).cut_size for g in minus)
-        out[v] = CspInternals(delta_star=stars[v], delta_min=delta_min)
-    return MappingProxyType(out)
+    delta_min = _minus_cuts(a.t, stars)
+    return MappingProxyType(
+        {v: CspInternals(delta_star=stars[v], delta_min=delta_min[v]) for v in a.t.non_monitors}
+    )
 
 
 def _csp_single_failure_nodes(t: Topology | Analysis) -> frozenset[str]:
@@ -310,7 +323,7 @@ def omega_cap(t: Topology | Analysis, v: str) -> IntBounds:
     topo, a = _node(t, v)
     if a is not None:
         return IntBounds.exactly(a.cap[v])
-    return IntBounds.exactly(min_vertex_cut_size(build_star(topo), v, VIRTUAL_MONITOR).cut_size)
+    return IntBounds.exactly(_star_cuts(topo, [v])[v])
 
 
 def k_identifiable_cap(t: Topology | Analysis, group: Iterable[str], k: int) -> TriState:
@@ -333,11 +346,8 @@ def csp_internals(t: Topology | Analysis, v: str) -> CspInternals:
     topo, a = _node(t, v)
     if a is not None:
         return a.csp[v]
-    delta_min = min(
-        min_vertex_cut_size(build_minus_monitor(topo, m), v, VIRTUAL_MONITOR).cut_size
-        for m in sorted(topo.monitors)
-    )
-    return CspInternals(delta_star=omega_cap(topo, v).lo, delta_min=delta_min)
+    delta_star = _star_cuts(topo, [v])
+    return CspInternals(delta_star=delta_star[v], delta_min=_minus_cuts(topo, delta_star)[v])
 
 
 def _near_complete(t: Topology, v: str) -> bool:

@@ -70,15 +70,6 @@ class PathSet:
         return len(self.paths)
 
     @cached_property
-    def incidence(self) -> dict[str, frozenset[int]]:
-        """For each non-monitor v, the indices of the paths that traverse v."""
-        inc: dict[str, set[int]] = {v: set() for v in self.universe}
-        for i, p in enumerate(self.paths):
-            for v in p.trace:
-                inc[v].add(i)
-        return {v: frozenset(s) for v, s in inc.items()}
-
-    @cached_property
     def incidence_masks(self) -> dict[str, int]:
         """Incidence sets as bitmasks over path indices (fast set algebra)."""
         masks: dict[str, int] = {v: 0 for v in self.universe}
@@ -264,10 +255,10 @@ def affected(ps: PathSet, failures: Iterable[str]) -> frozenset[int]:
     stray = fset - set(ps.universe)
     if stray:
         raise ValueError(f"failure set contains non-failable node {sorted(stray)[0]!r}")
-    out: set[int] = set()
+    mask = 0
     for v in fset:
-        out |= ps.incidence[v]
-    return frozenset(out)
+        mask |= ps.incidence_masks[v]
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def simulate(ps: PathSet, states: Mapping[str, int]) -> tuple[int, ...]:
@@ -279,30 +270,6 @@ def simulate(ps: PathSet, states: Mapping[str, int]) -> tuple[int, ...]:
     if set(states) != set(ps.universe):
         raise ValueError("state vector must cover exactly the non-monitors")
     return tuple(1 if any(states[v] for v in p.trace) else 0 for p in ps.paths)
-
-
-@dataclass(frozen=True)
-class MeasurementSystem:
-    """The explicit boolean measurement matrix of a path set.
-
-    Row i column j is 1 iff path i traverses non-monitor j; applying the
-    system to a state vector ORs the states of each row's nodes, which is
-    exactly what :func:`simulate` computes without materializing the matrix.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-    columns: tuple[str, ...]
-
-    def apply(self, states: Mapping[str, int]) -> tuple[int, ...]:
-        if set(states) != set(self.columns):
-            raise ValueError("state vector must cover exactly the non-monitors")
-        vec = [1 if states[c] else 0 for c in self.columns]
-        return tuple(1 if any(r & s for r, s in zip(row, vec)) else 0 for row in self.rows)
-
-
-def measurement_system(ps: PathSet) -> MeasurementSystem:
-    rows = tuple(tuple(1 if c in p.trace else 0 for c in ps.universe) for p in ps.paths)
-    return MeasurementSystem(rows, ps.universe)
 
 
 def parse_paths(text: str, t: Topology) -> PathSet:

@@ -12,10 +12,10 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import permutations
 from typing import Iterable, Sequence
 
-from .cuts import min_vertex_cut_size, two_connected
+from .cuts import CutNetwork, two_connected
 from .identify import Analysis, Mechanism, gsc, max_identifiable_set, omega_csp
 from .oracle import brute_vertex_cut, check_universe_size, oracle_msc, oracle_omega_all
 from .probing import PathSet, enumerate_cap, enumerate_csp, route_up
@@ -239,7 +239,15 @@ def verify_cut_engine(
     n_range: tuple[int, int] = (2, 8),
     p_range: tuple[float, float] = (0.1, 0.9),
 ) -> VerificationReport:
-    """Max-flow cut engine vs exhaustive cut search on all node pairs."""
+    """Max-flow cut engine vs exhaustive cut search on all node pairs.
+
+    Each graph gets one :class:`CutNetwork`, and every ordered pair runs
+    through it twice: unbounded, against the brute-force cut, and bounded by
+    a limit cycling through 0..|V|-1, against min(brute, limit). The queries
+    interleave on the one network, so residual flow leaking from one query
+    into the next, or a bounded query stopping at a wrong value, fails a
+    check. ``two_connected`` must agree with brute cut >= 2.
+    """
     rng = random.Random(seed)
     failures: list[CheckFailure] = []
     nchecks = 0
@@ -248,20 +256,31 @@ def verify_cut_engine(
         p = rng.uniform(*p_range)
         g = random_graph(n, p, seed * 101 + i)
         name = f"graph[{i}] n={n} p={p:.3f}"
-        for s, t in combinations(g.nodes, 2):
-            nchecks += 2
-            fast = min_vertex_cut_size(g, s, t).cut_size
+        net = CutNetwork(g)
+        for j, (s, t) in enumerate(permutations(g.nodes, 2)):
+            nchecks += 3
             slow = brute_vertex_cut(g, s, t)
+            fast = net.cut_size(s, t)
             if fast != slow:
                 failures.append(
                     CheckFailure(name, "cut-equal", f"({s},{t}): flow {fast} != brute {slow}")
                 )
-            if two_connected(g, s, t) != (fast >= 2):
+            limit = j % n
+            bounded = net.cut_size(s, t, limit)
+            if bounded != min(slow, limit):
+                failures.append(
+                    CheckFailure(
+                        name,
+                        "cut-bounded",
+                        f"({s},{t}): flow limited to {limit} gave {bounded}, brute {slow}",
+                    )
+                )
+            if two_connected(g, s, t) != (slow >= 2):
                 failures.append(
                     CheckFailure(
                         name,
                         "two-connected",
-                        f"({s},{t}): biconnectivity disagrees with cut {fast}",
+                        f"({s},{t}): biconnectivity disagrees with cut {slow}",
                     )
                 )
     return VerificationReport(count, nchecks, tuple(failures))
@@ -277,7 +296,9 @@ def verify_batch_spec(spec: dict, *, corrupt: bool = False) -> VerificationRepor
     A field of the wrong JSON type raises a ValueError that names it.
     """
     kind = spec.get("kind", "er")
-    count = check_field("count", spec.get("count", 50), "an integer", _is_int)
+    count = check_field(
+        "count", spec.get("count", 50), "an integer >= 0", lambda v: _is_int(v) and v >= 0
+    )
     seed = check_field("seed", spec.get("seed", 0), "an integer", _is_int)
     if kind == "cuts":
         return verify_cut_engine(
@@ -293,8 +314,8 @@ def verify_batch_spec(spec: dict, *, corrupt: bool = False) -> VerificationRepor
                 check_field(
                     "monitor_counts",
                     spec.get("monitor_counts", (2, 3)),
-                    "a list of integers",
-                    lambda v: _is_list_of(v, _is_int),
+                    "a non-empty list of integers",
+                    lambda v: _is_list_of(v, _is_int) and len(v) > 0,
                 )
             ),
         )

@@ -290,6 +290,8 @@ class TestVerify:
             ("seed", "an integer", {"kind": "cuts", "count": 2, "seed": "1"}),
             ("monitor_counts", "integers", {"kind": "er", "count": 2, "monitor_counts": 5}),
             ("checks", "check names", {"kind": "er", "count": 2, "checks": "cap"}),
+            ("monitor_counts", "non-empty", {"kind": "er", "count": 2, "monitor_counts": []}),
+            ("count", "an integer >= 0", {"kind": "cuts", "count": -2}),
         ],
     )
     def test_batch_field_of_wrong_type(self, field, what, spec, capsys):

@@ -122,13 +122,13 @@ class TestCspInternals:
 
     def test_plain_topology_runs_only_the_nodes_cuts(self, golden, monkeypatch):
         cuts: list[str] = []
-        original = fs.identify.min_vertex_cut_size
+        original = fs.CutNetwork.cut_size
 
-        def spy(g, s, t):
+        def spy(self, s, t, limit=None):
             cuts.append(s)
-            return original(g, s, t)
+            return original(self, s, t, limit)
 
-        monkeypatch.setattr(fs.identify, "min_vertex_cut_size", spy)
+        monkeypatch.setattr(fs.CutNetwork, "cut_size", spy)
         a = fs.Analysis(golden)
         tables = (a.cap, a.csp)
         for v in golden.non_monitors:
@@ -137,7 +137,9 @@ class TestCspInternals:
             assert cuts == [v]
             del cuts[:]
             assert fs.csp_internals(golden, v) == tables[1][v]
-            assert cuts == [v] * (1 + golden.mu)
+            # the star, then the one minus-monitor graph that differs from it
+            # (m1 is v2's only monitor neighbor; dropping m2 or m3 unlinks no node)
+            assert cuts == [v] * 2
 
 
 class TestOmegaCsp:

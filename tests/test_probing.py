@@ -124,11 +124,11 @@ class TestSimulate:
 
 
 def test_measurement_system(up_paths):
-    ms = fs.measurement_system(up_paths)
-    assert ms.columns == ("v1", "v2", "v3", "v4")
-    assert ms.rows == ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1))
+    assert up_paths.universe == ("v1", "v2", "v3", "v4")
+    rows = tuple(tuple(int(v in p.trace) for v in up_paths.universe) for p in up_paths.paths)
+    assert rows == ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1))
     states = {"v1": 0, "v2": 0, "v3": 0, "v4": 1}
-    assert ms.apply(states) == fs.simulate(up_paths, states) == (0, 1, 1)
+    assert fs.simulate(up_paths, states) == (0, 1, 1)
 
 
 class TestParsePaths:
@@ -136,7 +136,7 @@ class TestParsePaths:
         assert up_paths.gamma == 3
         assert up_paths.universe == ("v1", "v2", "v3", "v4")
         assert up_paths.directly_measured == frozenset({"v1", "v4"})
-        assert up_paths.incidence["v2"] == frozenset({2})
+        assert up_paths.incidence_masks["v2"] == 1 << 2
 
     def test_duplicates_collapse(self, golden):
         ps = fs.parse_paths("m1 v1 m2\nm1 v1 m2\n", golden)

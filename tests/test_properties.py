@@ -1,12 +1,15 @@
 """Randomized invariants tying the closed forms to the brute-force oracle."""
 
 import math
+import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import faultscope as fs
-from faultscope import Graph, Mechanism, Topology
+from faultscope import VIRTUAL_MONITOR, Graph, Mechanism, Topology
+from faultscope.cuts import _two_connected_set
 
 
 @st.composite
@@ -73,7 +76,7 @@ def test_up_bounds_sandwich_oracle(t):
 def test_greedy_cover_brackets_minimum(t):
     ps = fs.route_up(t)
     for v in t.non_monitors:
-        paths = len(ps.incidence[v])
+        paths = ps.incidence_masks[v].bit_count()
         if paths == 0 or v in ps.directly_measured:
             continue
         msc = fs.oracle_msc(ps, v)
@@ -190,3 +193,52 @@ def test_cut_grows_with_edges(g, data):
     before = fs.min_vertex_cut_size(g, s, t).cut_size
     after = fs.min_vertex_cut_size(bigger, s, t).cut_size
     assert after >= before
+
+
+@settings(max_examples=80, deadline=None)
+@given(topologies(max_nodes=10))
+def test_analysis_tables_match_fresh_graphs(t):
+    # Every table the context builds from shared networks and one extended
+    # adjacency equals a fresh graph per query: min_vertex_cut_size on the
+    # star and each minus-monitor graph, the two-connected set of each
+    # extended-minus graph, and that set read off flow cuts (a non-monitor
+    # is never adjacent to the virtual monitor, so it is "cut >= 2").
+    a = fs.Analysis(t)
+    m = VIRTUAL_MONITOR
+    star = fs.build_star(t)
+    minus = [fs.build_minus_monitor(t, monitor) for monitor in sorted(t.monitors)]
+    for v in t.non_monitors:
+        delta_star = fs.min_vertex_cut_size(star, v, m).cut_size
+        delta_min = min(fs.min_vertex_cut_size(g, v, m).cut_size for g in minus)
+        assert a.cap[v] == delta_star
+        assert a.csp[v] == fs.CspInternals(delta_star, delta_min)
+    assert a.csp_anchored == _two_connected_set(fs.build_extended(t).adjacency, m)
+    for w in t.non_monitors:
+        g = fs.build_extended_minus(t, w)
+        assert a.csp_reach[w] == _two_connected_set(g.adjacency, m)
+        by_flow = {
+            v
+            for v in t.non_monitors
+            if v != w and fs.min_vertex_cut_size(g, v, m).cut_size >= 2
+        }
+        assert a.csp_reach[w] & set(t.non_monitors) == by_flow
+
+
+def test_cut_engine_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    connectivity = nx.algorithms.connectivity
+    rng = random.Random(60)
+    for i in range(12):
+        n = rng.randint(10, 60)
+        g = fs.random_graph(n, rng.uniform(2.0 / n, 8.0 / n), 1000 + i)
+        reference = nx.Graph(list(g.edges))
+        reference.add_nodes_from(g.nodes)
+        split = connectivity.build_auxiliary_node_connectivity(reference)
+        net = fs.CutNetwork(g)
+        for s, t in (rng.sample(g.nodes, 2) for _ in range(40)):
+            if g.has_edge(s, t):
+                expected = n - 1
+            else:
+                expected = connectivity.local_node_connectivity(reference, s, t, auxiliary=split)
+            assert fs.min_vertex_cut_size(g, s, t).cut_size == expected
+            assert net.cut_size(s, t) == expected
