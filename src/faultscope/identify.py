@@ -17,11 +17,11 @@ probing mechanism without enumerating failure sets:
   standard logarithmic guarantee gives computable bounds at any scale.
 
 Each instance's per-node tables live in one :class:`Analysis`, built on
-first use; a set index is a minimum over a table and a maximal set a
-threshold of one. The functions take an :class:`Analysis`, whose tables they
-read, or a topology, analysed afresh; nothing is cached across calls. Given a
-topology, the single-node readers (``omega_cap``, ``csp_internals``,
-``omega_csp``) run only that node's cuts rather than a whole table.
+first use; a set index is a minimum over a table, a maximal set a threshold
+of one, and a k-test the folded raw bounds of its members held against k
+(with k == 1 left to the exact single-failure test). The functions take an
+:class:`Analysis`, whose tables they read, or a topology, analysed afresh;
+nothing is cached across calls.
 
 The brute-force oracle (:mod:`faultscope.oracle`) is the ground truth these
 results are validated against; nothing here consults it unless a caller
@@ -165,6 +165,17 @@ def threshold_bounds(table: Mapping[str, IntBounds], k: int) -> SetBounds:
     return SetBounds(inner, outer)
 
 
+def _verdict(bounds: IntBounds, k: int, rules: str | tuple[str, str, str]) -> TriState:
+    # A folded bound held against k. ``rules`` names the identifiable,
+    # not-identifiable and undetermined verdicts, or is one name for all three.
+    yes, no, gap = (rules,) * 3 if isinstance(rules, str) else rules
+    if bounds.lo >= k:
+        return TriState(Status.IDENTIFIABLE, yes)
+    if bounds.hi < k:
+        return TriState(Status.NOT_IDENTIFIABLE, no)
+    return TriState(Status.UNDETERMINED, gap)
+
+
 # ---------------------------------------------------------------------------
 # the analysis context
 
@@ -180,7 +191,7 @@ class Analysis:
         t.require_monitored()
         self.t = t
         self.ps = ps
-        self._tables: dict[tuple[Mechanism, bool, bool], dict[str, IntBounds]] = {}
+        self._tables: dict[tuple[Mechanism, bool], dict[str, IntBounds]] = {}
 
     @property
     def paths(self) -> PathSet:
@@ -224,25 +235,19 @@ class Analysis:
         ps = self.paths
         return frozenset(v for v in ps.universe if _single_failure_up(ps, [v]).is_identifiable)
 
-    def table(
-        self, mechanism: Mechanism, *, refine_single: bool = True, exact_cover: bool = False
-    ) -> Mapping[str, IntBounds]:
+    def table(self, mechanism: Mechanism, *, refine_single: bool = True) -> Mapping[str, IntBounds]:
         """The per-node bounds table, built by :func:`per_node_bounds` on first use."""
-        key = (Mechanism(mechanism), refine_single, exact_cover)
+        key = (Mechanism(mechanism), refine_single)
         if key not in self._tables:
-            self._tables[key] = per_node_bounds(
-                self, key[0], refine_single=refine_single, exact_cover=exact_cover
-            )
+            self._tables[key] = per_node_bounds(self, key[0], refine_single=refine_single)
         return MappingProxyType(self._tables[key])
 
 
-def _node(t: Topology | Analysis, v: str) -> tuple[Topology, Analysis | None]:
-    """The topology behind a single-node query, and its context if one was given."""
-    a = t if isinstance(t, Analysis) else None
-    topo = a.t if a is not None else t
-    topo.require_monitored()
-    _check_members(topo, [v])
-    return topo, a
+def _node(t: Topology | Analysis, v: str) -> Analysis:
+    """The context of a single-node query, with ``v`` checked against it."""
+    a = _analysis(t)
+    _check_members(a.t, [v])
+    return a
 
 
 def _analysis(t: Topology | Analysis, ps: PathSet | None = None) -> Analysis:
@@ -253,13 +258,15 @@ def _analysis(t: Topology | Analysis, ps: PathSet | None = None) -> Analysis:
     return t
 
 
-def _star_cuts(t: Topology, nodes: Iterable[str]) -> dict[str, int]:
-    # delta_star per node: its cut to the virtual monitor in the star graph.
-    star = CutNetwork(build_star(t))
-    return {v: star.cut_size(v, VIRTUAL_MONITOR) for v in nodes}
+def cap_values(t: Topology | Analysis) -> Mapping[str, int]:
+    """Per-node CAP index: cut to the virtual monitor in the star graph."""
+    a = _analysis(t)
+    star = CutNetwork(build_star(a.t))
+    return MappingProxyType({v: star.cut_size(v, VIRTUAL_MONITOR) for v in a.t.non_monitors})
 
 
-def _minus_cuts(t: Topology, delta_star: Mapping[str, int]) -> dict[str, int]:
+def csp_internals_all(t: Topology | Analysis) -> Mapping[str, CspInternals]:
+    """CSP cut quantities for every non-monitor at once."""
     # delta_min per node: its smallest cut to the virtual monitor over the
     # minus-monitor graphs. Dropping monitor m unlinks the virtual monitor
     # only from nodes whose one monitor neighbor is m, so every other m gives
@@ -267,30 +274,18 @@ def _minus_cuts(t: Topology, delta_star: Mapping[str, int]) -> dict[str, int]:
     # only monitor neighbor give pairwise distinct graphs: one network each.
     # A minus graph is a subgraph of the star, so delta_min <= delta_star and
     # each query stops at the running minimum.
+    a = _analysis(t)
     sole: set[str] = set()
-    for w in t.monitor_neighbors:
-        ms = [m for m in t.adjacency[w] if m in t.monitors]
+    for w in a.t.monitor_neighbors:
+        ms = [m for m in a.t.adjacency[w] if m in a.t.monitors]
         if len(ms) == 1:
             sole.add(ms[0])
-    delta_min = dict(delta_star)
+    stars = a.cap
+    delta_min = dict(stars)
     for m in sorted(sole):
-        minus = CutNetwork(build_minus_monitor(t, m))
+        minus = CutNetwork(build_minus_monitor(a.t, m))
         for v, best in delta_min.items():
             delta_min[v] = minus.cut_size(v, VIRTUAL_MONITOR, best)
-    return delta_min
-
-
-def cap_values(t: Topology | Analysis) -> Mapping[str, int]:
-    """Per-node CAP index: cut to the virtual monitor in the star graph."""
-    a = _analysis(t)
-    return MappingProxyType(_star_cuts(a.t, a.t.non_monitors))
-
-
-def csp_internals_all(t: Topology | Analysis) -> Mapping[str, CspInternals]:
-    """CSP cut quantities for every non-monitor at once."""
-    a = _analysis(t)
-    stars = a.cap
-    delta_min = _minus_cuts(a.t, stars)
     return MappingProxyType(
         {v: CspInternals(delta_star=stars[v], delta_min=delta_min[v]) for v in a.t.non_monitors}
     )
@@ -320,10 +315,7 @@ def _csp_single_failure_nodes(t: Topology | Analysis) -> frozenset[str]:
 
 def omega_cap(t: Topology | Analysis, v: str) -> IntBounds:
     """Exact per-node index under unconstrained walk probing."""
-    topo, a = _node(t, v)
-    if a is not None:
-        return IntBounds.exactly(a.cap[v])
-    return IntBounds.exactly(_star_cuts(topo, [v])[v])
+    return IntBounds.exactly(_node(t, v).cap[v])
 
 
 def k_identifiable_cap(t: Topology | Analysis, group: Iterable[str], k: int) -> TriState:
@@ -332,9 +324,8 @@ def k_identifiable_cap(t: Topology | Analysis, group: Iterable[str], k: int) -> 
     a = _analysis(t)
     members = _check_members(a.t, group)
     _check_k(k, a.t.sigma)
-    if min(a.cap[v] for v in members) >= k:
-        return TriState(Status.IDENTIFIABLE, "star-cut")
-    return TriState(Status.NOT_IDENTIFIABLE, "star-cut")
+    table = a.table(Mechanism.CAP, refine_single=False)
+    return _verdict(fold_bounds(table, members), k, "star-cut")
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +334,7 @@ def k_identifiable_cap(t: Topology | Analysis, group: Iterable[str], k: int) -> 
 
 def csp_internals(t: Topology | Analysis, v: str) -> CspInternals:
     """The cut pair (delta_star, delta_min) behind the CSP results for ``v``."""
-    topo, a = _node(t, v)
-    if a is not None:
-        return a.csp[v]
-    delta_star = _star_cuts(topo, [v])
-    return CspInternals(delta_star=delta_star[v], delta_min=_minus_cuts(topo, delta_star)[v])
+    return _node(t, v).csp[v]
 
 
 def _near_complete(t: Topology, v: str) -> bool:
@@ -372,9 +359,8 @@ def omega_csp(t: Topology | Analysis, v: str) -> IntBounds:
     exactly, the second via the near-complete-neighborhood condition;
     (5) otherwise the index is pinned to [pi - 1, pi].
     """
-    ints = csp_internals(t, v)
-    if isinstance(t, Analysis):
-        t = t.t
+    a = _node(t, v)
+    ints, t = a.csp[v], a.t
     sigma = t.sigma
     if t.monitor_degree(v) >= 2:
         return IntBounds.exactly(sigma)
@@ -388,42 +374,28 @@ def omega_csp(t: Topology | Analysis, v: str) -> IntBounds:
 
 
 def k_identifiable_csp(t: Topology | Analysis, group: Iterable[str], k: int) -> TriState:
-    """k-identifiability under simple-path probing.
+    """k-identifiability under simple-path probing: the members' folded
+    :func:`omega_csp` bounds against k.
 
-    The two near-full regimes (k == sigma and k == sigma - 1) and the single
-    failure case (k == 1) dispatch to exact tests; in between, the cut
-    conditions give a sufficient check and a necessary check one unit apart,
-    so the verdict can be undetermined.
+    At k == sigma and k == sigma - 1 those bounds are exact (the
+    two-monitor-neighbor and near-complete-neighborhood rules), so the
+    verdict is definite; k == 1 is the exact single-failure test; in between
+    the cut bounds are one unit wide, so the verdict can be undetermined.
     """
     a = _analysis(t)
-    t = a.t
-    members = _check_members(t, group)
-    sigma = t.sigma
+    members = _check_members(a.t, group)
+    sigma = a.t.sigma
     _check_k(k, sigma)
     if k == sigma:
-        ok = all(t.monitor_degree(v) >= 2 for v in members)
-        return TriState(
-            Status.IDENTIFIABLE if ok else Status.NOT_IDENTIFIABLE,
-            "all-two-monitor-neighbors",
-        )
-    if k == sigma - 1:
-        ok = all(t.monitor_degree(v) >= 2 for v in members) or any(
-            _near_complete(t, v) for v in members
-        )
-        return TriState(
-            Status.IDENTIFIABLE if ok else Status.NOT_IDENTIFIABLE,
-            "near-complete-neighborhood",
-        )
-    if k == 1:
+        rules = "all-two-monitor-neighbors"
+    elif k == sigma - 1:
+        rules = "near-complete-neighborhood"
+    elif k == 1:
         return one_identifiable(a, members, Mechanism.CSP)
-    internals = a.csp
-    g_star = min(internals[v].delta_star for v in members)
-    g_minus = min(internals[v].delta_min for v in members)
-    if g_star >= k + 2 and g_minus >= k + 1:
-        return TriState(Status.IDENTIFIABLE, "cut-sufficient")
-    if g_star < k + 1 or g_minus < k:
-        return TriState(Status.NOT_IDENTIFIABLE, "cut-necessary")
-    return TriState(Status.UNDETERMINED, "cut-gap")
+    else:
+        rules = ("cut-sufficient", "cut-necessary", "cut-gap")
+    table = a.table(Mechanism.CSP, refine_single=False)
+    return _verdict(fold_bounds(table, members), k, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -548,30 +520,28 @@ def k_identifiable_up(
     *,
     exact_cover: bool = False,
 ) -> TriState:
-    """k-identifiability under routing-determined probing.
+    """k-identifiability under routing-determined probing: the members'
+    folded :func:`omega_up` bounds against k.
 
-    k == sigma is exact (every member must be the only node on one of its
-    paths); k == 1 is the direct incidence comparison; in between the
-    per-node cover bounds decide, leaving a gap where neither side fires.
+    At k == sigma those bounds are exact (only a node some path sees alone
+    reaches sigma); k == 1 is the direct incidence comparison; in between the
+    cover bounds decide, leaving a gap where neither side fires.
     """
     members = sorted(set(group))
     sigma = len(ps.universe)
     _oracle._check_group(ps, members)
     _check_k(k, sigma)
-    if k == sigma:
-        ok = all(v in ps.directly_measured for v in members)
-        return TriState(
-            Status.IDENTIFIABLE if ok else Status.NOT_IDENTIFIABLE,
-            "all-directly-measured",
-        )
-    if k == 1:
+    if k == 1 and sigma > 1:
         return _single_failure_up(ps, members)
-    bounds = [omega_up(ps, v, exact_cover=exact_cover) for v in members]
-    if min(b.lo for b in bounds) >= k:
-        return TriState(Status.IDENTIFIABLE, "cover-sufficient")
-    if min(b.hi for b in bounds) < k:
-        return TriState(Status.NOT_IDENTIFIABLE, "cover-necessary")
-    return TriState(Status.UNDETERMINED, "cover-gap")
+    if k == sigma:
+        rules = "all-directly-measured"
+    else:
+        rules = ("cover-sufficient", "cover-necessary", "cover-gap")
+    # Any cover of a node no path sees alone is below sigma, so the exact
+    # cover cannot change the verdict at k == sigma and is not computed there.
+    exact = exact_cover and k < sigma
+    bounds = fold_bounds({v: omega_up(ps, v, exact_cover=exact) for v in members}, members)
+    return _verdict(bounds, k, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +554,6 @@ def per_node_bounds(
     ps: PathSet | None = None,
     *,
     refine_single: bool = True,
-    exact_cover: bool = False,
 ) -> dict[str, IntBounds]:
     """Index bounds for every non-monitor under one mechanism.
 
@@ -598,7 +567,7 @@ def per_node_bounds(
     """
     a = _analysis(t, ps)
     mechanism = Mechanism(mechanism)
-    raw = a._tables.get((mechanism, False, exact_cover))
+    raw = a._tables.get((mechanism, False))
     if raw is None:
         if mechanism is Mechanism.CAP:
             raw = {v: IntBounds.exactly(value) for v, value in a.cap.items()}
@@ -606,7 +575,7 @@ def per_node_bounds(
             raw = {v: omega_csp(a, v) for v in a.t.non_monitors}
         else:
             up_paths = a.paths
-            raw = {v: omega_up(up_paths, v, exact_cover=exact_cover) for v in up_paths.universe}
+            raw = {v: omega_up(up_paths, v) for v in up_paths.universe}
     if not refine_single or mechanism is Mechanism.CAP:
         return dict(raw)
     ok = a.csp_single if mechanism is Mechanism.CSP else a.up_single
@@ -630,13 +599,11 @@ def omega_set(
     group: Iterable[str],
     mechanism: Mechanism,
     ps: PathSet | None = None,
-    *,
-    exact_cover: bool = False,
 ) -> IntBounds:
     """Index bounds for a set: the member-wise minimum of the per-node bounds."""
     a = _analysis(t, ps)
     members = _check_members(a.t, group)
-    return fold_bounds(a.table(mechanism, exact_cover=exact_cover), members)
+    return fold_bounds(a.table(mechanism), members)
 
 
 def max_identifiable_set(
@@ -646,7 +613,6 @@ def max_identifiable_set(
     ps: PathSet | None = None,
     *,
     refine_single: bool = True,
-    exact_cover: bool = False,
 ) -> SetBounds:
     """Inner/outer approximations of the maximal k-identifiable set.
 
@@ -658,5 +624,4 @@ def max_identifiable_set(
     """
     a = _analysis(t, ps)
     _check_k(k, a.t.sigma)
-    table = a.table(mechanism, refine_single=refine_single, exact_cover=exact_cover)
-    return threshold_bounds(table, k)
+    return threshold_bounds(a.table(mechanism, refine_single=refine_single), k)

@@ -105,58 +105,44 @@ class AnalysisReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         _write_comments(buf, SCHEMA_ANALYSIS, self.meta)
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(ANALYSIS_COLUMNS)
+        # A section leaves the columns it does not name empty.
+        writer = csv.DictWriter(buf, ANALYSIS_COLUMNS, restval="", lineterminator="\n")
+        writer.writeheader()
         for row in self.rows:
             for mech, b in row.bounds:
                 writer.writerow(
-                    (
-                        "node",
-                        mech.value,
-                        row.node,
-                        "",
-                        row.degree,
-                        row.monitor_degree,
-                        row.nonmonitor_degree,
-                        b.lo,
-                        b.hi,
-                        _bool(b.exact),
-                        "",
-                        "",
+                    dict(
+                        section="node",
+                        mechanism=mech.value,
+                        node=row.node,
+                        degree=row.degree,
+                        monitor_degree=row.monitor_degree,
+                        nonmonitor_degree=row.nonmonitor_degree,
+                        lo=b.lo,
+                        hi=b.hi,
+                        exact=_bool(b.exact),
                     )
                 )
         for srow in self.set_rows:
             writer.writerow(
-                (
-                    "set",
-                    srow.mechanism.value,
-                    "+".join(srow.members),
-                    "",
-                    "",
-                    "",
-                    "",
-                    srow.bounds.lo,
-                    srow.bounds.hi,
-                    _bool(srow.bounds.exact),
-                    "",
-                    "",
+                dict(
+                    section="set",
+                    mechanism=srow.mechanism.value,
+                    node="+".join(srow.members),
+                    lo=srow.bounds.lo,
+                    hi=srow.bounds.hi,
+                    exact=_bool(srow.bounds.exact),
                 )
             )
         for mrow in self.maxset_rows:
             writer.writerow(
-                (
-                    "maxset",
-                    mrow.mechanism.value,
-                    "",
-                    mrow.k,
-                    "",
-                    "",
-                    "",
-                    "",
-                    "",
-                    _bool(mrow.sets.exact),
-                    "+".join(sorted(mrow.sets.inner)),
-                    "+".join(sorted(mrow.sets.outer)),
+                dict(
+                    section="maxset",
+                    mechanism=mrow.mechanism.value,
+                    k=mrow.k,
+                    exact=_bool(mrow.sets.exact),
+                    inner="+".join(sorted(mrow.sets.inner)),
+                    outer="+".join(sorted(mrow.sets.outer)),
                 )
             )
         return buf.getvalue()
@@ -337,7 +323,6 @@ def analyze(
     *,
     ps: PathSet | None = None,
     group: Iterable[str] | None = None,
-    include_maxsets: bool = True,
     exact: bool = False,
     meta: ReportMeta | None = None,
 ) -> AnalysisReport:
@@ -366,14 +351,12 @@ def analyze(
     first = mechs[0]
     rows.sort(key=lambda r: (-r.bound(first).hi, -r.bound(first).lo, r.node))
 
-    folded = tables
-    if not exact and (group is not None or include_maxsets):
-        folded = _tables(a, mechs, refine_single=True, exact=False)
+    folded = tables if exact else _tables(a, mechs, refine_single=True, exact=False)
     set_rows: list[SetRow] = []
     if group is not None:
         members = tuple(sorted(set(group)))
         set_rows = [_set_row(m, members, folded[m]) for m in mechs]
-    ks = range(1, t.sigma + 1) if include_maxsets else ()
+    ks = range(1, t.sigma + 1)
     maxset_rows = [MaxsetRow(m, k, threshold_bounds(folded[m], k)) for k in ks for m in mechs]
 
     return AnalysisReport(
@@ -529,7 +512,7 @@ _BATCH_FIELDS = (
     ("count", "an integer", _is_int),
     ("n", "an integer", _is_int),
     ("p", "a number", _is_number),
-    ("mus", "a list of integers", lambda v: _is_list_of(v, _is_int)),
+    ("mus", "a non-empty list of integers", lambda v: _is_list_of(v, _is_int) and len(v) > 0),
     ("seed", "an integer", _is_int),
     ("mechanisms", "a list of names", lambda v: _is_list_of(v, lambda m: isinstance(m, str))),
 )

@@ -333,8 +333,8 @@ def _n_range(spec: dict, default: tuple[int, int]) -> tuple[int, int]:
     lo, hi = check_field(
         "n_range",
         spec.get("n_range", default),
-        "a list of two integers",
-        lambda v: _is_list_of(v, _is_int) and len(v) == 2,
+        "a list of two integers, low to high",
+        lambda v: _is_list_of(v, _is_int) and len(v) == 2 and v[0] <= v[1],
     )
     return (lo, hi)
 

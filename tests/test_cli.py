@@ -243,6 +243,7 @@ class TestCcdf:
                 "mechanisms",
                 {"count": 2, "n": 10, "p": 0.4, "mus": [2], "seed": 1, "mechanisms": "cap"},
             ),
+            ("mus", {"count": 2, "n": 5, "p": 0.5, "mus": [], "seed": 1}),
         ],
     )
     def test_batch_field_of_wrong_type(self, field, spec, capsys):
@@ -292,6 +293,7 @@ class TestVerify:
             ("checks", "check names", {"kind": "er", "count": 2, "checks": "cap"}),
             ("monitor_counts", "non-empty", {"kind": "er", "count": 2, "monitor_counts": []}),
             ("count", "an integer >= 0", {"kind": "cuts", "count": -2}),
+            ("n_range", "low to high", {"kind": "er", "count": 2, "n_range": [5, 2]}),
         ],
     )
     def test_batch_field_of_wrong_type(self, field, what, spec, capsys):
@@ -361,3 +363,35 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "faultscope" in capsys.readouterr().out
+
+
+class TestGoldenReports:
+    """Report bytes pinned to files recorded from the CLI (tests/fixtures/reports).
+
+    The flags comment names the input files, so each command runs from the
+    directory holding them, under the names the fixtures were recorded with.
+    """
+
+    @pytest.mark.parametrize(
+        ("fixture", "argv"),
+        [
+            ("analyze_golden_up.csv", ["--set", "v1,v2,v4"]),
+            ("analyze_golden_up.json", ["--set", "v1,v2,v4", "--format", "json"]),
+        ],
+    )
+    def test_analyze_golden_net_with_up_paths(self, fixture, argv, workspace, monkeypatch, capsys):
+        monkeypatch.chdir(workspace)
+        argv = ["analyze", "--topology", "net.edges", "--paths", "up.paths", *argv]
+        rc, out, _ = run(capsys, *argv)
+        assert rc == EXIT_OK
+        assert out == read_fixture(f"reports/{fixture}")
+
+    @pytest.mark.parametrize("command", ["maxset", "ccdf"])
+    def test_generated_instance(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        gen = ["gen", "--n", "30", "--p", "0.2", "--seed", "3", "--mu", "4", "--out", "er30.edges"]
+        assert run(capsys, *gen)[0] == EXIT_OK
+        assert (tmp_path / "er30.edges").read_text() == read_fixture("reports/er30.edges")
+        rc, out, _ = run(capsys, command, "--topology", "er30.edges")
+        assert rc == EXIT_OK
+        assert out == read_fixture(f"reports/{command}_er30.csv")

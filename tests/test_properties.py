@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import partial
 
 import hypothesis.strategies as st
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 import faultscope as fs
 from faultscope import VIRTUAL_MONITOR, Graph, Mechanism, Topology
 from faultscope.cuts import _two_connected_set
+from faultscope.verify import er_battery
 
 
 @st.composite
@@ -242,3 +244,35 @@ def test_cut_engine_matches_networkx():
                 expected = connectivity.local_node_connectivity(reference, s, t, auxiliary=split)
             assert fs.min_vertex_cut_size(g, s, t).cut_size == expected
             assert net.cut_size(s, t) == expected
+
+
+def test_k_tests_agree_with_oracle():
+    # Each k-test is a threshold of folded bounds, so a definite verdict must
+    # hold against the oracle's set index: identifiable only where the index
+    # reaches k, not identifiable only where it falls short.
+    rng = random.Random(4)
+    seen: set[fs.Status] = set()
+    for t in er_battery(60, 9):
+        up = fs.route_up(t)
+        a = fs.Analysis(t, up)
+        nm = list(t.non_monitors)
+        groups = [[v] for v in nm] + [nm]
+        groups += [rng.sample(nm, rng.randint(1, len(nm))) for _ in range(2)]
+        uncapped = {"max_nodes": None, "max_edges": None}
+        tests = (
+            (fs.enumerate_cap(t, **uncapped), partial(fs.k_identifiable_cap, a)),
+            (fs.enumerate_csp(t, **uncapped), partial(fs.k_identifiable_csp, a)),
+            (up, partial(fs.k_identifiable_up, up)),
+            (up, partial(fs.k_identifiable_up, up, exact_cover=True)),
+        )
+        for ps, k_test in tests:
+            for g in groups:
+                omega = fs.oracle_omega(ps, g)
+                for k in range(1, t.sigma + 1):
+                    verdict = k_test(g, k)
+                    seen.add(verdict.status)
+                    if verdict.status is fs.Status.IDENTIFIABLE:
+                        assert omega >= k, (t, g, k, verdict)
+                    elif verdict.status is fs.Status.NOT_IDENTIFIABLE:
+                        assert omega < k, (t, g, k, verdict)
+    assert seen == set(fs.Status)
