@@ -11,11 +11,18 @@ mechanisms differ only in which paths are available:
 * CSP: any simple path between two distinct monitors (controllable
   source routing, but no repeated nodes).
 * CAP: any monitor-to-monitor walk, same endpoint allowed, that uses each
-  link at most once per direction. Only the set of achievable traces
-  matters, and a node set is such a trace exactly when it is the
-  non-monitor part of a connected subgraph containing a monitor; the
-  enumerator walks those subsets and materializes one spanning-tree walk
-  per distinct trace instead of listing walks (which blow up factorially).
+  link at most once per direction.
+
+Paths with one trace fail together, so two failure sets are told apart by
+the traces they hit and the oracle needs nothing beyond the set of
+achievable traces. Both enumerators therefore return one path per
+achievable trace, never every path (whose count blows up factorially). CSP
+keeps the first simple path of each trace in (length, node sequence) order,
+found by a DP over at most n * 2^(n-1) (end node, visited set) states. CAP
+uses that a node set is a trace exactly when it is the non-monitor part of
+a connected subgraph containing a monitor: it scans the 2^n node subsets and
+materializes one spanning-tree walk per distinct trace. Both refuse more
+than ``DEFAULT_MAX_ENUM_NODES`` (14) nodes unless the caller lifts the cap.
 """
 
 from __future__ import annotations
@@ -150,30 +157,54 @@ def enumerate_csp(
     max_nodes: int | None = DEFAULT_MAX_ENUM_NODES,
     max_edges: int | None = DEFAULT_MAX_ENUM_EDGES,
 ) -> PathSet:
-    """Every simple path between two distinct monitors.
+    """One simple path between two distinct monitors per achievable trace.
 
     Interior nodes may themselves be monitors (a controllable simple route
-    does not have to detour around one). Each path appears once, oriented
-    from its lexicographically smaller endpoint; the result is sorted by
-    (length, node sequence).
+    does not have to detour around one). Paths are oriented from their
+    smaller endpoint, and of all simple paths sharing a trace only the first
+    in (length, node sequence) order is kept; the result is in that order.
+
+    A layered DP over (end node, visited set) states replaces a listing of
+    every path: layer L holds, per state, the smallest L-node sequence
+    reaching it, seeded with every monitor but the largest. Among equal-length
+    sequences the smallest prefix gives the smallest extension, and a state
+    reached from a smaller start monitor dominates (same completions, each
+    smaller, same trace), so one state table serves all starts. Each layer
+    is walked in sequence order and extended through sorted neighbors, so the
+    first sequence to reach a state or a trace is its smallest and nothing is
+    compared or sorted. There are at most n * 2^(n-1) states.
     """
     t.require_monitored()
     _require_enum_caps(t, max_nodes, max_edges, "simple-path enumeration")
-    adj = t.adjacency
-    found: list[tuple[str, ...]] = []
-    for a in sorted(t.monitors):
-        stack: list[tuple[str, tuple[str, ...]]] = [(a, (a,))]
-        while stack:
-            u, seq = stack.pop()
-            for w in reversed(adj[u]):
-                if w in seq:
+    nodes = t.nodes
+    n = len(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    adj = [tuple(index[w] for w in t.adjacency[v]) for v in nodes]
+    monitors = sorted(index[m] for m in t.monitors)
+    monitor_mask = sum(1 << i for i in monitors)
+    # state key used * n + end -> smallest sequence; dicts keep insertion order
+    layer = {(1 << a) * n + a: (a,) for a in monitors[:-1]}
+    best: dict[int, tuple[int, ...]] = {}  # trace mask -> first path, in (len, seq) order
+    while layer:
+        nxt: dict[int, tuple[int, ...]] = {}
+        for key, seq in layer.items():
+            used = key // n
+            for w in adj[seq[-1]]:
+                bit = 1 << w
+                if used & bit:
+                    continue
+                nkey = (used | bit) * n + w
+                if nkey in nxt:
                     continue
                 nseq = seq + (w,)
-                if w in t.monitors and w > a:
-                    found.append(nseq)
-                stack.append((w, nseq))
-    found.sort(key=lambda s: (len(s), s))
-    return PathSet(tuple(_make_path(s, t.monitors) for s in found), t.non_monitors)
+                nxt[nkey] = nseq
+                if monitor_mask & bit and w > seq[0]:
+                    best.setdefault(used & ~monitor_mask, nseq)
+        layer = nxt
+    return PathSet(
+        tuple(_make_path((nodes[i] for i in s), t.monitors) for s in best.values()),
+        t.non_monitors,
+    )
 
 
 def enumerate_cap(

@@ -1,3 +1,4 @@
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,24 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def all_simple_paths(t: fs.Topology) -> list[tuple[str, ...]]:
+    """Every simple path between distinct monitors, smaller endpoint first,
+    in (length, node sequence) order, listed by brute force."""
+    adj = t.adjacency
+    return sorted(
+        (
+            seq
+            for r in range(2, len(t.nodes) + 1)
+            for seq in permutations(t.nodes, r)
+            if seq[0] in t.monitors
+            and seq[-1] in t.monitors
+            and seq[0] < seq[-1]
+            and all(b in adj[a] for a, b in zip(seq, seq[1:]))
+        ),
+        key=lambda s: (len(s), s),
+    )
 
 
 @pytest.fixture(scope="session")

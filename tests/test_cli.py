@@ -294,6 +294,8 @@ class TestVerify:
             ("monitor_counts", "non-empty", {"kind": "er", "count": 2, "monitor_counts": []}),
             ("count", "an integer >= 0", {"kind": "cuts", "count": -2}),
             ("n_range", "low to high", {"kind": "er", "count": 2, "n_range": [5, 2]}),
+            ("n_range", "low >= 2", {"kind": "er", "count": 1, "n_range": [-3, -1]}),
+            ("n_range", "low >= 1", {"kind": "cuts", "count": 1, "n_range": [-3, -1]}),
         ],
     )
     def test_batch_field_of_wrong_type(self, field, what, spec, capsys):
@@ -315,6 +317,23 @@ class TestVerify:
         assert out == ""
         (line,) = err.splitlines()
         assert "universe size 12 exceeds the oracle cap 10" in line
+
+    def test_battery_over_node_cap_refused_before_enumeration(self, monkeypatch, capsys):
+        # sigma 9 passes the oracle cap; uncapped, 22 nodes would mean a
+        # 2^22-subset CAP scan, so each enumerator must be handed a node cap
+        for name in ("enumerate_cap", "enumerate_csp"):
+
+            def capped(t, *, max_nodes, max_edges, real=getattr(fs, name)):
+                assert max_nodes is not None, "paths enumerated without a node cap"
+                return real(t, max_nodes=max_nodes, max_edges=max_edges)
+
+            monkeypatch.setattr(f"faultscope.verify.{name}", capped)
+        spec = '{"count": 1, "n_range": [22, 22], "monitor_counts": [13], "seed": 1}'
+        rc, out, err = run(capsys, "verify", "--batch", spec)
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        (line,) = err.splitlines()
+        assert "22 nodes exceeds the cap of 14" in line
 
     def test_corruption_exits_nonzero(self, capsys):
         rc, out, _ = run(

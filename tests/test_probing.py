@@ -3,6 +3,8 @@ import pytest
 import faultscope as fs
 from faultscope import EnumerationCapError, TopologyError
 
+from conftest import all_simple_paths
+
 
 def traces(ps: fs.PathSet) -> set[frozenset[str]]:
     return {p.trace for p in ps.paths}
@@ -50,8 +52,13 @@ class TestEnumerateCsp:
 
     def test_golden_contains_worked_paths(self, golden, csp_paths):
         ps = fs.enumerate_csp(golden)
-        assert ps.gamma == 32
-        assert {p.nodes for p in csp_paths.paths} <= {p.nodes for p in ps.paths}
+        assert ps.gamma == 12
+        assert traces(csp_paths) <= traces(ps)
+        everything = all_simple_paths(golden)
+        assert len(everything) == 32
+        for p in ps.paths:
+            first = next(s for s in everything if p.trace == set(s) - golden.monitors)
+            assert p.nodes == first
 
     def test_node_cap(self, chain4):
         with pytest.raises(EnumerationCapError):

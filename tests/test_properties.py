@@ -6,12 +6,14 @@ from functools import partial
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import faultscope as fs
 from faultscope import VIRTUAL_MONITOR, Graph, Mechanism, Topology
 from faultscope.cuts import _two_connected_set
 from faultscope.verify import er_battery
+
+from conftest import all_simple_paths, read_fixture
 
 
 @st.composite
@@ -150,6 +152,30 @@ def test_trace_containment(t):
     csp = {p.trace for p in fs.enumerate_csp(t).paths}
     cap = {p.trace for p in fs.enumerate_cap(t).paths}
     assert up <= csp <= cap
+
+
+def _monitors_anywhere(t: Topology):
+    # topologies() puts the monitors at the head of its spanning chain; spread
+    # them over the graph so that some traces are reached only through one
+    return st.permutations(t.nodes).map(lambda order: t.with_monitors(order[: t.mu]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(topologies().flatmap(_monitors_anywhere))
+# the golden net has traces behind an interior monitor and several paths per trace
+@example(fs.load_topology(read_fixture("golden/net.edges")))
+def test_csp_is_first_path_of_each_trace(t):
+    every = all_simple_paths(t)
+    first: dict[frozenset[str], tuple[str, ...]] = {}
+    for seq in every:
+        first.setdefault(frozenset(seq) - t.monitors, seq)
+    ps = fs.enumerate_csp(t)
+    assert [p.nodes for p in ps.paths] == list(first.values())
+    assert {p.trace for p in ps.paths} == set(first)
+    full = fs.PathSet(
+        tuple(fs.Path(seq, frozenset(seq) - t.monitors) for seq in every), t.non_monitors
+    )
+    assert fs.oracle_omega_all(full) == fs.oracle_omega_all(ps)
 
 
 @settings(max_examples=60, deadline=None)
