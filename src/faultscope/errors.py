@@ -6,10 +6,10 @@ class TopologyError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """Path enumeration refused because the instance exceeds the configured caps.
+    """Path enumeration refused because the instance exceeds the node cap.
 
     Raised instead of silently running an exponential enumeration. Callers
-    that genuinely need a larger instance can raise the caps explicitly;
+    that genuinely need a larger instance can lift the cap explicitly;
     theorem-based analysis stays available at any size.
     """
 

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import OracleCapError
-from .probing import PathSet, affected
+from .probing import PathSet
 from .topology import Graph
 
 DEFAULT_MAX_SIGMA = 10
@@ -29,8 +29,8 @@ FailureSet = frozenset[str]
 def _guard(value: int, limit: int, default: int, what: str) -> None:
     if value > limit:
         raise OracleCapError(
-            f"{what} {value} exceeds the oracle cap {limit}; pass a larger cap "
-            "explicitly if the wait is acceptable"
+            f"{what} {value} exceeds the oracle cap {limit}; "
+            "the brute-force check is for small instances only"
         )
     if value > default:
         warnings.warn(
@@ -44,11 +44,6 @@ def check_universe_size(sigma: int) -> None:
     """Raise OracleCapError when a universe of ``sigma`` non-monitors is past
     the default cap. Callers that enumerate paths for the oracle check it first."""
     _guard(sigma, DEFAULT_MAX_SIGMA, DEFAULT_MAX_SIGMA, "universe size")
-
-
-def distinguishable(ps: PathSet, f1: Iterable[str], f2: Iterable[str]) -> bool:
-    """True iff the two failure sets disrupt different sets of paths."""
-    return affected(ps, f1) != affected(ps, f2)
 
 
 def _failure_mask(ps: PathSet, failures: Iterable[str]) -> int:
@@ -108,14 +103,14 @@ def _projection_groups(ps: PathSet, *, max_sigma: int) -> list[list[int]]:
     sigma = len(ps.universe)
     _guard(sigma, max_sigma, DEFAULT_MAX_SIGMA, "universe size")
     node_masks = [ps.incidence_masks[v] for v in ps.universe]
-    groups: dict[int, list[int]] = {}
-    for fmask in range(1 << sigma):
-        fp = 0
-        scan = fmask
-        while scan:
-            low = scan & (-scan)
-            scan ^= low
-            fp |= node_masks[low.bit_length() - 1]
+    # a failure set's fingerprint is that of the set without its lowest
+    # node, plus that node's paths: one OR per set
+    fps = [0] * (1 << sigma)
+    groups: dict[int, list[int]] = {0: [0]}
+    for fmask in range(1, 1 << sigma):
+        low = fmask & -fmask
+        fp = fps[fmask ^ low] | node_masks[low.bit_length() - 1]
+        fps[fmask] = fp
         groups.setdefault(fp, []).append(fmask)
     return list(groups.values())
 

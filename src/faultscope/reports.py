@@ -281,8 +281,8 @@ def _mechanism_paths(a: Analysis, mechanism: Mechanism) -> PathSet:
     """The measurement paths a mechanism is judged on.
 
     UP is defined by its routes (supplied or derived); CAP and CSP are
-    topology-determined, so oracle-grade queries enumerate their canonical
-    path sets.
+    topology-determined, so oracle-grade queries enumerate their achievable
+    traces.
     """
     if mechanism is Mechanism.UP:
         return a.paths

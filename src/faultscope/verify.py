@@ -17,7 +17,13 @@ from typing import Iterable, Sequence
 
 from .cuts import CutNetwork, two_connected
 from .identify import Analysis, Mechanism, gsc, max_identifiable_set, omega_csp
-from .oracle import brute_vertex_cut, check_universe_size, oracle_msc, oracle_omega_all
+from .oracle import (
+    DEFAULT_MAX_CUT_NODES,
+    brute_vertex_cut,
+    check_universe_size,
+    oracle_msc,
+    oracle_omega_all,
+)
 from .probing import DEFAULT_MAX_ENUM_NODES, PathSet, enumerate_cap, enumerate_csp, route_up
 from .randomnet import gen_er, place_monitors, random_graph
 from .reports import VERSION, _is_int, _is_list_of, _is_number, check_field
@@ -128,9 +134,9 @@ def verify_topologies(
                 return
             check_universe_size(t.sigma)
             if mech is Mechanism.CAP:
-                ps = enumerate_cap(t, max_nodes=DEFAULT_MAX_ENUM_NODES, max_edges=None)
+                ps = enumerate_cap(t)
             elif mech is Mechanism.CSP:
-                ps = enumerate_csp(t, max_nodes=DEFAULT_MAX_ENUM_NODES, max_edges=None)
+                ps = enumerate_csp(t)
             else:
                 ps = route_up(t)
             mech_paths[mech] = ps
@@ -302,13 +308,16 @@ def verify_batch_spec(spec: dict, *, corrupt: bool = False) -> VerificationRepor
     seed = check_field("seed", spec.get("seed", 0), "an integer", _is_int)
     if kind == "cuts":
         return verify_cut_engine(
-            count, seed, n_range=_n_range(spec, (2, 8), 1), p_range=_p_range(spec, (0.1, 0.9))
+            count,
+            seed,
+            n_range=_n_range(spec, (2, 8), 1, DEFAULT_MAX_CUT_NODES),
+            p_range=_p_range(spec, (0.1, 0.9)),
         )
     if kind == "er":
         tops = er_battery(
             count,
             seed,
-            n_range=_n_range(spec, (5, 10), 2),
+            n_range=_n_range(spec, (5, 10), 2, DEFAULT_MAX_ENUM_NODES),
             p_range=_p_range(spec, (0.3, 0.55)),
             monitor_counts=tuple(
                 check_field(
@@ -329,12 +338,12 @@ def verify_batch_spec(spec: dict, *, corrupt: bool = False) -> VerificationRepor
     raise ValueError(f"unknown battery kind {kind!r}")
 
 
-def _n_range(spec: dict, default: tuple[int, int], least: int) -> tuple[int, int]:
+def _n_range(spec: dict, default: tuple[int, int], least: int, most: int) -> tuple[int, int]:
     lo, hi = check_field(
         "n_range",
         spec.get("n_range", default),
-        f"a list of two integers, low to high, low >= {least}",
-        lambda v: _is_list_of(v, _is_int) and len(v) == 2 and least <= v[0] <= v[1],
+        f"a list of two integers, low to high, low >= {least}, high <= {most}",
+        lambda v: _is_list_of(v, _is_int) and len(v) == 2 and least <= v[0] <= v[1] <= most,
     )
     return (lo, hi)
 

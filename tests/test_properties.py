@@ -13,7 +13,7 @@ from faultscope import VIRTUAL_MONITOR, Graph, Mechanism, Topology
 from faultscope.cuts import _two_connected_set
 from faultscope.verify import er_battery
 
-from conftest import all_simple_paths, read_fixture
+from conftest import all_simple_paths, all_walk_traces, read_fixture
 
 
 @st.composite
@@ -148,9 +148,9 @@ def test_internals_and_degree_caps(t):
 @settings(max_examples=60, deadline=None)
 @given(topologies())
 def test_trace_containment(t):
-    up = {p.trace for p in fs.route_up(t).paths}
-    csp = {p.trace for p in fs.enumerate_csp(t).paths}
-    cap = {p.trace for p in fs.enumerate_cap(t).paths}
+    up = set(fs.route_up(t).paths)
+    csp = set(fs.enumerate_csp(t).paths)
+    cap = set(fs.enumerate_cap(t).paths)
     assert up <= csp <= cap
 
 
@@ -164,18 +164,23 @@ def _monitors_anywhere(t: Topology):
 @given(topologies().flatmap(_monitors_anywhere))
 # the golden net has traces behind an interior monitor and several paths per trace
 @example(fs.load_topology(read_fixture("golden/net.edges")))
-def test_csp_is_first_path_of_each_trace(t):
-    every = all_simple_paths(t)
-    first: dict[frozenset[str], tuple[str, ...]] = {}
-    for seq in every:
-        first.setdefault(frozenset(seq) - t.monitors, seq)
-    ps = fs.enumerate_csp(t)
-    assert [p.nodes for p in ps.paths] == list(first.values())
-    assert {p.trace for p in ps.paths} == set(first)
+def test_csp_traces_match_all_simple_paths(t):
     full = fs.PathSet(
-        tuple(fs.Path(seq, frozenset(seq) - t.monitors) for seq in every), t.non_monitors
+        tuple(frozenset(seq) - t.monitors for seq in all_simple_paths(t)), t.non_monitors
     )
+    ps = fs.enumerate_csp(t)
+    assert list(ps.paths) == sorted(set(ps.paths), key=lambda p: (len(p), sorted(p)))
+    assert set(ps.paths) == set(full.paths)
     assert fs.oracle_omega_all(full) == fs.oracle_omega_all(ps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(topologies(max_nodes=6).filter(lambda t: t.xi <= 8).flatmap(_monitors_anywhere))
+@example(fs.load_topology(read_fixture("golden/net.edges")))
+def test_cap_traces_match_all_walks(t):
+    ps = fs.enumerate_cap(t)
+    assert list(ps.paths) == sorted(set(ps.paths), key=lambda p: (len(p), sorted(p)))
+    assert set(ps.paths) == all_walk_traces(t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,10 +289,9 @@ def test_k_tests_agree_with_oracle():
         nm = list(t.non_monitors)
         groups = [[v] for v in nm] + [nm]
         groups += [rng.sample(nm, rng.randint(1, len(nm))) for _ in range(2)]
-        uncapped = {"max_nodes": None, "max_edges": None}
         tests = (
-            (fs.enumerate_cap(t, **uncapped), partial(fs.k_identifiable_cap, a)),
-            (fs.enumerate_csp(t, **uncapped), partial(fs.k_identifiable_csp, a)),
+            (fs.enumerate_cap(t, max_nodes=None), partial(fs.k_identifiable_cap, a)),
+            (fs.enumerate_csp(t, max_nodes=None), partial(fs.k_identifiable_csp, a)),
             (up, partial(fs.k_identifiable_up, up)),
             (up, partial(fs.k_identifiable_up, up, exact_cover=True)),
         )
