@@ -266,6 +266,16 @@ def _add_topology_args(sub: argparse.ArgumentParser, *, required: bool = True) -
     )
 
 
+def _add_probing_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--paths", help="measurement path file (used by the up mechanism)")
+    sub.add_argument(
+        "--mechanism",
+        type=_mechanism_list,
+        default=(Mechanism.CAP, Mechanism.CSP, Mechanism.UP),
+        help="comma separated subset of cap,csp,up (default all)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="faultscope",
@@ -287,13 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     an = subs.add_parser("analyze", help="per-node identifiability report")
     _add_topology_args(an)
-    an.add_argument("--paths", help="measurement path file (used by the up mechanism)")
-    an.add_argument(
-        "--mechanism",
-        type=_mechanism_list,
-        default=(Mechanism.CAP, Mechanism.CSP, Mechanism.UP),
-        help="comma separated subset of cap,csp,up (default all)",
-    )
+    _add_probing_args(an)
     an.add_argument("--set", type=_name_list, help="also report bounds for this node set")
     an.add_argument("--exact", action="store_true", help="oracle-exact values (small instances)")
     an.add_argument("--seed", type=int, help="stamped into the report header")
@@ -302,13 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mx = subs.add_parser("maxset", help="maximal k-identifiable sets")
     _add_topology_args(mx)
-    mx.add_argument("--paths", help="measurement path file (used by the up mechanism)")
-    mx.add_argument(
-        "--mechanism",
-        type=_mechanism_list,
-        default=(Mechanism.CAP, Mechanism.CSP, Mechanism.UP),
-        help="comma separated subset of cap,csp,up (default all)",
-    )
+    _add_probing_args(mx)
     mx.add_argument("--k", type=int, help="single k (default: every k in 1..sigma)")
     mx.add_argument("--set", type=_name_list, help="report the index bounds of this set instead")
     mx.add_argument("--exact", action="store_true", help="oracle-exact sets (small instances)")
@@ -318,13 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cc = subs.add_parser("ccdf", help="fraction of k-identifiable nodes per k")
     _add_topology_args(cc, required=False)
-    cc.add_argument("--paths", help="measurement path file (used by the up mechanism)")
-    cc.add_argument(
-        "--mechanism",
-        type=_mechanism_list,
-        default=(Mechanism.CAP, Mechanism.CSP, Mechanism.UP),
-        help="comma separated subset of cap,csp,up (default all)",
-    )
+    _add_probing_args(cc)
     cc.add_argument(
         "--batch",
         help="JSON batch spec (inline or @FILE): count, n, p, mus, seed[, mechanisms]",

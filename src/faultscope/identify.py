@@ -24,8 +24,10 @@ of one, and a k-test the folded raw bounds of its members held against k
 nothing is cached across calls.
 
 The brute-force oracle (:mod:`faultscope.oracle`) is the ground truth these
-results are validated against; nothing here consults it unless a caller
-explicitly opts into exact-cover tightening.
+results are validated against. Its per-node indices are one more table of
+the :class:`Analysis`, built only when asked for (exact reports and the
+verification batteries); otherwise nothing here consults the oracle unless a
+caller explicitly opts into exact-cover tightening.
 """
 
 from __future__ import annotations
@@ -39,8 +41,16 @@ from typing import Iterable, Mapping
 
 from . import oracle as _oracle
 from .cuts import CutNetwork, _two_connected_set
-from .probing import PathSet
-from .topology import VIRTUAL_MONITOR, Topology, build_extended, build_minus_monitor, build_star
+from .probing import PathSet, enumerate_cap, enumerate_csp
+from .topology import (
+    VIRTUAL_MONITOR,
+    Topology,
+    build_extended,
+    build_minus_monitor,
+    build_star,
+    check_k,
+    check_members,
+)
 
 
 class Mechanism(str, enum.Enum):
@@ -135,22 +145,6 @@ class SetBounds:
         return self.inner == self.outer
 
 
-def _check_members(t: Topology, group: Iterable[str]) -> tuple[str, ...]:
-    members = tuple(sorted(set(group)))
-    if not members:
-        raise ValueError("the queried set must be non-empty")
-    non_monitors = set(t.non_monitors)
-    for v in members:
-        if v not in non_monitors:
-            raise ValueError(f"{v!r} is not a non-monitor of the topology")
-    return members
-
-
-def _check_k(k: int, sigma: int) -> None:
-    if k < 1 or k > sigma:
-        raise ValueError(f"k must be in 1..{sigma}")
-
-
 def fold_bounds(table: Mapping[str, IntBounds], members: Iterable[str]) -> IntBounds:
     """Index bounds of a set: the member-wise minimum of a per-node table."""
     bounds = [table[v] for v in members]
@@ -182,8 +176,9 @@ def _verdict(bounds: IntBounds, k: int, rules: str | tuple[str, str, str]) -> Tr
 
 class Analysis:
     """The per-node tables of one (topology, UP path set), each built once on
-    first use: the CAP and CSP cut tables, the single-failure sets and the raw
-    and refined bounds per mechanism. Pass it wherever a function takes a
+    first use: the CAP and CSP cut tables, the single-failure sets, the raw
+    and refined bounds per mechanism and, only when asked for, the oracle's
+    exact indices per mechanism. Pass it wherever a function takes a
     topology; every reader shares the tables, which it hands out read-only.
     """
 
@@ -192,6 +187,7 @@ class Analysis:
         self.t = t
         self.ps = ps
         self._tables: dict[tuple[Mechanism, bool], dict[str, IntBounds]] = {}
+        self._oracle: dict[Mechanism, dict[str, int]] = {}
 
     @property
     def paths(self) -> PathSet:
@@ -242,11 +238,28 @@ class Analysis:
             self._tables[key] = per_node_bounds(self, key[0], refine_single=refine_single)
         return MappingProxyType(self._tables[key])
 
+    def oracle(self, mechanism: Mechanism) -> Mapping[str, int]:
+        """Per-node exact indices from the brute-force oracle, over the paths
+        the mechanism is judged on: the UP path set, or every achievable CSP
+        or CAP trace. The oracle's universe cap is checked before any path
+        is enumerated."""
+        mechanism = Mechanism(mechanism)
+        if mechanism not in self._oracle:
+            _oracle.check_universe_size(self.t.sigma)
+            if mechanism is Mechanism.UP:
+                ps = self.paths
+            elif mechanism is Mechanism.CSP:
+                ps = enumerate_csp(self.t)
+            else:
+                ps = enumerate_cap(self.t)
+            self._oracle[mechanism] = _oracle.oracle_omega_all(ps)
+        return MappingProxyType(self._oracle[mechanism])
+
 
 def _node(t: Topology | Analysis, v: str) -> Analysis:
     """The context of a single-node query, with ``v`` checked against it."""
     a = _analysis(t)
-    _check_members(a.t, [v])
+    check_members(a.t.non_monitors, [v])
     return a
 
 
@@ -322,8 +335,8 @@ def k_identifiable_cap(t: Topology | Analysis, group: Iterable[str], k: int) -> 
     """Exact test: the group is k-identifiable iff every member's cut to the
     virtual monitor in the star graph reaches k. Never undetermined."""
     a = _analysis(t)
-    members = _check_members(a.t, group)
-    _check_k(k, a.t.sigma)
+    members = check_members(a.t.non_monitors, group)
+    check_k(k, a.t.sigma)
     table = a.table(Mechanism.CAP, refine_single=False)
     return _verdict(fold_bounds(table, members), k, "star-cut")
 
@@ -383,9 +396,9 @@ def k_identifiable_csp(t: Topology | Analysis, group: Iterable[str], k: int) -> 
     the cut bounds are one unit wide, so the verdict can be undetermined.
     """
     a = _analysis(t)
-    members = _check_members(a.t, group)
+    members = check_members(a.t.non_monitors, group)
     sigma = a.t.sigma
-    _check_k(k, sigma)
+    check_k(k, sigma)
     if k == sigma:
         rules = "all-two-monitor-neighbors"
     elif k == sigma - 1:
@@ -416,7 +429,7 @@ def one_identifiable(
     (``ps`` required).
     """
     a = _analysis(t, ps)
-    members = _check_members(a.t, group)
+    members = check_members(a.t.non_monitors, group)
     mechanism = Mechanism(mechanism)
     if mechanism is Mechanism.CAP:
         return TriState(Status.IDENTIFIABLE, "any-monitor-reachable")
@@ -466,7 +479,7 @@ def gsc(ps: PathSet, v: str) -> int:
     broken by name. By convention the result is sigma when some path sees
     only v (covering infeasible) and 0 when no path sees v.
     """
-    _oracle._check_group(ps, [v])
+    check_members(ps.universe, [v])
     mask = ps.incidence_masks[v]
     if mask == 0:
         return 0
@@ -498,7 +511,7 @@ def omega_up(ps: PathSet, v: str, *, exact_cover: bool = False) -> IntBounds:
     logarithmic guarantee, while ``exact_cover=True`` computes the true
     minimum cover (brute force, small instances only).
     """
-    _oracle._check_group(ps, [v])
+    check_members(ps.universe, [v])
     sigma = len(ps.universe)
     mask = ps.incidence_masks[v]
     if mask == 0:
@@ -527,10 +540,9 @@ def k_identifiable_up(
     reaches sigma); k == 1 is the direct incidence comparison; in between the
     cover bounds decide, leaving a gap where neither side fires.
     """
-    members = sorted(set(group))
+    members = check_members(ps.universe, group)
     sigma = len(ps.universe)
-    _oracle._check_group(ps, members)
-    _check_k(k, sigma)
+    check_k(k, sigma)
     if k == 1 and sigma > 1:
         return _single_failure_up(ps, members)
     if k == sigma:
@@ -602,7 +614,7 @@ def omega_set(
 ) -> IntBounds:
     """Index bounds for a set: the member-wise minimum of the per-node bounds."""
     a = _analysis(t, ps)
-    members = _check_members(a.t, group)
+    members = check_members(a.t.non_monitors, group)
     return fold_bounds(a.table(mechanism), members)
 
 
@@ -623,5 +635,5 @@ def max_identifiable_set(
     test makes k = 1 exact for every mechanism.
     """
     a = _analysis(t, ps)
-    _check_k(k, a.t.sigma)
+    check_k(k, a.t.sigma)
     return threshold_bounds(a.table(mechanism, refine_single=refine_single), k)

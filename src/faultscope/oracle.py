@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import OracleCapError
 from .probing import PathSet
-from .topology import Graph
+from .topology import Graph, check_k, check_members
 
 DEFAULT_MAX_SIGMA = 10
 DEFAULT_MAX_K = 5
@@ -42,7 +42,7 @@ def _guard(value: int, limit: int, default: int, what: str) -> None:
 
 def check_universe_size(sigma: int) -> None:
     """Raise OracleCapError when a universe of ``sigma`` non-monitors is past
-    the default cap. Callers that enumerate paths for the oracle check it first."""
+    the default cap. ``Analysis.oracle`` checks it before enumerating any path."""
     _guard(sigma, DEFAULT_MAX_SIGMA, DEFAULT_MAX_SIGMA, "universe size")
 
 
@@ -51,17 +51,6 @@ def _failure_mask(ps: PathSet, failures: Iterable[str]) -> int:
     for v in failures:
         fp |= ps.incidence_masks[v]
     return fp
-
-
-def _check_group(ps: PathSet, group: Iterable[str]) -> list[str]:
-    members = sorted(set(group))
-    if not members:
-        raise ValueError("the queried set must be non-empty")
-    uni = set(ps.universe)
-    for v in members:
-        if v not in uni:
-            raise ValueError(f"{v!r} is not a non-monitor of this path set")
-    return members
 
 
 def oracle_k_identifiable(
@@ -78,10 +67,9 @@ def oracle_k_identifiable(
     set of paths they disrupt, and looks inside each bucket for two sets
     that differ on ``group``.
     """
-    members = _check_group(ps, group)
+    members = check_members(ps.universe, group)
     sigma = len(ps.universe)
-    if k < 1 or k > sigma:
-        raise ValueError(f"k must be in 1..{sigma}")
+    check_k(k, sigma)
     _guard(sigma, max_sigma, DEFAULT_MAX_SIGMA, "universe size")
     _guard(k, max_k, DEFAULT_MAX_K, "failure bound k")
     member_set = frozenset(members)
@@ -148,7 +136,7 @@ def oracle_omega(
     """Exact identifiability index of ``group``: the largest k (0..sigma) for
     which the set is k-identifiable. 0 means two single-failure scenarios
     differing on the group already look identical."""
-    members = _check_group(ps, group)
+    members = check_members(ps.universe, group)
     sigma = len(ps.universe)
     index = {v: i for i, v in enumerate(ps.universe)}
     smask = 0
@@ -180,8 +168,7 @@ def oracle_max_identifiable_set(
 ) -> frozenset[str]:
     """Exact maximal k-identifiable set: the nodes whose index reaches k."""
     sigma = len(ps.universe)
-    if k < 1 or k > sigma:
-        raise ValueError(f"k must be in 1..{sigma}")
+    check_k(k, sigma)
     values = oracle_omega_all(ps, max_sigma=max_sigma)
     return frozenset(v for v, omega in values.items() if omega >= k)
 
@@ -198,7 +185,7 @@ def oracle_msc(
     other non-monitor (covering is infeasible, and that path pins v's state
     directly), and 0 when no path traverses v at all.
     """
-    (member,) = _check_group(ps, [v])
+    (member,) = check_members(ps.universe, [v])
     sigma = len(ps.universe)
     _guard(sigma, max_sigma, DEFAULT_MAX_SIGMA, "universe size")
     target = ps.incidence_masks[member]

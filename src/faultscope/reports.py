@@ -25,10 +25,9 @@ from .identify import (
     fold_bounds,
     threshold_bounds,
 )
-from .oracle import oracle_omega, oracle_omega_all
-from .probing import PathSet, enumerate_cap, enumerate_csp, route_up
+from .probing import PathSet, route_up
 from .randomnet import gen_er
-from .topology import Topology
+from .topology import Topology, check_k, check_members
 
 VERSION = "0.1.0"
 SCHEMA_ANALYSIS = "faultscope/analysis v1"
@@ -277,20 +276,6 @@ def _context(t: Topology, mechs: tuple[Mechanism, ...], ps: PathSet | None) -> A
     return Analysis(t, ps)
 
 
-def _mechanism_paths(a: Analysis, mechanism: Mechanism) -> PathSet:
-    """The measurement paths a mechanism is judged on.
-
-    UP is defined by its routes (supplied or derived); CAP and CSP are
-    topology-determined, so oracle-grade queries enumerate their achievable
-    traces.
-    """
-    if mechanism is Mechanism.UP:
-        return a.paths
-    if mechanism is Mechanism.CSP:
-        return enumerate_csp(a.t)
-    return enumerate_cap(a.t)
-
-
 def _tables(
     a: Analysis,
     mechs: tuple[Mechanism, ...],
@@ -301,20 +286,7 @@ def _tables(
     """Per mechanism, the context's bound table, or oracle values if ``exact``."""
     if not exact:
         return {m: a.table(m, refine_single=refine_single) for m in mechs}
-    return {
-        m: {v: IntBounds.exactly(w) for v, w in oracle_omega_all(_mechanism_paths(a, m)).items()}
-        for m in mechs
-    }
-
-
-def _set_row(
-    mechanism: Mechanism, members: tuple[str, ...], table: Mapping[str, IntBounds]
-) -> SetRow:
-    unknown = [v for v in members if v not in table]
-    if not members or unknown:
-        bad = unknown[0] if unknown else "(empty)"
-        raise ValueError(f"queried set must be non-monitors, got {bad!r}")
-    return SetRow(mechanism, members, fold_bounds(table, members))
+    return {m: {v: IntBounds.exactly(w) for v, w in a.oracle(m).items()} for m in mechs}
 
 
 def analyze(
@@ -335,6 +307,7 @@ def analyze(
     """
     t.require_monitored()
     mechs = normalize_mechanisms(mechanisms)
+    members = None if group is None else check_members(t.non_monitors, group)
     meta = meta or ReportMeta()
     a = _context(t, mechs, ps)
     tables = _tables(a, mechs, refine_single=False, exact=exact)
@@ -353,9 +326,8 @@ def analyze(
 
     folded = tables if exact else _tables(a, mechs, refine_single=True, exact=False)
     set_rows: list[SetRow] = []
-    if group is not None:
-        members = tuple(sorted(set(group)))
-        set_rows = [_set_row(m, members, folded[m]) for m in mechs]
+    if members is not None:
+        set_rows = [SetRow(m, members, fold_bounds(folded[m], members)) for m in mechs]
     ks = range(1, t.sigma + 1)
     maxset_rows = [MaxsetRow(m, k, threshold_bounds(folded[m], k)) for k in ks for m in mechs]
 
@@ -382,8 +354,8 @@ def maxset_report(
     t.require_monitored()
     mechs = normalize_mechanisms(mechanisms)
     wanted = list(ks) if ks is not None else list(range(1, t.sigma + 1))
-    if any(not 1 <= k <= t.sigma for k in wanted):
-        raise ValueError(f"k must be in 1..{t.sigma}")
+    for k in wanted:
+        check_k(k, t.sigma)
     tables = _tables(_context(t, mechs, ps), mechs, refine_single=True, exact=exact)
     return AnalysisReport(
         meta=meta or ReportMeta(),
@@ -403,33 +375,21 @@ def set_report(
     *,
     ps: PathSet | None = None,
     exact: bool = False,
-    oracle: bool = False,
     meta: ReportMeta | None = None,
 ) -> AnalysisReport:
-    """Index bounds for one queried set, without the per-node table.
-
-    ``oracle=True`` computes the set's index directly with the brute-force
-    oracle (as opposed to ``exact=True``, which uses oracle per-node values
-    and still reports the member-wise minimum).
-    """
+    """Index bounds for one queried set, without the per-node table: the
+    member-wise minimum of the per-node bounds, or of the oracle's per-node
+    indices with ``exact=True`` (a set's exact index is that minimum too)."""
     t.require_monitored()
     mechs = normalize_mechanisms(mechanisms)
-    members = tuple(sorted(set(group)))
-    a = _context(t, mechs, ps)
-    if oracle:
-        set_rows = [
-            SetRow(m, members, IntBounds.exactly(oracle_omega(_mechanism_paths(a, m), members)))
-            for m in mechs
-        ]
-    else:
-        tables = _tables(a, mechs, refine_single=True, exact=exact)
-        set_rows = [_set_row(m, members, tables[m]) for m in mechs]
+    members = check_members(t.non_monitors, group)
+    tables = _tables(_context(t, mechs, ps), mechs, refine_single=True, exact=exact)
     return AnalysisReport(
         meta=meta or ReportMeta(),
         sigma=t.sigma,
         mechanisms=mechs,
         rows=(),
-        set_rows=tuple(set_rows),
+        set_rows=tuple(SetRow(m, members, fold_bounds(tables[m], members)) for m in mechs),
     )
 
 

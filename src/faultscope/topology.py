@@ -173,6 +173,24 @@ class Topology(Graph):
             raise TopologyError("analysis requires at least one monitor")
 
 
+def check_members(non_monitors: Iterable[str], group: Iterable[str]) -> tuple[str, ...]:
+    """The queried set, sorted, after checking it is a non-empty set of non-monitors."""
+    members = tuple(sorted(set(group)))
+    if not members:
+        raise ValueError("the queried set must be non-empty")
+    allowed = set(non_monitors)
+    for v in members:
+        if v not in allowed:
+            raise ValueError(f"{v!r} is not a non-monitor")
+    return members
+
+
+def check_k(k: int, sigma: int) -> None:
+    """Refuse a failure bound k outside 1..sigma."""
+    if k < 1 or k > sigma:
+        raise ValueError(f"k must be in 1..{sigma}")
+
+
 @dataclass(frozen=True)
 class AuxiliaryGraph(Graph):
     """A derived graph containing the single virtual monitor node.

@@ -17,14 +17,8 @@ from typing import Iterable, Sequence
 
 from .cuts import CutNetwork, two_connected
 from .identify import Analysis, Mechanism, gsc, max_identifiable_set, omega_csp
-from .oracle import (
-    DEFAULT_MAX_CUT_NODES,
-    brute_vertex_cut,
-    check_universe_size,
-    oracle_msc,
-    oracle_omega_all,
-)
-from .probing import DEFAULT_MAX_ENUM_NODES, PathSet, enumerate_cap, enumerate_csp, route_up
+from .oracle import DEFAULT_MAX_CUT_NODES, brute_vertex_cut, oracle_msc
+from .probing import DEFAULT_MAX_ENUM_NODES, route_up
 from .randomnet import gen_er, place_monitors, random_graph
 from .reports import VERSION, _is_int, _is_list_of, _is_number, check_field
 from .topology import Topology
@@ -126,36 +120,14 @@ def verify_topologies(
     for index, t in enumerate(tops):
         ninstances += 1
         name = _instance_name(index, t)
-        mech_paths: dict[Mechanism, PathSet] = {}
-        mech_oracle: dict[Mechanism, dict[str, int]] = {}
-
-        def load(mech: Mechanism) -> None:
-            if mech in mech_paths:
-                return
-            check_universe_size(t.sigma)
-            if mech is Mechanism.CAP:
-                ps = enumerate_cap(t)
-            elif mech is Mechanism.CSP:
-                ps = enumerate_csp(t)
-            else:
-                ps = route_up(t)
-            mech_paths[mech] = ps
-            mech_oracle[mech] = oracle_omega_all(ps)
-
-        if "cap" in checks or want_sets:
-            load(Mechanism.CAP)
-        if "csp" in checks or want_sets:
-            load(Mechanism.CSP)
-        if "up" in checks or want_sets:
-            load(Mechanism.UP)
-        a = Analysis(t, mech_paths.get(Mechanism.UP))
+        a = Analysis(t, route_up(t) if "up" in checks or want_sets else None)
 
         if "cap" in checks:
             values = dict(a.cap)
             if corrupt and index == 0 and t.non_monitors:
                 first = t.non_monitors[0]
                 values[first] += 1
-            target = mech_oracle[Mechanism.CAP]
+            target = a.oracle(Mechanism.CAP)
             for v in t.non_monitors:
                 nchecks += 1
                 if values[v] != target[v]:
@@ -168,7 +140,7 @@ def verify_topologies(
                     )
 
         if "csp" in checks:
-            target = mech_oracle[Mechanism.CSP]
+            target = a.oracle(Mechanism.CSP)
             for v in t.non_monitors:
                 nchecks += 1
                 b = omega_csp(a, v)
@@ -190,8 +162,8 @@ def verify_topologies(
                     )
 
         if "up" in checks:
-            ps = mech_paths[Mechanism.UP]
-            target = mech_oracle[Mechanism.UP]
+            ps = a.paths
+            target = a.oracle(Mechanism.UP)
             for v in ps.universe:
                 nchecks += 1
                 msc = oracle_msc(ps, v)
@@ -221,7 +193,7 @@ def verify_topologies(
 
         if want_sets:
             for mech in (Mechanism.CAP, Mechanism.CSP, Mechanism.UP):
-                omega = mech_oracle[mech]
+                omega = a.oracle(mech)
                 for k in range(1, t.sigma + 1):
                     nchecks += 1
                     bounds = max_identifiable_set(a, k, mech)

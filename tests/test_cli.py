@@ -99,6 +99,33 @@ class TestAnalyze:
         assert len(rows) == 9
         assert rows == [line for line in bounds.splitlines() if line.startswith("node,")]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--exact"),
+            ("analyze", "--exact", "--mechanism", "csp"),
+            ("maxset", "--exact"),
+            ("ccdf", "--exact"),
+        ],
+    )
+    def test_exact_over_oracle_cap_refused_before_enumeration(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        # 14 nodes, 2 monitors: sigma 12 is past the oracle's cap of 10
+        net = str(tmp_path / "over.edges")
+        run(capsys, "gen", "--n", "14", "--p", "0.6", "--seed", "1", "--mu", "2", "--out", net)
+
+        def never(*args, **kwargs):
+            raise AssertionError("paths enumerated for an instance the oracle refuses")
+
+        monkeypatch.setattr("faultscope.identify.enumerate_cap", never)
+        monkeypatch.setattr("faultscope.identify.enumerate_csp", never)
+        rc, out, err = run(capsys, argv[0], "--topology", net, *argv[1:])
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: universe size 12 exceeds the oracle cap 10")
+
     def test_set_query(self, workspace, capsys):
         rc, out, _ = run(
             capsys,
@@ -324,8 +351,8 @@ class TestVerify:
         def never(*args, **kwargs):
             raise AssertionError("paths enumerated for an instance the oracle refuses")
 
-        monkeypatch.setattr("faultscope.verify.enumerate_cap", never)
-        monkeypatch.setattr("faultscope.verify.enumerate_csp", never)
+        monkeypatch.setattr("faultscope.identify.enumerate_cap", never)
+        monkeypatch.setattr("faultscope.identify.enumerate_csp", never)
         spec = '{"kind": "er", "count": 2, "n_range": [14, 14], "monitor_counts": [2]}'
         rc, out, err = run(capsys, "verify", "--batch", spec)
         assert rc == EXIT_VALIDATION
@@ -339,8 +366,8 @@ class TestVerify:
         def never(*args, **kwargs):
             raise AssertionError("paths enumerated for an instance past the node cap")
 
-        monkeypatch.setattr("faultscope.verify.enumerate_cap", never)
-        monkeypatch.setattr("faultscope.verify.enumerate_csp", never)
+        monkeypatch.setattr("faultscope.identify.enumerate_cap", never)
+        monkeypatch.setattr("faultscope.identify.enumerate_csp", never)
         spec = '{"count": 1, "n_range": [22, 22], "monitor_counts": [13], "seed": 1}'
         rc, out, err = run(capsys, "verify", "--batch", spec)
         assert rc == EXIT_VALIDATION

@@ -121,7 +121,7 @@ class TestMaxsetAndSetReports:
             fs.maxset_report(golden, [Mechanism.CSP], ks=[9])
 
     def test_set_report_oracle(self, golden, up_paths):
-        rep = fs.set_report(golden, [Mechanism.UP], ["v1", "v2", "v4"], ps=up_paths, oracle=True)
+        rep = fs.set_report(golden, [Mechanism.UP], ["v1", "v2", "v4"], ps=up_paths, exact=True)
         (row,) = rep.set_rows
         assert row.bounds == IntBounds.exactly(1)
         assert row.members == ("v1", "v2", "v4")
