@@ -215,8 +215,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "kind": args.kind,
             "count": args.count,
             "seed": args.seed if args.seed is not None else 0,
-            "checks": list(args.checks),
         }
+        if args.kind == "er":
+            spec["checks"] = list(args.checks)
         report = verify_batch_spec(spec, corrupt=args.corrupt)
     _write_output(report.to_json(), args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY

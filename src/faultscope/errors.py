@@ -8,14 +8,13 @@ class TopologyError(ValueError):
 class EnumerationCapError(RuntimeError):
     """Path enumeration refused because the instance exceeds the node cap.
 
-    Raised instead of silently running an exponential enumeration. Callers
-    that genuinely need a larger instance can lift the cap explicitly;
-    theorem-based analysis stays available at any size.
+    Raised instead of silently running an exponential enumeration; the cap
+    is fixed, and theorem-based analysis stays available at any size.
     """
 
 
 class OracleCapError(RuntimeError):
-    """Brute-force oracle refused because the instance exceeds the configured caps."""
+    """Brute-force oracle refused because the instance exceeds its fixed caps."""
 
 
 class GenerationError(RuntimeError):

@@ -21,13 +21,13 @@ first use; a set index is a minimum over a table, a maximal set a threshold
 of one, and a k-test the folded raw bounds of its members held against k
 (with k == 1 left to the exact single-failure test). The functions take an
 :class:`Analysis`, whose tables they read, or a topology, analysed afresh;
-nothing is cached across calls.
+nothing is cached across calls. A UP query needs the path set, so it takes
+an :class:`Analysis` built with one.
 
 The brute-force oracle (:mod:`faultscope.oracle`) is the ground truth these
 results are validated against. Its per-node indices are one more table of
 the :class:`Analysis`, built only when asked for (exact reports and the
-verification batteries); otherwise nothing here consults the oracle unless a
-caller explicitly opts into exact-cover tightening.
+verification batteries); nothing else here consults the oracle.
 """
 
 from __future__ import annotations
@@ -263,12 +263,8 @@ def _node(t: Topology | Analysis, v: str) -> Analysis:
     return a
 
 
-def _analysis(t: Topology | Analysis, ps: PathSet | None = None) -> Analysis:
-    if not isinstance(t, Analysis):
-        return Analysis(t, ps)
-    if ps is not None and ps is not t.ps:
-        raise ValueError("an Analysis carries its own path set")
-    return t
+def _analysis(t: Topology | Analysis) -> Analysis:
+    return t if isinstance(t, Analysis) else Analysis(t)
 
 
 def cap_values(t: Topology | Analysis) -> Mapping[str, int]:
@@ -416,19 +412,16 @@ def k_identifiable_csp(t: Topology | Analysis, group: Iterable[str], k: int) -> 
 
 
 def one_identifiable(
-    t: Topology | Analysis,
-    group: Iterable[str],
-    mechanism: Mechanism,
-    ps: PathSet | None = None,
+    t: Topology | Analysis, group: Iterable[str], mechanism: Mechanism
 ) -> TriState:
     """Exact 1-identifiability of ``group`` under the given mechanism.
 
     Never undetermined. Under CAP any connected monitored topology
     qualifies; under CSP the answer comes from biconnectivity of the
     extended graphs; under UP it is a direct comparison of path incidence
-    (``ps`` required).
+    (an :class:`Analysis` with a path set required).
     """
-    a = _analysis(t, ps)
+    a = _analysis(t)
     members = check_members(a.t.non_monitors, group)
     mechanism = Mechanism(mechanism)
     if mechanism is Mechanism.CAP:
@@ -502,14 +495,13 @@ def gsc(ps: PathSet, v: str) -> int:
     return count
 
 
-def omega_up(ps: PathSet, v: str, *, exact_cover: bool = False) -> IntBounds:
+def omega_up(ps: PathSet, v: str) -> IntBounds:
     """Per-node index under routing-determined probing.
 
     A node no path sees has index 0; a node some path sees alone has the
     full index sigma. Otherwise the index sits within one of the minimum
-    cover size; the default bounds derive it from the greedy cover and its
-    logarithmic guarantee, while ``exact_cover=True`` computes the true
-    minimum cover (brute force, small instances only).
+    cover size, and the bounds derive it from the greedy cover and its
+    logarithmic guarantee.
     """
     check_members(ps.universe, [v])
     sigma = len(ps.universe)
@@ -518,21 +510,12 @@ def omega_up(ps: PathSet, v: str, *, exact_cover: bool = False) -> IntBounds:
         return IntBounds.exactly(0)
     if v in ps.directly_measured:
         return IntBounds.exactly(sigma)
-    if exact_cover:
-        cover = _oracle.oracle_msc(ps, v)
-        return IntBounds(max(cover - 1, 0), cover)
     greedy = gsc(ps, v)
     lo = math.ceil(greedy / (math.log(mask.bit_count()) + 1.0)) - 1
     return IntBounds(max(lo, 0), greedy)
 
 
-def k_identifiable_up(
-    ps: PathSet,
-    group: Iterable[str],
-    k: int,
-    *,
-    exact_cover: bool = False,
-) -> TriState:
+def k_identifiable_up(ps: PathSet, group: Iterable[str], k: int) -> TriState:
     """k-identifiability under routing-determined probing: the members'
     folded :func:`omega_up` bounds against k.
 
@@ -549,10 +532,7 @@ def k_identifiable_up(
         rules = "all-directly-measured"
     else:
         rules = ("cover-sufficient", "cover-necessary", "cover-gap")
-    # Any cover of a node no path sees alone is below sigma, so the exact
-    # cover cannot change the verdict at k == sigma and is not computed there.
-    exact = exact_cover and k < sigma
-    bounds = fold_bounds({v: omega_up(ps, v, exact_cover=exact) for v in members}, members)
+    bounds = fold_bounds({v: omega_up(ps, v) for v in members}, members)
     return _verdict(bounds, k, rules)
 
 
@@ -561,11 +541,7 @@ def k_identifiable_up(
 
 
 def per_node_bounds(
-    t: Topology | Analysis,
-    mechanism: Mechanism,
-    ps: PathSet | None = None,
-    *,
-    refine_single: bool = True,
+    t: Topology | Analysis, mechanism: Mechanism, *, refine_single: bool = True
 ) -> dict[str, IntBounds]:
     """Index bounds for every non-monitor under one mechanism.
 
@@ -577,7 +553,7 @@ def per_node_bounds(
     table starts from the raw one when that is already built. The result is
     always a fresh dict.
     """
-    a = _analysis(t, ps)
+    a = _analysis(t)
     mechanism = Mechanism(mechanism)
     raw = a._tables.get((mechanism, False))
     if raw is None:
@@ -606,26 +582,14 @@ def _refine_with_single(
     return out
 
 
-def omega_set(
-    t: Topology | Analysis,
-    group: Iterable[str],
-    mechanism: Mechanism,
-    ps: PathSet | None = None,
-) -> IntBounds:
+def omega_set(t: Topology | Analysis, group: Iterable[str], mechanism: Mechanism) -> IntBounds:
     """Index bounds for a set: the member-wise minimum of the per-node bounds."""
-    a = _analysis(t, ps)
+    a = _analysis(t)
     members = check_members(a.t.non_monitors, group)
     return fold_bounds(a.table(mechanism), members)
 
 
-def max_identifiable_set(
-    t: Topology | Analysis,
-    k: int,
-    mechanism: Mechanism,
-    ps: PathSet | None = None,
-    *,
-    refine_single: bool = True,
-) -> SetBounds:
+def max_identifiable_set(t: Topology | Analysis, k: int, mechanism: Mechanism) -> SetBounds:
     """Inner/outer approximations of the maximal k-identifiable set.
 
     Thresholding the per-node bounds reproduces every special exact case:
@@ -634,6 +598,6 @@ def max_identifiable_set(
     per-node values), UP is exact at sigma, and the folded single-failure
     test makes k = 1 exact for every mechanism.
     """
-    a = _analysis(t, ps)
+    a = _analysis(t)
     check_k(k, a.t.sigma)
-    return threshold_bounds(a.table(mechanism, refine_single=refine_single), k)
+    return threshold_bounds(a.table(mechanism), k)

@@ -10,7 +10,6 @@ deliberately simple and refuse instances beyond small caps.
 
 from __future__ import annotations
 
-import warnings
 from itertools import combinations
 from typing import Iterable
 
@@ -26,24 +25,18 @@ DEFAULT_MAX_CUT_NODES = 8
 FailureSet = frozenset[str]
 
 
-def _guard(value: int, limit: int, default: int, what: str) -> None:
-    if value > limit:
+def _guard(value: int, cap: int, what: str) -> None:
+    if value > cap:
         raise OracleCapError(
-            f"{what} {value} exceeds the oracle cap {limit}; "
+            f"{what} {value} exceeds the oracle cap {cap}; "
             "the brute-force check is for small instances only"
-        )
-    if value > default:
-        warnings.warn(
-            f"{what} {value} exceeds the default oracle cap {default}; "
-            "brute force may be slow",
-            stacklevel=3,
         )
 
 
 def check_universe_size(sigma: int) -> None:
     """Raise OracleCapError when a universe of ``sigma`` non-monitors is past
-    the default cap. ``Analysis.oracle`` checks it before enumerating any path."""
-    _guard(sigma, DEFAULT_MAX_SIGMA, DEFAULT_MAX_SIGMA, "universe size")
+    the cap. ``Analysis.oracle`` checks it before enumerating any path."""
+    _guard(sigma, DEFAULT_MAX_SIGMA, "universe size")
 
 
 def _failure_mask(ps: PathSet, failures: Iterable[str]) -> int:
@@ -53,14 +46,7 @@ def _failure_mask(ps: PathSet, failures: Iterable[str]) -> int:
     return fp
 
 
-def oracle_k_identifiable(
-    ps: PathSet,
-    group: Iterable[str],
-    k: int,
-    *,
-    max_sigma: int = DEFAULT_MAX_SIGMA,
-    max_k: int = DEFAULT_MAX_K,
-) -> bool:
+def oracle_k_identifiable(ps: PathSet, group: Iterable[str], k: int) -> bool:
     """Exhaustively check k-identifiability of ``group``.
 
     Enumerates every failure set of size <= k, buckets them by the exact
@@ -70,8 +56,8 @@ def oracle_k_identifiable(
     members = check_members(ps.universe, group)
     sigma = len(ps.universe)
     check_k(k, sigma)
-    _guard(sigma, max_sigma, DEFAULT_MAX_SIGMA, "universe size")
-    _guard(k, max_k, DEFAULT_MAX_K, "failure bound k")
+    check_universe_size(sigma)
+    _guard(k, DEFAULT_MAX_K, "failure bound k")
     member_set = frozenset(members)
     buckets: dict[int, dict[FailureSet, None]] = {}
     for size in range(k + 1):
@@ -86,10 +72,10 @@ def oracle_k_identifiable(
     return True
 
 
-def _projection_groups(ps: PathSet, *, max_sigma: int) -> list[list[int]]:
+def _projection_groups(ps: PathSet) -> list[list[int]]:
     """All failure sets as index bitmasks, grouped by disrupted-path fingerprint."""
     sigma = len(ps.universe)
-    _guard(sigma, max_sigma, DEFAULT_MAX_SIGMA, "universe size")
+    check_universe_size(sigma)
     node_masks = [ps.incidence_masks[v] for v in ps.universe]
     # a failure set's fingerprint is that of the set without its lowest
     # node, plus that node's paths: one OR per set
@@ -127,12 +113,7 @@ def _omega_from_groups(groups: list[list[int]], smask: int, sigma: int) -> int:
     return sigma if best is None else best - 1
 
 
-def oracle_omega(
-    ps: PathSet,
-    group: Iterable[str],
-    *,
-    max_sigma: int = DEFAULT_MAX_SIGMA,
-) -> int:
+def oracle_omega(ps: PathSet, group: Iterable[str]) -> int:
     """Exact identifiability index of ``group``: the largest k (0..sigma) for
     which the set is k-identifiable. 0 means two single-failure scenarios
     differing on the group already look identical."""
@@ -142,43 +123,29 @@ def oracle_omega(
     smask = 0
     for v in members:
         smask |= 1 << index[v]
-    groups = _projection_groups(ps, max_sigma=max_sigma)
+    groups = _projection_groups(ps)
     return _omega_from_groups(groups, smask, sigma)
 
 
-def oracle_omega_all(
-    ps: PathSet,
-    *,
-    max_sigma: int = DEFAULT_MAX_SIGMA,
-) -> dict[str, int]:
+def oracle_omega_all(ps: PathSet) -> dict[str, int]:
     """Per-node exact indices, sharing one enumeration across all nodes."""
     sigma = len(ps.universe)
-    groups = _projection_groups(ps, max_sigma=max_sigma)
+    groups = _projection_groups(ps)
     return {
         v: _omega_from_groups(groups, 1 << i, sigma)
         for i, v in enumerate(ps.universe)
     }
 
 
-def oracle_max_identifiable_set(
-    ps: PathSet,
-    k: int,
-    *,
-    max_sigma: int = DEFAULT_MAX_SIGMA,
-) -> frozenset[str]:
+def oracle_max_identifiable_set(ps: PathSet, k: int) -> frozenset[str]:
     """Exact maximal k-identifiable set: the nodes whose index reaches k."""
     sigma = len(ps.universe)
     check_k(k, sigma)
-    values = oracle_omega_all(ps, max_sigma=max_sigma)
+    values = oracle_omega_all(ps)
     return frozenset(v for v, omega in values.items() if omega >= k)
 
 
-def oracle_msc(
-    ps: PathSet,
-    v: str,
-    *,
-    max_sigma: int = DEFAULT_MAX_SIGMA,
-) -> int:
+def oracle_msc(ps: PathSet, v: str) -> int:
     """Exact minimum set cover of v's paths by the other nodes' path sets.
 
     By convention the answer is sigma when some path traverses v and no
@@ -187,7 +154,7 @@ def oracle_msc(
     """
     (member,) = check_members(ps.universe, [v])
     sigma = len(ps.universe)
-    _guard(sigma, max_sigma, DEFAULT_MAX_SIGMA, "universe size")
+    check_universe_size(sigma)
     target = ps.incidence_masks[member]
     if target == 0:
         return 0
@@ -204,13 +171,7 @@ def oracle_msc(
     raise AssertionError("cover must exist when no path traverses only v")
 
 
-def brute_vertex_cut(
-    g: Graph,
-    s: str,
-    t: str,
-    *,
-    max_nodes: int = DEFAULT_MAX_CUT_NODES,
-) -> int:
+def brute_vertex_cut(g: Graph, s: str, t: str) -> int:
     """Minimum vertex cut by trying every candidate node subset.
 
     Mirrors the engine's convention: adjacent pairs return |V| - 1, and a
@@ -220,7 +181,7 @@ def brute_vertex_cut(
         raise ValueError("unknown node in cut query")
     if s == t:
         raise ValueError("source and sink must differ")
-    _guard(len(g.nodes), max_nodes, DEFAULT_MAX_CUT_NODES, "node count")
+    _guard(len(g.nodes), DEFAULT_MAX_CUT_NODES, "node count")
     if g.has_edge(s, t):
         return len(g.nodes) - 1
 

@@ -22,8 +22,7 @@ factorially). CSP searches the reachable (visited set, end node) states, at
 most n * 2^(n-1). CAP uses that a node set is a trace exactly when it is the
 non-monitor part of a connected set of at least two nodes containing a
 monitor, and grows those sets from the monitors one neighbour at a time.
-Both refuse more than ``DEFAULT_MAX_ENUM_NODES`` (14) nodes unless the
-caller lifts the cap.
+Both refuse more than ``DEFAULT_MAX_ENUM_NODES`` (14) nodes before any work.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Iterable, Mapping
 from .errors import EnumerationCapError, TopologyError
 from .topology import Topology
 
-#: Default node cap for the exponential CSP/CAP enumerators.
+#: Node cap of the exponential CSP/CAP enumerators.
 DEFAULT_MAX_ENUM_NODES = 14
 
 
@@ -86,10 +85,10 @@ class PathSet:
         return frozenset(next(iter(p)) for p in self.paths if len(p) == 1)
 
 
-def _require_node_cap(t: Topology, max_nodes: int | None, what: str) -> None:
-    if max_nodes is not None and len(t.nodes) > max_nodes:
+def _require_node_cap(t: Topology, what: str) -> None:
+    if len(t.nodes) > DEFAULT_MAX_ENUM_NODES:
         raise EnumerationCapError(
-            f"{what}: {len(t.nodes)} nodes exceeds the cap of {max_nodes}; "
+            f"{what}: {len(t.nodes)} nodes exceeds the cap of {DEFAULT_MAX_ENUM_NODES}; "
             "only the cut-based bounds run at this size"
         )
 
@@ -147,7 +146,7 @@ def route_up(t: Topology) -> PathSet:
     return PathSet(tuple(paths), t.non_monitors)
 
 
-def enumerate_csp(t: Topology, *, max_nodes: int | None = DEFAULT_MAX_ENUM_NODES) -> PathSet:
+def enumerate_csp(t: Topology) -> PathSet:
     """Every achievable trace of a simple path between two distinct monitors.
 
     Interior nodes may themselves be monitors (a controllable simple route
@@ -158,7 +157,7 @@ def enumerate_csp(t: Topology, *, max_nodes: int | None = DEFAULT_MAX_ENUM_NODES
     trace is the visited set's non-monitor part. At most n * 2^(n-1) states.
     """
     t.require_monitored()
-    _require_node_cap(t, max_nodes, "simple-path enumeration")
+    _require_node_cap(t, "simple-path enumeration")
     n = len(t.nodes)
     adj, monitor_mask = _index_graph(t)
     monitors = [i for i in range(n) if monitor_mask >> i & 1]
@@ -181,7 +180,7 @@ def enumerate_csp(t: Topology, *, max_nodes: int | None = DEFAULT_MAX_ENUM_NODES
     return _trace_set(t, traces)
 
 
-def enumerate_cap(t: Topology, *, max_nodes: int | None = DEFAULT_MAX_ENUM_NODES) -> PathSet:
+def enumerate_cap(t: Topology) -> PathSet:
     """Every achievable trace under link-once-per-direction walk probing.
 
     Achievable traces are exactly the sets C cap N for connected node sets
@@ -192,7 +191,7 @@ def enumerate_cap(t: Topology, *, max_nodes: int | None = DEFAULT_MAX_ENUM_NODES
     adding one neighbour at a time, each set visited once.
     """
     t.require_monitored()
-    _require_node_cap(t, max_nodes, "walk enumeration")
+    _require_node_cap(t, "walk enumeration")
     adj, monitor_mask = _index_graph(t)
     # (node set, its neighbourhood) as bitmasks over t.nodes
     stack = [(1 << i, adj[i]) for i in range(len(t.nodes)) if monitor_mask >> i & 1]

@@ -33,19 +33,13 @@ def _sample_edges(
     return tuple(edges)
 
 
-def gen_er(
-    n: int,
-    p: float,
-    seed: int,
-    *,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-) -> GenResult:
+def gen_er(n: int, p: float, seed: int) -> GenResult:
     """Seeded Erdos-Renyi topology, resampled until connected.
 
     Every unordered node pair gets an edge independently with probability
     ``p``. The driving generator persists across resamples, so a fixed seed
     yields one reproducible outcome together with the number of rejected
-    disconnected draws.
+    disconnected draws, at most ``DEFAULT_MAX_RETRIES`` of them.
     """
     if n < 2:
         raise ValueError("need at least two nodes")
@@ -53,12 +47,12 @@ def gen_er(
         raise ValueError("edge probability must be in (0, 1]")
     nodes = _node_labels(n)
     rng = random.Random(seed)
-    for attempt in range(max_retries + 1):
+    for attempt in range(DEFAULT_MAX_RETRIES + 1):
         candidate = Graph(nodes=nodes, edges=_sample_edges(nodes, p, rng))
         if candidate.is_connected():
             return GenResult(Topology(candidate.nodes, candidate.edges), attempt)
     raise GenerationError(
-        f"no connected graph within {max_retries} retries (n={n}, p={p}, seed={seed})"
+        f"no connected graph within {DEFAULT_MAX_RETRIES} retries (n={n}, p={p}, seed={seed})"
     )
 
 

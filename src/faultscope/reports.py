@@ -431,8 +431,9 @@ class BatchSpec(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: dict) -> "BatchSpec":
-        """Parse a JSON batch spec; a missing or mistyped field raises a
-        ValueError that names it."""
+        """Parse a JSON batch spec; a missing, unknown or invalid field raises
+        a ValueError that names it."""
+        check_known_fields(d, [name for name, _, _ in _BATCH_FIELDS])
         d = {"mechanisms": ["cap", "csp", "up"], **d}
         for name, what, ok in _BATCH_FIELDS:
             if name not in d:
@@ -455,12 +456,25 @@ def check_field(name: str, value, what: str, ok: Callable[[object], bool]):
     return value
 
 
+def check_known_fields(spec: Mapping, fields: Sequence[str]) -> None:
+    """Raise a ValueError naming the first field of ``spec`` not in ``fields``."""
+    for name in spec:
+        if name not in fields:
+            raise ValueError(
+                f"batch spec has an unknown field {name!r}; the fields are {', '.join(fields)}"
+            )
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
+
+
+def _is_edge_probability(value) -> bool:
+    return _is_number(value) and 0 < value <= 1
 
 
 def _is_list_of(value, ok: Callable[[object], bool]) -> bool:
@@ -471,7 +485,7 @@ def _is_list_of(value, ok: Callable[[object], bool]) -> bool:
 _BATCH_FIELDS = (
     ("count", "an integer", _is_int),
     ("n", "an integer", _is_int),
-    ("p", "a number", _is_number),
+    ("p", "a number in (0, 1]", _is_edge_probability),
     ("mus", "a non-empty list of integers", lambda v: _is_list_of(v, _is_int) and len(v) > 0),
     ("seed", "an integer", _is_int),
     ("mechanisms", "a list of names", lambda v: _is_list_of(v, lambda m: isinstance(m, str))),

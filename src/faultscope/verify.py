@@ -13,19 +13,33 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cuts import CutNetwork, two_connected
 from .identify import Analysis, Mechanism, gsc, max_identifiable_set, omega_csp
 from .oracle import DEFAULT_MAX_CUT_NODES, brute_vertex_cut, oracle_msc
 from .probing import DEFAULT_MAX_ENUM_NODES, route_up
 from .randomnet import gen_er, place_monitors, random_graph
-from .reports import VERSION, _is_int, _is_list_of, _is_number, check_field
+from .reports import (
+    VERSION,
+    _is_edge_probability,
+    _is_int,
+    _is_list_of,
+    _is_number,
+    check_field,
+    check_known_fields,
+)
 from .topology import Topology
 
 SCHEMA_VERIFY = "faultscope/verify v1"
 
 ALL_CHECKS = ("cap", "csp", "up", "sets")
+
+#: The fields a battery spec of each kind may set.
+_BATTERY_FIELDS = {
+    "cuts": ("kind", "count", "seed", "n_range", "p_range"),
+    "er": ("kind", "count", "seed", "n_range", "p_range", "monitor_counts", "checks"),
+}
 
 
 @dataclass(frozen=True)
@@ -271,9 +285,13 @@ def verify_batch_spec(spec: dict, *, corrupt: bool = False) -> VerificationRepor
     instances and runs the closed-form-vs-oracle checks; ``cuts`` exercises
     the cut engine alone. Common fields: ``count``, ``seed``; er batteries
     also accept ``n_range``, ``p_range``, ``monitor_counts`` and ``checks``.
-    A field of the wrong JSON type raises a ValueError that names it.
+    An unknown field, or one of the wrong JSON type or out of range, raises a
+    ValueError that names it.
     """
     kind = spec.get("kind", "er")
+    if not isinstance(kind, str) or kind not in _BATTERY_FIELDS:
+        raise ValueError(f"unknown battery kind {kind!r}")
+    check_known_fields(spec, _BATTERY_FIELDS[kind])
     count = check_field(
         "count", spec.get("count", 50), "an integer >= 0", lambda v: _is_int(v) and v >= 0
     )
@@ -283,31 +301,29 @@ def verify_batch_spec(spec: dict, *, corrupt: bool = False) -> VerificationRepor
             count,
             seed,
             n_range=_n_range(spec, (2, 8), 1, DEFAULT_MAX_CUT_NODES),
-            p_range=_p_range(spec, (0.1, 0.9)),
+            p_range=_p_range(spec, (0.1, 0.9), "[0, 1]", lambda p: _is_number(p) and 0 <= p <= 1),
         )
-    if kind == "er":
-        tops = er_battery(
-            count,
-            seed,
-            n_range=_n_range(spec, (5, 10), 2, DEFAULT_MAX_ENUM_NODES),
-            p_range=_p_range(spec, (0.3, 0.55)),
-            monitor_counts=tuple(
-                check_field(
-                    "monitor_counts",
-                    spec.get("monitor_counts", (2, 3)),
-                    "a non-empty list of integers",
-                    lambda v: _is_list_of(v, _is_int) and len(v) > 0,
-                )
-            ),
-        )
-        checks = check_field(
-            "checks",
-            spec.get("checks", ALL_CHECKS),
-            "a list of check names",
-            lambda v: _is_list_of(v, lambda c: isinstance(c, str)),
-        )
-        return verify_topologies(tops, tuple(checks), corrupt=corrupt)
-    raise ValueError(f"unknown battery kind {kind!r}")
+    tops = er_battery(
+        count,
+        seed,
+        n_range=_n_range(spec, (5, 10), 2, DEFAULT_MAX_ENUM_NODES),
+        p_range=_p_range(spec, (0.3, 0.55), "(0, 1]", _is_edge_probability),
+        monitor_counts=tuple(
+            check_field(
+                "monitor_counts",
+                spec.get("monitor_counts", (2, 3)),
+                "a non-empty list of integers >= 1",
+                lambda v: _is_list_of(v, lambda m: _is_int(m) and m >= 1) and len(v) > 0,
+            )
+        ),
+    )
+    checks = check_field(
+        "checks",
+        spec.get("checks", ALL_CHECKS),
+        "a non-empty list of check names",
+        lambda v: _is_list_of(v, lambda c: isinstance(c, str)) and len(v) > 0,
+    )
+    return verify_topologies(tops, tuple(checks), corrupt=corrupt)
 
 
 def _n_range(spec: dict, default: tuple[int, int], least: int, most: int) -> tuple[int, int]:
@@ -320,11 +336,13 @@ def _n_range(spec: dict, default: tuple[int, int], least: int, most: int) -> tup
     return (lo, hi)
 
 
-def _p_range(spec: dict, default: tuple[float, float]) -> tuple[float, float]:
+def _p_range(
+    spec: dict, default: tuple[float, float], interval: str, ok: Callable[[object], bool]
+) -> tuple[float, float]:
     lo, hi = check_field(
         "p_range",
         spec.get("p_range", default),
-        "a list of two numbers",
-        lambda v: _is_list_of(v, _is_number) and len(v) == 2,
+        f"a list of two numbers in {interval}",
+        lambda v: _is_list_of(v, ok) and len(v) == 2,
     )
     return (float(lo), float(hi))

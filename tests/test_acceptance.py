@@ -28,8 +28,8 @@ def battery():
     t0 = time.perf_counter()
     rows = []
     for t in fs.er_battery(200, seed=BATTERY_SEED):
-        cap_ps = fs.enumerate_cap(t, max_nodes=None)
-        csp_ps = fs.enumerate_csp(t, max_nodes=None)
+        cap_ps = fs.enumerate_cap(t)
+        csp_ps = fs.enumerate_csp(t)
         up_ps = fs.route_up(t)
         rows.append(
             {
@@ -54,7 +54,7 @@ def test_criterion_01_golden_up(golden, up_paths, capsys):
         4: {"v1", "v4"},
     }
     for k, members in expected_sets.items():
-        sb = fs.max_identifiable_set(golden, k, Mechanism.UP, ps=up_paths)
+        sb = fs.max_identifiable_set(fs.Analysis(golden, up_paths), k, Mechanism.UP)
         assert sb.exact, f"S*({k}) must be exact"
         assert sb.inner == frozenset(members), f"S*({k}) mismatch"
         assert fs.oracle_max_identifiable_set(up_paths, k) == frozenset(members)

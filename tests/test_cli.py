@@ -285,6 +285,9 @@ class TestCcdf:
                 {"count": 2, "n": 10, "p": 0.4, "mus": [2], "seed": 1, "mechanisms": "cap"},
             ),
             ("mus", {"count": 2, "n": 5, "p": 0.5, "mus": [], "seed": 1}),
+            ("jobs", {"count": 1, "n": 5, "p": 0.5, "mus": [1], "seed": 1, "jobs": 4}),
+            ("p", {"count": 1, "n": 5, "p": float("nan"), "mus": [1], "seed": 1}),
+            ("p", {"count": 1, "n": 5, "p": 2, "mus": [1], "seed": 1}),
         ],
     )
     def test_batch_field_of_wrong_type(self, field, spec, capsys):
@@ -338,6 +341,13 @@ class TestVerify:
             ("n_range", "low >= 2", {"kind": "er", "count": 1, "n_range": [-3, -1]}),
             ("n_range", "low >= 1", {"kind": "cuts", "count": 1, "n_range": [-3, -1]}),
             ("n_range", "high <= 8", {"kind": "cuts", "count": 1, "n_range": [2, 9]}),
+            ("checks", "non-empty", {"kind": "er", "count": 2, "checks": []}),
+            ("cout", "unknown field", {"cout": 3}),
+            ("checks", "unknown field", {"kind": "cuts", "count": 2, "checks": ["cap"]}),
+            ("p_range", "(0, 1]", {"kind": "er", "count": 2, "p_range": [0, 0]}),
+            ("p_range", "(0, 1]", {"kind": "er", "count": 2, "p_range": [float("nan"), 0.5]}),
+            ("p_range", "[0, 1]", {"kind": "cuts", "count": 2, "p_range": [1.5, 2]}),
+            ("monitor_counts", ">= 1", {"kind": "er", "count": 2, "monitor_counts": [0]}),
         ],
     )
     def test_batch_field_of_wrong_type(self, field, what, spec, capsys):

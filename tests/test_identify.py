@@ -208,9 +208,10 @@ class TestOneIdentifiable:
         assert r.rule == "single-failure-test"
 
     def test_up_worked_example(self, golden, up_paths):
-        r = fs.one_identifiable(golden, ["v1", "v2", "v4"], Mechanism.UP, ps=up_paths)
+        a = fs.Analysis(golden, up_paths)
+        r = fs.one_identifiable(a, ["v1", "v2", "v4"], Mechanism.UP)
         assert r.is_identifiable
-        assert fs.one_identifiable(golden, ["v3"], Mechanism.UP, ps=up_paths).rule == (
+        assert fs.one_identifiable(a, ["v3"], Mechanism.UP).rule == (
             "single-failure-test:no-path:v3"
         )
 
@@ -250,10 +251,6 @@ class TestOmegaUp:
     def test_wider_path_set(self, csp_paths):
         assert fs.omega_up(csp_paths, "v2") == IntBounds(1, 3)
 
-    def test_exact_cover(self, up_paths, csp_paths):
-        assert fs.omega_up(up_paths, "v2", exact_cover=True) == IntBounds(0, 1)
-        assert fs.omega_up(csp_paths, "v2", exact_cover=True) == IntBounds(2, 3)
-
 
 class TestKIdentifiableUp:
     def test_all_directly_measured(self, up_paths):
@@ -276,11 +273,6 @@ class TestKIdentifiableUp:
         r = fs.k_identifiable_up(csp_paths, ["v2"], 2)
         assert r.is_undetermined
         assert r.rule == "cover-gap"
-
-    def test_exact_cover_resolves_gap(self, csp_paths):
-        r = fs.k_identifiable_up(csp_paths, ["v2"], 2, exact_cover=True)
-        assert r.is_identifiable
-        assert r.rule == "cover-sufficient"
 
     def test_k_range(self, up_paths):
         with pytest.raises(ValueError):

@@ -121,8 +121,6 @@ class TestBruteVertexCut:
         )
         with pytest.raises(OracleCapError):
             fs.brute_vertex_cut(g, "n0", "n8")
-        with pytest.warns(UserWarning):
-            assert fs.brute_vertex_cut(g, "n0", "n8", max_nodes=9) == 1
 
 
 @pytest.fixture(scope="module")
@@ -137,10 +135,6 @@ class TestCaps:
         with pytest.raises(OracleCapError):
             fs.oracle_omega_all(wide)
 
-    def test_sigma_cap_override_warns(self, wide):
-        with pytest.warns(UserWarning):
-            fs.oracle_omega_all(wide, max_sigma=12)
-
     def test_k_cap(self):
         t = fs.load_topology(
             "m1 a\na b\nb c\nc d\nd e\ne f\nf g\ng m2\n", monitors=["m1", "m2"]
@@ -148,5 +142,3 @@ class TestCaps:
         ps = fs.route_up(t)
         with pytest.raises(OracleCapError):
             fs.oracle_k_identifiable(ps, ["a"], 6)
-        with pytest.warns(UserWarning):
-            assert fs.oracle_k_identifiable(ps, ["a"], 6, max_k=6) is False

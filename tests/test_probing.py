@@ -59,9 +59,10 @@ class TestEnumerateCsp:
         assert list(ps.paths) == sorted(ps.paths, key=lambda p: (len(p), sorted(p)))
 
     def test_node_cap(self, chain4):
+        t = fs.place_monitors(fs.gen_er(15, 0.3, seed=1).topology, 2, seed=1)
         with pytest.raises(EnumerationCapError):
-            fs.enumerate_csp(chain4, max_nodes=2)
-        assert fs.enumerate_csp(chain4, max_nodes=None).gamma == 1
+            fs.enumerate_csp(t)
+        assert fs.enumerate_csp(chain4).gamma == 1
 
 
 class TestEnumerateCap:

@@ -67,7 +67,7 @@ def test_csp_bounds_sandwich_oracle(t):
 def test_up_bounds_sandwich_oracle(t):
     ps = fs.route_up(t)
     exact = fs.oracle_omega_all(ps)
-    table = fs.per_node_bounds(t, Mechanism.UP, ps=ps)
+    table = fs.per_node_bounds(fs.Analysis(t, ps), Mechanism.UP)
     for v in t.non_monitors:
         assert fs.omega_up(ps, v).contains(exact[v])
         msc = fs.oracle_msc(ps, v)
@@ -104,9 +104,9 @@ def test_set_index_is_member_minimum(t, data):
     members = data.draw(
         st.lists(st.sampled_from(t.non_monitors), min_size=1, unique=True)
     )
-    for mech, ps in ((Mechanism.CAP, None), (Mechanism.CSP, None)):
-        table = fs.per_node_bounds(t, mech, ps)
-        got = fs.omega_set(t, members, mech, ps)
+    for mech in (Mechanism.CAP, Mechanism.CSP):
+        table = fs.per_node_bounds(t, mech)
+        got = fs.omega_set(t, members, mech)
         assert got.lo == min(table[v].lo for v in members)
         assert got.hi == min(table[v].hi for v in members)
 
@@ -114,11 +114,11 @@ def test_set_index_is_member_minimum(t, data):
 @settings(max_examples=40, deadline=None)
 @given(topologies())
 def test_maxsets_shrink_as_k_grows(t):
-    ps = fs.route_up(t)
-    for mech, kw in ((Mechanism.CAP, {}), (Mechanism.CSP, {}), (Mechanism.UP, {"ps": ps})):
+    a = fs.Analysis(t, fs.route_up(t))
+    for mech in (Mechanism.CAP, Mechanism.CSP, Mechanism.UP):
         prev = None
         for k in range(1, t.sigma + 1):
-            sb = fs.max_identifiable_set(t, k, mech, **kw)
+            sb = fs.max_identifiable_set(a, k, mech)
             assert sb.inner <= sb.outer
             if prev is not None:
                 assert sb.inner <= prev.inner
@@ -290,10 +290,9 @@ def test_k_tests_agree_with_oracle():
         groups = [[v] for v in nm] + [nm]
         groups += [rng.sample(nm, rng.randint(1, len(nm))) for _ in range(2)]
         tests = (
-            (fs.enumerate_cap(t, max_nodes=None), partial(fs.k_identifiable_cap, a)),
-            (fs.enumerate_csp(t, max_nodes=None), partial(fs.k_identifiable_csp, a)),
+            (fs.enumerate_cap(t), partial(fs.k_identifiable_cap, a)),
+            (fs.enumerate_csp(t), partial(fs.k_identifiable_csp, a)),
             (up, partial(fs.k_identifiable_up, up)),
-            (up, partial(fs.k_identifiable_up, up, exact_cover=True)),
         )
         for ps, k_test in tests:
             for g in groups:

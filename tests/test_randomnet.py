@@ -31,7 +31,7 @@ class TestGenEr:
 
     def test_gives_up(self):
         with pytest.raises(GenerationError):
-            fs.gen_er(12, 0.02, seed=1, max_retries=5)
+            fs.gen_er(12, 0.02, seed=1)
 
     @pytest.mark.parametrize("n,p", [(1, 0.5), (3, 0.0), (3, 1.5)])
     def test_bad_arguments(self, n, p):

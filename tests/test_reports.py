@@ -241,7 +241,7 @@ class TestTablesBuiltOnce:
             assert 1 <= built[("per_node_bounds", m)] <= 2
         assert len(routes) == (0 if ps is not None else 1)
         routed = ps if ps is not None else fs.route_up(t)
-        refined = {m: fs.per_node_bounds(t, m, routed) for m in ALL}
+        refined = {m: fs.per_node_bounds(fs.Analysis(t, routed), m) for m in ALL}
         assert len(report.maxset_rows) == len(ALL) * t.sigma
         for row in report.maxset_rows:
             table = refined[row.mechanism]

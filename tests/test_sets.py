@@ -15,7 +15,7 @@ class TestPerNodeBounds:
         assert table == {v: fs.omega_cap(golden, v) for v in golden.non_monitors}
 
     def test_up_refined(self, golden, up_paths):
-        table = fs.per_node_bounds(golden, Mechanism.UP, ps=up_paths)
+        table = fs.per_node_bounds(fs.Analysis(golden, up_paths), Mechanism.UP)
         assert table == {
             "v1": IntBounds.exactly(4),
             "v2": IntBounds.exactly(1),
@@ -24,7 +24,8 @@ class TestPerNodeBounds:
         }
 
     def test_up_raw(self, golden, up_paths):
-        table = fs.per_node_bounds(golden, Mechanism.UP, ps=up_paths, refine_single=False)
+        a = fs.Analysis(golden, up_paths)
+        table = fs.per_node_bounds(a, Mechanism.UP, refine_single=False)
         assert table["v2"] == IntBounds(0, 1)
 
     def test_csp_refinement_settles_chain(self, chain5):
@@ -40,15 +41,7 @@ class TestPerNodeBounds:
     def test_foreign_path_set_rejected(self, golden, chain4):
         ps = fs.route_up(chain4)
         with pytest.raises(ValueError):
-            fs.per_node_bounds(golden, Mechanism.UP, ps=ps)
-
-    def test_analysis_keeps_its_own_path_set(self, golden, up_paths, csp_paths):
-        a = fs.Analysis(golden, up_paths)
-        assert fs.per_node_bounds(a, Mechanism.UP) == fs.per_node_bounds(
-            golden, Mechanism.UP, ps=up_paths
-        )
-        with pytest.raises(ValueError, match="carries its own path set"):
-            fs.per_node_bounds(a, Mechanism.UP, ps=csp_paths)
+            fs.per_node_bounds(fs.Analysis(golden, ps), Mechanism.UP)
 
     def test_tables_handed_out_cannot_change_the_context(self, golden):
         a = fs.Analysis(golden)
@@ -68,11 +61,11 @@ class TestOmegaSet:
         assert got == IntBounds.exactly(3)
 
     def test_up_worked_example(self, golden, up_paths):
-        got = fs.omega_set(golden, ["v1", "v2", "v4"], Mechanism.UP, ps=up_paths)
+        got = fs.omega_set(fs.Analysis(golden, up_paths), ["v1", "v2", "v4"], Mechanism.UP)
         assert got == IntBounds.exactly(1)
 
     def test_up_wide_paths(self, golden, csp_paths):
-        got = fs.omega_set(golden, golden.non_monitors, Mechanism.UP, ps=csp_paths)
+        got = fs.omega_set(fs.Analysis(golden, csp_paths), golden.non_monitors, Mechanism.UP)
         assert got == IntBounds(1, 3)
 
     def test_member_minimum(self, golden):
@@ -93,17 +86,15 @@ class TestMaxIdentifiableSet:
         [(1, {"v1", "v2", "v4"}), (2, {"v1", "v4"}), (3, {"v1", "v4"}), (4, {"v1", "v4"})],
     )
     def test_up_worked_example_exact(self, golden, up_paths, k, members):
-        sb = fs.max_identifiable_set(golden, k, Mechanism.UP, ps=up_paths)
+        sb = fs.max_identifiable_set(fs.Analysis(golden, up_paths), k, Mechanism.UP)
         assert sb.exact
         assert sb.inner == frozenset(members)
 
     def test_up_raw_brackets(self, golden, up_paths):
-        sb = fs.max_identifiable_set(
-            golden, 1, Mechanism.UP, ps=up_paths, refine_single=False
-        )
-        assert not sb.exact
-        assert sb.inner == frozenset({"v1", "v4"})
-        assert sb.outer == frozenset({"v1", "v2", "v4"})
+        # the raw table, before the single-failure refinement, brackets S*(1)
+        raw = fs.per_node_bounds(fs.Analysis(golden, up_paths), Mechanism.UP, refine_single=False)
+        assert {v for v, b in raw.items() if b.lo >= 1} == {"v1", "v4"}
+        assert {v for v, b in raw.items() if b.hi >= 1} == {"v1", "v2", "v4"}
 
     def test_cap_golden(self, golden):
         sb = fs.max_identifiable_set(golden, 4, Mechanism.CAP)
@@ -125,10 +116,11 @@ class TestMaxIdentifiableSet:
             assert sb.inner == frozenset()
 
     def test_monotone_in_k(self, golden, csp_paths):
-        for mech, ps in ((Mechanism.CAP, None), (Mechanism.CSP, None), (Mechanism.UP, csp_paths)):
+        a = fs.Analysis(golden, csp_paths)
+        for mech in (Mechanism.CAP, Mechanism.CSP, Mechanism.UP):
             prev = None
             for k in range(1, golden.sigma + 1):
-                sb = fs.max_identifiable_set(golden, k, mech, ps=ps)
+                sb = fs.max_identifiable_set(a, k, mech)
                 if prev is not None:
                     assert sb.inner <= prev.inner
                     assert sb.outer <= prev.outer
@@ -136,8 +128,9 @@ class TestMaxIdentifiableSet:
 
     def test_matches_oracle_on_worked_paths(self, golden, up_paths, csp_paths):
         for ps in (up_paths, csp_paths):
+            a = fs.Analysis(golden, ps)
             for k in range(1, golden.sigma + 1):
-                sb = fs.max_identifiable_set(golden, k, Mechanism.UP, ps=ps)
+                sb = fs.max_identifiable_set(a, k, Mechanism.UP)
                 exact = fs.oracle_max_identifiable_set(ps, k)
                 assert sb.inner <= exact <= sb.outer
 
