@@ -129,6 +129,13 @@ def _meta(args: argparse.Namespace, names: tuple[str, ...]) -> ReportMeta:
     )
 
 
+def _refuse(args: argparse.Namespace, flags: tuple[str, ...], context: str) -> None:
+    """Refuse the first of ``flags`` given on the command line: it does not apply."""
+    for flag in flags:
+        if getattr(args, flag) is not None and getattr(args, flag) is not False:
+            raise ValueError(f"--{flag} does not apply {context}")
+
+
 def _render(report, fmt: str) -> str:
     return report.to_csv() if fmt == "csv" else report.to_json()
 
@@ -179,10 +186,7 @@ def _cmd_maxset(args: argparse.Namespace) -> int:
 
 def _cmd_ccdf(args: argparse.Namespace) -> int:
     if args.batch is not None:
-        if args.exact:
-            raise ValueError("exact mode is per-topology; batch averages use the bounds")
-        if args.topology is not None:
-            raise ValueError("give either a topology or a batch spec, not both")
+        _refuse(args, ("topology", "monitors", "paths", "exact"), "with --batch")
         spec_dict = _load_batch_dict(args.batch)
         if "mechanisms" not in spec_dict:
             spec_dict["mechanisms"] = [m.value for m in args.mechanism]
@@ -192,8 +196,10 @@ def _cmd_ccdf(args: argparse.Namespace) -> int:
         # serial runs emit byte-identical reports, so it stays out of flags.
         spec = BatchSpec.from_dict(spec_dict)
         meta = _meta(args, ("batch", "mechanism"))
-        table = ccdf_batch(spec, jobs=args.jobs, meta=ReportMeta(VERSION, spec.seed, meta.flags))
+        jobs = 1 if args.jobs is None else args.jobs
+        table = ccdf_batch(spec, jobs=jobs, meta=ReportMeta(VERSION, spec.seed, meta.flags))
     else:
+        _refuse(args, ("jobs",), "without --batch")
         if args.topology is None:
             raise ValueError("a topology file or a batch spec is required")
         t = _load_cli_topology(args)
@@ -205,19 +211,22 @@ def _cmd_ccdf(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # The battery is a topology, a spec, or the spec the given flags spell;
+    # a flag that does not apply to the battery is refused, not dropped.
     if args.topology is not None:
+        _refuse(args, ("batch", "kind", "count", "seed"), "with --topology")
         t = _load_cli_topology(args)
-        report = verify_topologies([t], args.checks, corrupt=args.corrupt)
-    elif args.batch is not None:
-        report = verify_batch_spec(_load_batch_dict(args.batch), corrupt=args.corrupt)
+        report = verify_topologies([t], args.checks or ALL_CHECKS, corrupt=args.corrupt)
     else:
-        spec = {
-            "kind": args.kind,
-            "count": args.count,
-            "seed": args.seed if args.seed is not None else 0,
-        }
-        if args.kind == "er":
-            spec["checks"] = list(args.checks)
+        _refuse(args, ("monitors",), "without --topology")
+        if args.batch is not None:
+            _refuse(args, ("kind", "count", "seed", "checks"), "with --batch")
+            spec = _load_batch_dict(args.batch)
+        else:
+            flags = {"kind": args.kind, "count": args.count, "seed": args.seed, "checks": args.checks}
+            spec = {name: value for name, value in flags.items() if value is not None}
+        if spec.get("kind") == "cuts":
+            _refuse(args, ("checks", "corrupt"), "to a cuts battery")
         report = verify_batch_spec(spec, corrupt=args.corrupt)
     _write_output(report.to_json(), args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY
@@ -322,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         help="JSON batch spec (inline or @FILE): count, n, p, mus, seed[, mechanisms]",
     )
-    cc.add_argument("--jobs", type=int, default=1, help="parallel workers for batch mode")
+    cc.add_argument("--jobs", type=int, help="parallel workers for batch mode (default 1)")
     cc.add_argument("--exact", action="store_true", help="oracle-exact curve (small instances)")
     cc.add_argument("--seed", type=int, help="batch seed fallback / report header")
     _add_common_output(cc)
@@ -334,16 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument(
         "--kind",
         choices=("er", "cuts"),
-        default="er",
-        help="battery kind when no topology/batch is given",
+        help="battery kind when no topology/batch is given (default er)",
     )
-    vf.add_argument("--count", type=int, default=50, help="battery instance count")
+    vf.add_argument("--count", type=int, help="battery instance count (default 50)")
     vf.add_argument("--seed", type=int, help="battery seed (default 0)")
     vf.add_argument(
         "--checks",
         type=_check_list,
-        default=ALL_CHECKS,
-        help="comma separated subset of cap,csp,up,sets",
+        help="comma separated subset of cap,csp,up,sets (default all)",
     )
     vf.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     vf.add_argument("--out", help="write the JSON report here instead of stdout")

@@ -17,12 +17,13 @@ probing mechanism without enumerating failure sets:
   standard logarithmic guarantee gives computable bounds at any scale.
 
 Each instance's per-node tables live in one :class:`Analysis`, built on
-first use; a set index is a minimum over a table, a maximal set a threshold
-of one, and a k-test the folded raw bounds of its members held against k
-(with k == 1 left to the exact single-failure test). The functions take an
-:class:`Analysis`, whose tables they read, or a topology, analysed afresh;
-nothing is cached across calls. A UP query needs the path set, so it takes
-an :class:`Analysis` built with one.
+first use: the bounds per mechanism and the exact single-failure verdicts
+per mechanism. A set index is a minimum over a bounds table, a maximal set a
+threshold of one, and :func:`k_identifiable` holds the members' folded raw
+bounds against k, or at k == 1 under CSP and UP reads their single-failure
+verdicts. The functions take an :class:`Analysis`, whose tables they read,
+or a topology, analysed afresh; nothing is cached across calls. A UP query
+needs the path set, so it takes an :class:`Analysis` built with one.
 
 The brute-force oracle (:mod:`faultscope.oracle`) is the ground truth these
 results are validated against. Its per-node indices are one more table of
@@ -176,9 +177,9 @@ def _verdict(bounds: IntBounds, k: int, rules: str | tuple[str, str, str]) -> Tr
 
 class Analysis:
     """The per-node tables of one (topology, UP path set), each built once on
-    first use: the CAP and CSP cut tables, the single-failure sets, the raw
-    and refined bounds per mechanism and, only when asked for, the oracle's
-    exact indices per mechanism. Pass it wherever a function takes a
+    first use: the CAP and CSP cut tables, the single-failure verdicts, the
+    raw and refined bounds per mechanism and, only when asked for, the
+    oracle's exact indices per mechanism. Pass it wherever a function takes a
     topology; every reader shares the tables, which it hands out read-only.
     """
 
@@ -187,6 +188,7 @@ class Analysis:
         self.t = t
         self.ps = ps
         self._tables: dict[tuple[Mechanism, bool], dict[str, IntBounds]] = {}
+        self._single: dict[Mechanism, Mapping[str, TriState]] = {}
         self._oracle: dict[Mechanism, dict[str, int]] = {}
 
     @property
@@ -220,16 +222,19 @@ class Analysis:
         adj = build_extended(self.t).adjacency
         return {w: _two_connected_set(adj, VIRTUAL_MONITOR, w) for w in self.t.non_monitors}
 
-    @cached_property
-    def csp_single(self) -> frozenset[str]:
-        """Non-monitors whose single failure CSP can localize."""
-        return _csp_single_failure_nodes(self)
-
-    @cached_property
-    def up_single(self) -> frozenset[str]:
-        """Non-monitors whose single failure the UP paths can localize."""
-        ps = self.paths
-        return frozenset(v for v in ps.universe if _single_failure_up(ps, [v]).is_identifiable)
+    def single(self, mechanism: Mechanism) -> Mapping[str, TriState]:
+        """Per non-monitor, whether the mechanism localizes its single failure,
+        built on first use; a failing verdict's rule names the witness."""
+        mechanism = Mechanism(mechanism)
+        if mechanism not in self._single:
+            if mechanism is Mechanism.CAP:
+                table = dict.fromkeys(self.t.non_monitors, _ANY_MONITOR)
+            elif mechanism is Mechanism.CSP:
+                table = _csp_single_failure_nodes(self)
+            else:
+                table = _single_failure_by_mask(self.paths)
+            self._single[mechanism] = table
+        return MappingProxyType(self._single[mechanism])
 
     def table(self, mechanism: Mechanism, *, refine_single: bool = True) -> Mapping[str, IntBounds]:
         """The per-node bounds table, built by :func:`per_node_bounds` on first use."""
@@ -300,22 +305,49 @@ def csp_internals_all(t: Topology | Analysis) -> Mapping[str, CspInternals]:
     )
 
 
-def _csp_single_failure_nodes(t: Topology | Analysis) -> frozenset[str]:
+_ANY_MONITOR = TriState(Status.IDENTIFIABLE, "any-monitor-reachable")
+_SINGLE_FAILURE = TriState(Status.IDENTIFIABLE, "single-failure-test")
+
+
+def _not_single(reason: str) -> TriState:
+    return TriState(Status.NOT_IDENTIFIABLE, f"single-failure-test:{reason}")
+
+
+def _csp_single_failure_nodes(t: Topology | Analysis) -> dict[str, TriState]:
     # Exact single-failure identifiability under CSP, via biconnected
     # decompositions of the extended graphs: v qualifies when (a) v is
     # two-connected to the virtual monitor in the extended graph and (b) for
     # every other non-monitor w, v stays two-connected with w removed or w
     # stays two-connected with v removed (otherwise {v} and {w} can disrupt
-    # identical path sets). One decomposition per removed node suffices.
+    # identical path sets: the first such w is the witness). One
+    # decomposition per removed node suffices.
     a = _analysis(t)
-    anchored, reach = a.csp_anchored, a.csp_reach
-    ok: set[str] = set()
-    for v in a.t.non_monitors:
+    anchored, reach, nm = a.csp_anchored, a.csp_reach, a.t.non_monitors
+    table: dict[str, TriState] = {}
+    for v in nm:
         if v not in anchored:
+            table[v] = _not_single(f"not-two-connected:{v}")
             continue
-        if all(v in reach[w] or w in reach[v] for w in a.t.non_monitors if w != v):
-            ok.add(v)
-    return frozenset(ok)
+        w = next((w for w in nm if w != v and v not in reach[w] and w not in reach[v]), None)
+        table[v] = _SINGLE_FAILURE if w is None else _not_single(f"confusable-pair:{v}~{w}")
+    return table
+
+
+def _single_failure_by_mask(ps: PathSet) -> dict[str, TriState]:
+    # v's single failure is localizable iff some path sees v and no other
+    # node disrupts exactly the same paths; the first such node is the witness.
+    masks = ps.incidence_masks
+    alike: dict[int, list[str]] = {}
+    for v in ps.universe:
+        alike.setdefault(masks[v], []).append(v)
+    table: dict[str, TriState] = {}
+    for v in ps.universe:
+        if masks[v] == 0:
+            table[v] = _not_single(f"no-path:{v}")
+            continue
+        w = next((w for w in alike[masks[v]] if w != v), None)
+        table[v] = _SINGLE_FAILURE if w is None else _not_single(f"confusable-pair:{v}~{w}")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +357,6 @@ def _csp_single_failure_nodes(t: Topology | Analysis) -> frozenset[str]:
 def omega_cap(t: Topology | Analysis, v: str) -> IntBounds:
     """Exact per-node index under unconstrained walk probing."""
     return IntBounds.exactly(_node(t, v).cap[v])
-
-
-def k_identifiable_cap(t: Topology | Analysis, group: Iterable[str], k: int) -> TriState:
-    """Exact test: the group is k-identifiable iff every member's cut to the
-    virtual monitor in the star graph reaches k. Never undetermined."""
-    a = _analysis(t)
-    members = check_members(a.t.non_monitors, group)
-    check_k(k, a.t.sigma)
-    table = a.table(Mechanism.CAP, refine_single=False)
-    return _verdict(fold_bounds(table, members), k, "star-cut")
 
 
 # ---------------------------------------------------------------------------
@@ -382,31 +404,6 @@ def omega_csp(t: Topology | Analysis, v: str) -> IntBounds:
     return IntBounds(max(ints.pi - 1, 0), ints.pi)
 
 
-def k_identifiable_csp(t: Topology | Analysis, group: Iterable[str], k: int) -> TriState:
-    """k-identifiability under simple-path probing: the members' folded
-    :func:`omega_csp` bounds against k.
-
-    At k == sigma and k == sigma - 1 those bounds are exact (the
-    two-monitor-neighbor and near-complete-neighborhood rules), so the
-    verdict is definite; k == 1 is the exact single-failure test; in between
-    the cut bounds are one unit wide, so the verdict can be undetermined.
-    """
-    a = _analysis(t)
-    members = check_members(a.t.non_monitors, group)
-    sigma = a.t.sigma
-    check_k(k, sigma)
-    if k == sigma:
-        rules = "all-two-monitor-neighbors"
-    elif k == sigma - 1:
-        rules = "near-complete-neighborhood"
-    elif k == 1:
-        return one_identifiable(a, members, Mechanism.CSP)
-    else:
-        rules = ("cut-sufficient", "cut-necessary", "cut-gap")
-    table = a.table(Mechanism.CSP, refine_single=False)
-    return _verdict(fold_bounds(table, members), k, rules)
-
-
 # ---------------------------------------------------------------------------
 # single-failure exact tests
 
@@ -419,46 +416,19 @@ def one_identifiable(
     Never undetermined. Under CAP any connected monitored topology
     qualifies; under CSP the answer comes from biconnectivity of the
     extended graphs; under UP it is a direct comparison of path incidence
-    (an :class:`Analysis` with a path set required).
+    (an :class:`Analysis` with a path set required). Each member's verdict is
+    read off :meth:`Analysis.single`; the first failing one decides, but one
+    not two-connected to the monitors decides before any confusable pair.
     """
     a = _analysis(t)
     members = check_members(a.t.non_monitors, group)
-    mechanism = Mechanism(mechanism)
-    if mechanism is Mechanism.CAP:
-        return TriState(Status.IDENTIFIABLE, "any-monitor-reachable")
-    if mechanism is Mechanism.UP:
-        return _single_failure_up(a.paths, members)
-    for v in members:
-        if v not in a.csp_anchored:
-            return TriState(Status.NOT_IDENTIFIABLE, f"single-failure-test:not-two-connected:{v}")
-    reach = a.csp_reach
-    for v in members:
-        if v not in a.csp_single:
-            # v is anchored, so some w breaks condition (b) of the single-failure set.
-            w = next(
-                w
-                for w in a.t.non_monitors
-                if w != v and v not in reach[w] and w not in reach[v]
-            )
-            return TriState(
-                Status.NOT_IDENTIFIABLE, f"single-failure-test:confusable-pair:{v}~{w}"
-            )
-    return TriState(Status.IDENTIFIABLE, "single-failure-test")
+    return _single_group(a, members, Mechanism(mechanism))
 
 
-def _single_failure_up(ps: PathSet, members: Iterable[str]) -> TriState:
-    # v's single failure is localizable iff some path sees v and no other
-    # node disrupts exactly the same paths.
-    masks = ps.incidence_masks
-    for v in members:
-        if masks[v] == 0:
-            return TriState(Status.NOT_IDENTIFIABLE, f"single-failure-test:no-path:{v}")
-        for w in ps.universe:
-            if w != v and masks[w] == masks[v]:
-                return TriState(
-                    Status.NOT_IDENTIFIABLE, f"single-failure-test:confusable-pair:{v}~{w}"
-                )
-    return TriState(Status.IDENTIFIABLE, "single-failure-test")
+def _single_group(a: Analysis, members: tuple[str, ...], mechanism: Mechanism) -> TriState:
+    table = a.single(mechanism)
+    verdicts = (table[v] for v in members)
+    return min(verdicts, key=lambda r: (r.is_identifiable, ":not-two-connected:" not in r.rule))
 
 
 # ---------------------------------------------------------------------------
@@ -515,25 +485,36 @@ def omega_up(ps: PathSet, v: str) -> IntBounds:
     return IntBounds(max(lo, 0), greedy)
 
 
-def k_identifiable_up(ps: PathSet, group: Iterable[str], k: int) -> TriState:
-    """k-identifiability under routing-determined probing: the members'
-    folded :func:`omega_up` bounds against k.
+def k_identifiable(
+    t: Topology | Analysis, group: Iterable[str], k: int, mechanism: Mechanism
+) -> TriState:
+    """k-identifiability of ``group``: its members' folded raw bounds against k.
 
-    At k == sigma those bounds are exact (only a node some path sees alone
-    reaches sigma); k == 1 is the direct incidence comparison; in between the
-    cover bounds decide, leaving a gap where neither side fires.
+    CAP bounds are exact, so the verdict is definite. CSP bounds are exact at
+    k == sigma and sigma - 1, UP bounds at k == sigma; below those, k == 1
+    reads the exact single-failure verdicts (as :func:`one_identifiable`),
+    and in between the cut or cover bounds can leave the verdict undetermined.
     """
-    members = check_members(ps.universe, group)
-    sigma = len(ps.universe)
+    a = _analysis(t)
+    members = check_members(a.t.non_monitors, group)
+    mechanism = Mechanism(mechanism)
+    sigma = a.t.sigma
     check_k(k, sigma)
-    if k == 1 and sigma > 1:
-        return _single_failure_up(ps, members)
-    if k == sigma:
+    if mechanism is Mechanism.CAP:
+        rules: str | tuple[str, str, str] = "star-cut"
+    elif mechanism is Mechanism.CSP and k == sigma:
+        rules = "all-two-monitor-neighbors"
+    elif mechanism is Mechanism.CSP and k == sigma - 1:
+        rules = "near-complete-neighborhood"
+    elif k == 1 and sigma > 1:
+        return _single_group(a, members, mechanism)
+    elif mechanism is Mechanism.CSP:
+        rules = ("cut-sufficient", "cut-necessary", "cut-gap")
+    elif k == sigma:
         rules = "all-directly-measured"
     else:
         rules = ("cover-sufficient", "cover-necessary", "cover-gap")
-    bounds = fold_bounds({v: omega_up(ps, v) for v in members}, members)
-    return _verdict(bounds, k, rules)
+    return _verdict(fold_bounds(a.table(mechanism, refine_single=False), members), k, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -564,21 +545,12 @@ def per_node_bounds(
         else:
             up_paths = a.paths
             raw = {v: omega_up(up_paths, v) for v in up_paths.universe}
-    if not refine_single or mechanism is Mechanism.CAP:
-        return dict(raw)
-    ok = a.csp_single if mechanism is Mechanism.CSP else a.up_single
-    return _refine_with_single(raw, ok)
-
-
-def _refine_with_single(
-    table: dict[str, IntBounds], ok: frozenset[str]
-) -> dict[str, IntBounds]:
-    out: dict[str, IntBounds] = {}
-    for v, b in table.items():
-        if b.lo == 0 and b.hi >= 1:
-            out[v] = IntBounds(1, b.hi) if v in ok else IntBounds.exactly(0)
-        else:
-            out[v] = b
+    out = dict(raw)
+    if refine_single and mechanism is not Mechanism.CAP:
+        single = a.single(mechanism)
+        for v, b in raw.items():
+            if b.lo == 0 and b.hi >= 1:
+                out[v] = IntBounds(1, b.hi) if single[v].is_identifiable else IntBounds.exactly(0)
     return out
 
 

@@ -433,36 +433,29 @@ class BatchSpec(NamedTuple):
     def from_dict(cls, d: dict) -> "BatchSpec":
         """Parse a JSON batch spec; a missing, unknown or invalid field raises
         a ValueError that names it."""
-        check_known_fields(d, [name for name, _, _ in _BATCH_FIELDS])
-        d = {"mechanisms": ["cap", "csp", "up"], **d}
-        for name, what, ok in _BATCH_FIELDS:
-            if name not in d:
-                raise ValueError(f"batch spec is missing the {name!r} field")
-            check_field(name, d[name], what, ok)
-        return cls(
-            count=d["count"],
-            n=d["n"],
-            p=float(d["p"]),
-            mus=tuple(d["mus"]),
-            seed=d["seed"],
-            mechanisms=normalize_mechanisms(d["mechanisms"]),
-        )
+        d = read_fields(d, _BATCH_FIELDS)
+        d.update(p=float(d["p"]), mus=tuple(d["mus"]), mechanisms=normalize_mechanisms(d["mechanisms"]))
+        return cls(**d)
 
 
-def check_field(name: str, value, what: str, ok: Callable[[object], bool]):
-    """``value`` when ``ok(value)``; otherwise a ValueError naming the spec field."""
-    if not ok(value):
-        raise ValueError(f"batch spec field {name!r} must be {what}, got {value!r}")
-    return value
-
-
-def check_known_fields(spec: Mapping, fields: Sequence[str]) -> None:
-    """Raise a ValueError naming the first field of ``spec`` not in ``fields``."""
+def read_fields(spec: Mapping, fields: Sequence[tuple[str, object, str, Callable]]) -> dict:
+    """Every field of a spec, by (name, default, what it must be, test) rows, a
+    default of None marking a field the spec must set. A ValueError names the
+    first field no row has, else the first row missing or failing its test."""
+    names = [name for name, _, _, _ in fields]
     for name in spec:
-        if name not in fields:
+        if name not in names:
             raise ValueError(
-                f"batch spec has an unknown field {name!r}; the fields are {', '.join(fields)}"
+                f"batch spec has an unknown field {name!r}; the fields are {', '.join(names)}"
             )
+    out = {}
+    for name, default, what, ok in fields:
+        if name not in spec and default is None:
+            raise ValueError(f"batch spec is missing the {name!r} field")
+        out[name] = spec.get(name, default)
+        if not ok(out[name]):
+            raise ValueError(f"batch spec field {name!r} must be {what}, got {out[name]!r}")
+    return out
 
 
 def _is_int(value) -> bool:
@@ -481,14 +474,19 @@ def _is_list_of(value, ok: Callable[[object], bool]) -> bool:
     return isinstance(value, (list, tuple)) and all(ok(v) for v in value)
 
 
-#: (field, what it must be, test) for every BatchSpec field, in field order.
+#: (field, default, what it must be, test) for every BatchSpec field, in field order.
 _BATCH_FIELDS = (
-    ("count", "an integer", _is_int),
-    ("n", "an integer", _is_int),
-    ("p", "a number in (0, 1]", _is_edge_probability),
-    ("mus", "a non-empty list of integers", lambda v: _is_list_of(v, _is_int) and len(v) > 0),
-    ("seed", "an integer", _is_int),
-    ("mechanisms", "a list of names", lambda v: _is_list_of(v, lambda m: isinstance(m, str))),
+    ("count", None, "an integer", _is_int),
+    ("n", None, "an integer", _is_int),
+    ("p", None, "a number in (0, 1]", _is_edge_probability),
+    ("mus", None, "a non-empty list of integers", lambda v: _is_list_of(v, _is_int) and len(v) > 0),
+    ("seed", None, "an integer", _is_int),
+    (
+        "mechanisms",
+        ("cap", "csp", "up"),
+        "a list of names",
+        lambda v: _is_list_of(v, lambda m: isinstance(m, str)),
+    ),
 )
 
 

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cuts import CutNetwork, two_connected
 from .identify import Analysis, Mechanism, gsc, max_identifiable_set, omega_csp
@@ -26,8 +26,7 @@ from .reports import (
     _is_int,
     _is_list_of,
     _is_number,
-    check_field,
-    check_known_fields,
+    read_fields,
 )
 from .topology import Topology
 
@@ -35,10 +34,55 @@ SCHEMA_VERIFY = "faultscope/verify v1"
 
 ALL_CHECKS = ("cap", "csp", "up", "sets")
 
-#: The fields a battery spec of each kind may set.
+
+def _n_range_row(default: tuple[int, int], least: int, most: int) -> tuple:
+    return (
+        "n_range",
+        default,
+        f"a list of two integers, low to high, low >= {least}, high <= {most}",
+        lambda v: _is_list_of(v, _is_int) and len(v) == 2 and least <= v[0] <= v[1] <= most,
+    )
+
+
+#: (field, default, what it must be, test) for every field a battery spec of
+#: each kind may set, in field order. ``kind`` is checked before it selects
+#: the table; its row only makes it a known field.
+_COMMON_FIELDS = (
+    ("kind", "er", "a battery kind", lambda v: True),
+    ("count", 50, "an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    ("seed", 0, "an integer", _is_int),
+)
 _BATTERY_FIELDS = {
-    "cuts": ("kind", "count", "seed", "n_range", "p_range"),
-    "er": ("kind", "count", "seed", "n_range", "p_range", "monitor_counts", "checks"),
+    "cuts": _COMMON_FIELDS + (
+        _n_range_row((2, 8), 1, DEFAULT_MAX_CUT_NODES),
+        (
+            "p_range",
+            (0.1, 0.9),
+            "a list of two numbers in [0, 1]",
+            lambda v: _is_list_of(v, lambda p: _is_number(p) and 0 <= p <= 1) and len(v) == 2,
+        ),
+    ),
+    "er": _COMMON_FIELDS + (
+        _n_range_row((5, 10), 2, DEFAULT_MAX_ENUM_NODES),
+        (
+            "p_range",
+            (0.3, 0.55),
+            "a list of two numbers in (0, 1]",
+            lambda v: _is_list_of(v, _is_edge_probability) and len(v) == 2,
+        ),
+        (
+            "monitor_counts",
+            (2, 3),
+            "a non-empty list of integers >= 1",
+            lambda v: _is_list_of(v, lambda m: _is_int(m) and m >= 1) and len(v) > 0,
+        ),
+        (
+            "checks",
+            ALL_CHECKS,
+            "a non-empty list of check names",
+            lambda v: _is_list_of(v, lambda c: isinstance(c, str)) and len(v) > 0,
+        ),
+    ),
 }
 
 
@@ -283,66 +327,22 @@ def verify_batch_spec(spec: dict, *, corrupt: bool = False) -> VerificationRepor
 
     ``kind`` selects the battery: ``er`` (default) draws monitored connected
     instances and runs the closed-form-vs-oracle checks; ``cuts`` exercises
-    the cut engine alone. Common fields: ``count``, ``seed``; er batteries
-    also accept ``n_range``, ``p_range``, ``monitor_counts`` and ``checks``.
-    An unknown field, or one of the wrong JSON type or out of range, raises a
-    ValueError that names it.
+    the cut engine alone. Its ``_BATTERY_FIELDS`` rows give the other fields.
+    An unknown field, or one of the wrong JSON type or out of range, raises
+    a ValueError that names it.
     """
     kind = spec.get("kind", "er")
     if not isinstance(kind, str) or kind not in _BATTERY_FIELDS:
         raise ValueError(f"unknown battery kind {kind!r}")
-    check_known_fields(spec, _BATTERY_FIELDS[kind])
-    count = check_field(
-        "count", spec.get("count", 50), "an integer >= 0", lambda v: _is_int(v) and v >= 0
-    )
-    seed = check_field("seed", spec.get("seed", 0), "an integer", _is_int)
+    f = read_fields(spec, _BATTERY_FIELDS[kind])
+    p_range = (float(f["p_range"][0]), float(f["p_range"][1]))
     if kind == "cuts":
-        return verify_cut_engine(
-            count,
-            seed,
-            n_range=_n_range(spec, (2, 8), 1, DEFAULT_MAX_CUT_NODES),
-            p_range=_p_range(spec, (0.1, 0.9), "[0, 1]", lambda p: _is_number(p) and 0 <= p <= 1),
-        )
+        return verify_cut_engine(f["count"], f["seed"], n_range=f["n_range"], p_range=p_range)
     tops = er_battery(
-        count,
-        seed,
-        n_range=_n_range(spec, (5, 10), 2, DEFAULT_MAX_ENUM_NODES),
-        p_range=_p_range(spec, (0.3, 0.55), "(0, 1]", _is_edge_probability),
-        monitor_counts=tuple(
-            check_field(
-                "monitor_counts",
-                spec.get("monitor_counts", (2, 3)),
-                "a non-empty list of integers >= 1",
-                lambda v: _is_list_of(v, lambda m: _is_int(m) and m >= 1) and len(v) > 0,
-            )
-        ),
+        f["count"],
+        f["seed"],
+        n_range=f["n_range"],
+        p_range=p_range,
+        monitor_counts=tuple(f["monitor_counts"]),
     )
-    checks = check_field(
-        "checks",
-        spec.get("checks", ALL_CHECKS),
-        "a non-empty list of check names",
-        lambda v: _is_list_of(v, lambda c: isinstance(c, str)) and len(v) > 0,
-    )
-    return verify_topologies(tops, tuple(checks), corrupt=corrupt)
-
-
-def _n_range(spec: dict, default: tuple[int, int], least: int, most: int) -> tuple[int, int]:
-    lo, hi = check_field(
-        "n_range",
-        spec.get("n_range", default),
-        f"a list of two integers, low to high, low >= {least}, high <= {most}",
-        lambda v: _is_list_of(v, _is_int) and len(v) == 2 and least <= v[0] <= v[1] <= most,
-    )
-    return (lo, hi)
-
-
-def _p_range(
-    spec: dict, default: tuple[float, float], interval: str, ok: Callable[[object], bool]
-) -> tuple[float, float]:
-    lo, hi = check_field(
-        "p_range",
-        spec.get("p_range", default),
-        f"a list of two numbers in {interval}",
-        lambda v: _is_list_of(v, ok) and len(v) == 2,
-    )
-    return (float(lo), float(hi))
+    return verify_topologies(tops, tuple(f["checks"]), corrupt=corrupt)

@@ -233,6 +233,10 @@ class TestMaxset:
         assert "set,csp,v1+v2+v3+v4,,,,,3,3,true,," in out
 
 
+#: A small valid ccdf batch spec.
+SPEC = '{"count": 1, "n": 8, "p": 0.4, "mus": [2], "seed": 5, "mechanisms": ["cap"]}'
+
+
 class TestCcdf:
     def test_fixture_table(self, workspace, capsys):
         rc, out, _ = run(
@@ -297,6 +301,24 @@ class TestCcdf:
         assert "Traceback" not in err
         (line,) = err.splitlines()
         assert f"{field!r}" in line
+
+    @pytest.mark.parametrize(
+        ("flag", "argv"),
+        [
+            ("--jobs", ["--topology", "net.edges", "--jobs", "2"]),
+            ("--jobs", ["--topology", "net.edges", "--jobs", "0"]),
+            ("--paths", ["--batch", SPEC, "--paths", "absent.paths"]),
+            ("--monitors", ["--batch", SPEC, "--monitors", "m1,m2"]),
+            ("--exact", ["--batch", SPEC, "--exact"]),
+        ],
+    )
+    def test_flag_that_does_not_apply_refused(self, flag, argv, workspace, monkeypatch, capsys):
+        monkeypatch.chdir(workspace)
+        rc, out, err = run(capsys, "ccdf", *argv)
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {flag} does not apply")
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, jobs, capsys):
@@ -384,6 +406,37 @@ class TestVerify:
         assert out == ""
         (line,) = err.splitlines()
         assert "'n_range'" in line and "high <= 14" in line
+
+    def test_no_flags_is_the_default_spec(self, capsys):
+        rc, out, _ = run(capsys, "verify")
+        assert rc == EXIT_OK
+        flags = ("--kind", "er", "--count", "50", "--seed", "0", "--checks", "cap,csp,up,sets")
+        assert run(capsys, "verify", *flags) == (rc, out, "")
+        assert json.loads(out)["instances"] == 50
+
+    @pytest.mark.parametrize(
+        ("flag", "argv"),
+        [
+            ("--checks", ["--kind", "cuts", "--checks", "cap"]),
+            ("--corrupt", ["--kind", "cuts", "--count", "1", "--corrupt"]),
+            ("--corrupt", ["--batch", '{"kind": "cuts", "count": 1}', "--corrupt"]),
+            ("--kind", ["--batch", '{"count": 2}', "--count", "9", "--kind", "cuts"]),
+            ("--count", ["--batch", '{"count": 1}', "--count", "3"]),
+            ("--seed", ["--batch", '{"count": 1}', "--seed", "3"]),
+            ("--checks", ["--batch", '{"count": 1}', "--checks", "cap"]),
+            ("--batch", ["--topology", "net.edges", "--batch", '{"count": 1}']),
+            ("--count", ["--topology", "net.edges", "--count", "2"]),
+            ("--seed", ["--topology", "net.edges", "--seed", "2"]),
+            ("--monitors", ["--monitors", "m1,m2", "--count", "1"]),
+        ],
+    )
+    def test_flag_that_does_not_apply_refused(self, flag, argv, workspace, monkeypatch, capsys):
+        monkeypatch.chdir(workspace)
+        rc, out, err = run(capsys, "verify", *argv)
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {flag} does not apply")
 
     def test_corruption_exits_nonzero(self, capsys):
         rc, out, _ = run(

@@ -51,7 +51,7 @@ class TestValueObjects:
         assert SetBounds(frozenset({"a"}), frozenset({"a"})).exact
 
     def test_tristate(self, chain4):
-        r = fs.k_identifiable_cap(chain4, ["v1"], 2)
+        r = fs.k_identifiable(chain4, ["v1"], 2, "cap")
         assert r.is_identifiable and not r.is_undetermined
         assert r.status is Status.IDENTIFIABLE
 
@@ -81,28 +81,28 @@ class TestOmegaCap:
 
 class TestKIdentifiableCap:
     def test_golden(self, golden):
-        r = fs.k_identifiable_cap(golden, ["v1", "v2", "v4"], 4)
+        r = fs.k_identifiable(golden, ["v1", "v2", "v4"], 4, "cap")
         assert r.is_identifiable
         assert r.rule == "star-cut"
 
     def test_chain5_middle(self, chain5):
-        assert fs.k_identifiable_cap(chain5, ["v2"], 3).status is Status.NOT_IDENTIFIABLE
-        assert fs.k_identifiable_cap(chain5, ["v2"], 2).is_identifiable
+        assert fs.k_identifiable(chain5, ["v2"], 3, "cap").status is Status.NOT_IDENTIFIABLE
+        assert fs.k_identifiable(chain5, ["v2"], 2, "cap").is_identifiable
 
     def test_never_undetermined(self, golden, chain4, chain5):
         for t in (golden, chain4, chain5):
             for k in range(1, t.sigma + 1):
-                assert not fs.k_identifiable_cap(t, t.non_monitors, k).is_undetermined
+                assert not fs.k_identifiable(t, t.non_monitors, k, "cap").is_undetermined
 
     def test_k_range(self, chain4):
         with pytest.raises(ValueError):
-            fs.k_identifiable_cap(chain4, ["v1"], 0)
+            fs.k_identifiable(chain4, ["v1"], 0, "cap")
         with pytest.raises(ValueError):
-            fs.k_identifiable_cap(chain4, ["v1"], 3)
+            fs.k_identifiable(chain4, ["v1"], 3, "cap")
 
     def test_empty_group(self, chain4):
         with pytest.raises(ValueError):
-            fs.k_identifiable_cap(chain4, [], 1)
+            fs.k_identifiable(chain4, [], 1, "cap")
 
 
 class TestCspInternals:
@@ -152,37 +152,37 @@ class TestOmegaCsp:
 
 class TestKIdentifiableCsp:
     def test_golden_full_set_fails_at_sigma(self, golden):
-        r = fs.k_identifiable_csp(golden, golden.non_monitors, 4)
+        r = fs.k_identifiable(golden, golden.non_monitors, 4, "csp")
         assert r.status is Status.NOT_IDENTIFIABLE
         assert r.rule == "all-two-monitor-neighbors"
 
     def test_golden_without_v2_reaches_sigma(self, golden):
-        r = fs.k_identifiable_csp(golden, ["v1", "v3", "v4"], 4)
+        r = fs.k_identifiable(golden, ["v1", "v3", "v4"], 4, "csp")
         assert r.is_identifiable
         assert r.rule == "all-two-monitor-neighbors"
 
     def test_golden_near_complete_at_sigma_minus_one(self, golden):
-        r = fs.k_identifiable_csp(golden, ["v2"], 3)
+        r = fs.k_identifiable(golden, ["v2"], 3, "csp")
         assert r.is_identifiable
         assert r.rule == "near-complete-neighborhood"
 
     def test_golden_cut_sufficient(self, golden):
-        r = fs.k_identifiable_csp(golden, ["v2"], 2)
+        r = fs.k_identifiable(golden, ["v2"], 2, "csp")
         assert r.is_identifiable
         assert r.rule == "cut-sufficient"
 
     def test_chain4_single_failure(self, chain4):
-        r = fs.k_identifiable_csp(chain4, ["v1"], 1)
+        r = fs.k_identifiable(chain4, ["v1"], 1, "csp")
         assert r.status is Status.NOT_IDENTIFIABLE
 
     def test_hub_gap(self, hub):
-        r = fs.k_identifiable_csp(hub, ["v1"], 2)
+        r = fs.k_identifiable(hub, ["v1"], 2, "csp")
         assert r.is_undetermined
         assert r.rule == "cut-gap"
 
     def test_k_range(self, golden):
         with pytest.raises(ValueError):
-            fs.k_identifiable_csp(golden, ["v1"], 5)
+            fs.k_identifiable(golden, ["v1"], 5, "csp")
 
 
 class TestOneIdentifiable:
@@ -214,6 +214,16 @@ class TestOneIdentifiable:
         assert fs.one_identifiable(a, ["v3"], Mechanism.UP).rule == (
             "single-failure-test:no-path:v3"
         )
+
+    def test_csp_not_two_connected_decides_before_a_confusable_pair(self):
+        # n4 sorts first and is confusable with n6, but n5 is not two-connected
+        # to the monitors, and that verdict decides the group at k = 1
+        t = fs.place_monitors(fs.gen_er(8, 0.35, 2).topology, 2, 2)
+        a = fs.Analysis(t)
+        assert a.single("csp")["n4"].rule == "single-failure-test:confusable-pair:n4~n6"
+        expected = "single-failure-test:not-two-connected:n5"
+        assert fs.one_identifiable(a, ["n4", "n5"], "csp").rule == expected
+        assert fs.k_identifiable(a, ["n4", "n5"], 1, "csp").rule == expected
 
     def test_up_needs_paths(self, golden):
         with pytest.raises(ValueError):
@@ -253,27 +263,31 @@ class TestOmegaUp:
 
 
 class TestKIdentifiableUp:
-    def test_all_directly_measured(self, up_paths):
-        r = fs.k_identifiable_up(up_paths, ["v1", "v4"], 4)
+    @pytest.fixture()
+    def up(self, golden, up_paths):
+        return fs.Analysis(golden, up_paths)
+
+    def test_all_directly_measured(self, up):
+        r = fs.k_identifiable(up, ["v1", "v4"], 4, "up")
         assert r.is_identifiable
         assert r.rule == "all-directly-measured"
 
-    def test_single_failure(self, up_paths):
-        assert fs.k_identifiable_up(up_paths, ["v2"], 1).is_identifiable
-        r = fs.k_identifiable_up(up_paths, ["v3"], 1)
+    def test_single_failure(self, up):
+        assert fs.k_identifiable(up, ["v2"], 1, "up").is_identifiable
+        r = fs.k_identifiable(up, ["v3"], 1, "up")
         assert r.status is Status.NOT_IDENTIFIABLE
         assert r.rule == "single-failure-test:no-path:v3"
 
-    def test_cover_necessary(self, up_paths):
-        r = fs.k_identifiable_up(up_paths, ["v2"], 2)
+    def test_cover_necessary(self, up):
+        r = fs.k_identifiable(up, ["v2"], 2, "up")
         assert r.status is Status.NOT_IDENTIFIABLE
         assert r.rule == "cover-necessary"
 
-    def test_cover_gap(self, csp_paths):
-        r = fs.k_identifiable_up(csp_paths, ["v2"], 2)
+    def test_cover_gap(self, golden, csp_paths):
+        r = fs.k_identifiable(fs.Analysis(golden, csp_paths), ["v2"], 2, "up")
         assert r.is_undetermined
         assert r.rule == "cover-gap"
 
-    def test_k_range(self, up_paths):
+    def test_k_range(self, up):
         with pytest.raises(ValueError):
-            fs.k_identifiable_up(up_paths, ["v2"], 0)
+            fs.k_identifiable(up, ["v2"], 0, "up")

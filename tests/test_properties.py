@@ -2,7 +2,6 @@
 
 import math
 import random
-from functools import partial
 
 import hypothesis.strategies as st
 import pytest
@@ -277,6 +276,17 @@ def test_cut_engine_matches_networkx():
             assert net.cut_size(s, t) == expected
 
 
+def test_single_failure_tables_agree_with_oracle():
+    # A node's single failure is localizable exactly when its oracle index
+    # reaches 1, under every mechanism.
+    for t in er_battery(120, 3):
+        a = fs.Analysis(t, fs.route_up(t))
+        for m in Mechanism:
+            omega = a.oracle(m)
+            for v, verdict in a.single(m).items():
+                assert verdict.is_identifiable == (omega[v] >= 1), (t, m, v, verdict)
+
+
 def test_k_tests_agree_with_oracle():
     # Each k-test is a threshold of folded bounds, so a definite verdict must
     # hold against the oracle's set index: identifiable only where the index
@@ -290,15 +300,15 @@ def test_k_tests_agree_with_oracle():
         groups = [[v] for v in nm] + [nm]
         groups += [rng.sample(nm, rng.randint(1, len(nm))) for _ in range(2)]
         tests = (
-            (fs.enumerate_cap(t), partial(fs.k_identifiable_cap, a)),
-            (fs.enumerate_csp(t), partial(fs.k_identifiable_csp, a)),
-            (up, partial(fs.k_identifiable_up, up)),
+            (fs.enumerate_cap(t), Mechanism.CAP),
+            (fs.enumerate_csp(t), Mechanism.CSP),
+            (up, Mechanism.UP),
         )
-        for ps, k_test in tests:
+        for ps, m in tests:
             for g in groups:
                 omega = fs.oracle_omega(ps, g)
                 for k in range(1, t.sigma + 1):
-                    verdict = k_test(g, k)
+                    verdict = fs.k_identifiable(a, g, k, m)
                     seen.add(verdict.status)
                     if verdict.status is fs.Status.IDENTIFIABLE:
                         assert omega >= k, (t, g, k, verdict)
