@@ -34,7 +34,7 @@ from .reports import (
     set_report,
 )
 from .topology import Topology, format_topology, load_topology, parse_monitor_names
-from .verify import ALL_CHECKS, verify_batch_spec, verify_topologies
+from .verify import _COMMON_FIELDS, ALL_CHECKS, verify_batch_spec, verify_topologies
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -225,6 +225,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             flags = {"kind": args.kind, "count": args.count, "seed": args.seed, "checks": args.checks}
             spec = {name: value for name, value in flags.items() if value is not None}
+            for name, _, what, ok in _COMMON_FIELDS:
+                if name in spec and not ok(spec[name]):
+                    raise ValueError(f"--{name} must be {what}, got {spec[name]}")
         if spec.get("kind") == "cuts":
             _refuse(args, ("checks", "corrupt"), "to a cuts battery")
         report = verify_batch_spec(spec, corrupt=args.corrupt)

@@ -17,9 +17,14 @@ an upper bound on any non-adjacent cut, or the caller's ``limit``, so the
 final failing search runs only when the cut is below both. A query costs
 O(min(cut + 1, bound) * (V + E)) and leaves the network as it found it.
 
+:meth:`CutNetwork.max_flow` returns its residual and continues from one
+with links closed (their paths cancelled, at most one search per path plus
+one), so one network answers subgraphs that differ by closed links.
+
 Adjacent pairs get the convention used throughout the identifiability
 results: C_G(s, t) := V(G) \\ {t}, i.e. cut size |V(G)| - 1. All public
-entry points honor it, including :func:`two_connected`.
+entry points honor it, including :func:`two_connected`; ``max_flow`` counts
+the flow, link s-t included.
 
 Two-connectivity to an anchor comes from the articulation-point DFS instead
 (linear in nodes + links), run only over the anchor's connected component.
@@ -28,7 +33,7 @@ Two-connectivity to an anchor comes from the articulation-point DFS instead
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .topology import Graph
 
@@ -73,8 +78,11 @@ class CutNetwork:
         for i in range(len(g.nodes)):
             add_arc(2 * i, 2 * i + 1)
         index = self._index
+        self._arc: dict[tuple[str, str], int] = {}  # (u, v) -> arc u_out -> v_in
         for u, v in g.edges:
+            self._arc[u, v] = len(head)
             add_arc(2 * index[u] + 1, 2 * index[v])
+            self._arc[v, u] = len(head)
             add_arc(2 * index[v] + 1, 2 * index[u])
         self._head = head
         self._arcs = arcs
@@ -84,20 +92,60 @@ class CutNetwork:
         """min(cut between ``s`` and ``t``, ``limit``); the cut of an adjacent
         pair is |V| - 1 by convention."""
         g = self.graph
-        _check_pair(g, s, t)
         if g.has_edge(s, t):
             size = len(g.nodes) - 1
             return size if limit is None else min(size, limit)
-        adj = g.adjacency
-        bound = min(len(adj[s]), len(adj[t]))
-        if limit is not None:
-            bound = min(bound, limit)
-        capacity = self._capacity[:]
+        return self.max_flow(s, t, limit)[0]
+
+    def max_flow(
+        self,
+        s: str,
+        t: str,
+        limit: int | None = None,
+        *,
+        residual: bytearray | None = None,
+        closed: Iterable[tuple[str, str]] = (),
+    ) -> tuple[int, bytearray]:
+        """(value, fresh residual) of an ``s``-``t`` flow augmented until
+        maximum or ``limit``, from the pair's earlier ``residual`` or zero,
+        with ``closed`` links out of the network and their units cancelled."""
+        _check_pair(self.graph, s, t)
+        adj = self.graph.adjacency
+        bound = min(len(adj[s]), len(adj[t]), len(adj) if limit is None else limit)
+        capacity = (self._capacity if residual is None else residual)[:]
         src, dst = 2 * self._index[s] + 1, 2 * self._index[t]
-        flow = 0
+        for u, v in closed:
+            for e in (self._arc[u, v], self._arc[v, u]):
+                if capacity[e ^ 1]:
+                    self._cancel(capacity, e, src, dst)
+                capacity[e] = 0
+        flow = 0 if residual is None else len(self.inflow(capacity, t))
         while flow < bound and self._augment(capacity, src, dst):
             flow += 1
-        return flow
+        return flow, capacity
+
+    def inflow(self, residual: bytearray, t: str) -> list[str]:
+        """The nodes whose links carry the flow of ``residual`` into ``t``."""
+        nodes, head = self.graph.nodes, self._head
+        return [nodes[head[e] // 2] for e in self._arcs[2 * self._index[t]] if e & 1 and residual[e]]
+
+    def _cancel(self, capacity: bytearray, e: int, src: int, dst: int) -> None:
+        # Cancel the unit on arc e: a unit-node-capacity flow is disjoint paths
+        # and cycles, so follow it on to dst (or round to e), then back to src.
+        head, arcs = self._head, self._arcs
+        tail = head[e ^ 1]
+        capacity[e], capacity[e ^ 1] = 1, 0
+        x = head[e]
+        while x != dst and x != tail:
+            a = next(a for a in arcs[x] if not a & 1 and capacity[a ^ 1])
+            capacity[a], capacity[a ^ 1] = 1, 0
+            x = head[a]
+        if x == dst:
+            x = tail
+            while x != src:
+                a = next(a for a in arcs[x] if a & 1 and capacity[a])
+                capacity[a], capacity[a ^ 1] = 0, 1
+                x = head[a]
 
     def _augment(self, capacity: bytearray, src: int, dst: int) -> bool:
         # One BFS for a shortest augmenting path; on success flip the

@@ -47,7 +47,6 @@ from .topology import (
     VIRTUAL_MONITOR,
     Topology,
     build_extended,
-    build_minus_monitor,
     build_star,
     check_k,
     check_members,
@@ -210,18 +209,6 @@ class Analysis:
         """The CSP cut table (see :func:`csp_internals_all`)."""
         return csp_internals_all(self)
 
-    @cached_property
-    def csp_anchored(self) -> frozenset[str]:
-        """Nodes two-connected to the virtual monitor in the extended graph."""
-        return _two_connected_set(build_extended(self.t).adjacency, VIRTUAL_MONITOR)
-
-    @cached_property
-    def csp_reach(self) -> Mapping[str, frozenset[str]]:
-        """Per non-monitor w, :attr:`csp_anchored` with w removed from the graph
-        (the DFS skips w, so no graph without w is built)."""
-        adj = build_extended(self.t).adjacency
-        return {w: _two_connected_set(adj, VIRTUAL_MONITOR, w) for w in self.t.non_monitors}
-
     def single(self, mechanism: Mechanism) -> Mapping[str, TriState]:
         """Per non-monitor, whether the mechanism localizes its single failure,
         built on first use; a failing verdict's rule names the witness."""
@@ -280,29 +267,40 @@ def cap_values(t: Topology | Analysis) -> Mapping[str, int]:
 
 
 def csp_internals_all(t: Topology | Analysis) -> Mapping[str, CspInternals]:
-    """CSP cut quantities for every non-monitor at once."""
-    # delta_min per node: its smallest cut to the virtual monitor over the
-    # minus-monitor graphs. Dropping monitor m unlinks the virtual monitor
-    # only from nodes whose one monitor neighbor is m, so every other m gives
-    # the star graph itself (cuts delta_star), and the m that are some node's
-    # only monitor neighbor give pairwise distinct graphs: one network each.
-    # A minus graph is a subgraph of the star, so delta_min <= delta_star and
-    # each query stops at the running minimum.
+    """CSP cut quantities for every non-monitor at once, on one star network.
+
+    The minus-monitor graph of m is the star graph with the links to N_m, the
+    nodes whose only monitor neighbor is m, closed. A node off the virtual
+    monitor runs its star flow once; its minus cut differs from delta_star
+    only if a flow path enters through N_m, and is then continued from that
+    residual, up to the running minimum. A monitor neighbor's cut is |V| - 1
+    except in its only monitor's graph, one query of its own.
+    """
     a = _analysis(t)
-    sole: set[str] = set()
-    for w in a.t.monitor_neighbors:
-        ms = [m for m in a.t.adjacency[w] if m in a.t.monitors]
-        if len(ms) == 1:
-            sole.add(ms[0])
-    stars = a.cap
-    delta_min = dict(stars)
-    for m in sorted(sole):
-        minus = CutNetwork(build_minus_monitor(a.t, m))
-        for v, best in delta_min.items():
-            delta_min[v] = minus.cut_size(v, VIRTUAL_MONITOR, best)
-    return MappingProxyType(
-        {v: CspInternals(delta_star=stars[v], delta_min=delta_min[v]) for v in a.t.non_monitors}
-    )
+    vm, adj, monitors = VIRTUAL_MONITOR, a.t.adjacency, a.t.monitors
+    only = {
+        w: ms[0]
+        for w in sorted(a.t.monitor_neighbors)
+        if len(ms := [m for m in adj[w] if m in monitors]) == 1
+    }
+    closed: dict[str, list[tuple[str, str]]] = {}
+    for w, m in only.items():
+        closed.setdefault(m, []).append((w, vm))
+    star = CutNetwork(build_star(a.t))
+    out: dict[str, CspInternals] = {}
+    for v in a.t.non_monitors:
+        if v in a.t.monitor_neighbors:
+            delta_star = delta_min = a.t.sigma
+            if v in only:
+                delta_min = star.max_flow(v, vm, closed=closed[only[v]])[0]
+        else:
+            delta_star, residual = star.max_flow(v, vm)
+            delta_min = delta_star
+            for m in sorted({only[w] for w in star.inflow(residual, vm) if w in only}):
+                flow = star.max_flow(v, vm, delta_min, residual=residual, closed=closed[m])[0]
+                delta_min = min(delta_min, flow)
+        out[v] = CspInternals(delta_star, delta_min)
+    return MappingProxyType(out)
 
 
 _ANY_MONITOR = TriState(Status.IDENTIFIABLE, "any-monitor-reachable")
@@ -314,21 +312,29 @@ def _not_single(reason: str) -> TriState:
 
 
 def _csp_single_failure_nodes(t: Topology | Analysis) -> dict[str, TriState]:
-    # Exact single-failure identifiability under CSP, via biconnected
-    # decompositions of the extended graphs: v qualifies when (a) v is
-    # two-connected to the virtual monitor in the extended graph and (b) for
-    # every other non-monitor w, v stays two-connected with w removed or w
-    # stays two-connected with v removed (otherwise {v} and {w} can disrupt
-    # identical path sets: the first such w is the witness). One
-    # decomposition per removed node suffices.
+    # Exact single-failure identifiability under CSP, from the extended graph:
+    # v qualifies when (a) v is two-connected to the virtual monitor and (b)
+    # for every other non-monitor w, v stays two-connected with w removed or
+    # w stays two-connected with v removed (otherwise {v} and {w} can disrupt
+    # identical path sets: the first such w is the witness). A 3-bounded cut
+    # per node sorts them: below 2 fails (a), 3 survives any single removal
+    # and passes (b). Neither is a witness (removing a node outside v's block
+    # with the virtual monitor keeps it whole), so only nodes of cut 2 need a
+    # reach set: one articulation-point DFS with that node skipped.
     a = _analysis(t)
-    anchored, reach, nm = a.csp_anchored, a.csp_reach, a.t.non_monitors
+    nm = a.t.non_monitors
+    ext = build_extended(a.t)
+    net = CutNetwork(ext)
+    cut = {v: net.cut_size(v, VIRTUAL_MONITOR, 3) for v in nm}
+    fragile = [w for w in nm if cut[w] == 2]
+    reach = {w: _two_connected_set(ext.adjacency, VIRTUAL_MONITOR, w) for w in fragile}
     table: dict[str, TriState] = {}
     for v in nm:
-        if v not in anchored:
+        if cut[v] < 2:
             table[v] = _not_single(f"not-two-connected:{v}")
             continue
-        w = next((w for w in nm if w != v and v not in reach[w] and w not in reach[v]), None)
+        fails = (w for w in fragile if w != v and v not in reach[w] and w not in reach[v])
+        w = None if cut[v] == 3 else next(fails, None)
         table[v] = _SINGLE_FAILURE if w is None else _not_single(f"confusable-pair:{v}~{w}")
     return table
 

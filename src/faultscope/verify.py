@@ -329,7 +329,8 @@ def verify_batch_spec(spec: dict, *, corrupt: bool = False) -> VerificationRepor
     instances and runs the closed-form-vs-oracle checks; ``cuts`` exercises
     the cut engine alone. Its ``_BATTERY_FIELDS`` rows give the other fields.
     An unknown field, or one of the wrong JSON type or out of range, raises
-    a ValueError that names it.
+    a ValueError that names it, as does ``corrupt`` (the self-test hook that
+    breaks a CAP value) for a ``cuts`` battery.
     """
     kind = spec.get("kind", "er")
     if not isinstance(kind, str) or kind not in _BATTERY_FIELDS:
@@ -337,6 +338,8 @@ def verify_batch_spec(spec: dict, *, corrupt: bool = False) -> VerificationRepor
     f = read_fields(spec, _BATTERY_FIELDS[kind])
     p_range = (float(f["p_range"][0]), float(f["p_range"][1]))
     if kind == "cuts":
+        if corrupt:
+            raise ValueError("corrupt does not apply to a cuts battery")
         return verify_cut_engine(f["count"], f["seed"], n_range=f["n_range"], p_range=p_range)
     tops = er_battery(
         f["count"],

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -438,6 +439,21 @@ class TestVerify:
         (line,) = err.splitlines()
         assert line.startswith(f"error: {flag} does not apply")
 
+    @pytest.mark.parametrize(
+        ("flag", "argv"),
+        [
+            ("--count", ["--count", "-1"]),
+            ("--count", ["--kind", "cuts", "--count", "-2", "--seed", "3"]),
+        ],
+    )
+    def test_bad_flag_value_refused_in_flag_words(self, flag, argv, capsys):
+        rc, out, err = run(capsys, "verify", *argv)
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {flag} must be an integer >= 0, got -")
+        assert "batch spec" not in line
+
     def test_corruption_exits_nonzero(self, capsys):
         rc, out, _ = run(
             capsys,
@@ -517,3 +533,21 @@ class TestGoldenReports:
         rc, out, _ = run(capsys, command, "--topology", "er30.edges")
         assert rc == EXIT_OK
         assert out == read_fixture(f"reports/{command}_er30.csv")
+
+    @pytest.mark.parametrize(
+        ("seed", "digest"),
+        [
+            (1, "47019f870939918b754d004880a9a2d07af1dc76cf67f72fad2dd79208b036cd"),
+            (2, "52ca6350a677565adcdfe3421678ef428ad200773cbd09b7e81b0a6a6112a918"),
+            (3, "dcc407abc0af092bf0b8eeba9eec4d6e12f7176388e45f3c62742d6c6425df6e"),
+        ],
+    )
+    def test_analyze_bytes_at_n200(self, seed, digest, tmp_path, monkeypatch, capsys):
+        # sigma 190: the cut tables' shortcuts run here as they do at scale,
+        # beyond the 30-node fixtures; the digests pin the whole CSV
+        monkeypatch.chdir(tmp_path)
+        gen = ["gen", "--n", "200", "--p", "0.03", "--seed", str(seed), "--mu", "10", "--out", "er200.edges"]
+        assert run(capsys, *gen)[0] == EXIT_OK
+        rc, out, _ = run(capsys, "analyze", "--topology", "er200.edges")
+        assert rc == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -114,3 +114,26 @@ def test_brute_cut_matches_flow():
                 if s >= t:
                     continue
                 assert fs.brute_vertex_cut(g, s, t) == fs.min_vertex_cut_size(g, s, t).cut_size
+
+
+class TestMaxFlow:
+    def test_warm_start_through_closed_links(self):
+        # K4 carries three a-b paths; closing a-c and a-d leaves the direct link
+        net = fs.CutNetwork(K4)
+        flow, residual = net.max_flow("a", "b")
+        assert flow == 3 and sorted(net.inflow(residual, "b")) == ["a", "c", "d"]
+        flow, after = net.max_flow("a", "b", residual=residual, closed=[("a", "c"), ("d", "a")])
+        assert flow == 1 and net.inflow(after, "b") == ["a"]
+
+    def test_closing_a_link_on_a_flow_cycle_cancels_only_the_cycle(self):
+        # A flow may carry a cycle beside its paths: the unit on a closed link
+        # of the cycle is cancelled round the cycle, not back to the source.
+        g = graph("s x", "x t", "x c1", "c1 c2", "c2 c3", "c3 c1")
+        net = fs.CutNetwork(g)
+        _, residual = net.max_flow("s", "t")
+        for u, v in (("c1", "c2"), ("c2", "c3"), ("c3", "c1")):
+            for e in (2 * net._index[u], net._arc[u, v]):  # split arc of u, link arc u -> v
+                residual[e], residual[e ^ 1] = 0, 1
+        flow, after = net.max_flow("s", "t", residual=residual, closed=[("c2", "c1")])
+        assert flow == 1 and net.inflow(after, "t") == ["x"]
+        assert after == net.max_flow("s", "t", closed=[("c1", "c2")])[1]

@@ -205,6 +205,27 @@ def test_flow_cut_matches_brute_force(g, data):
     assert fs.two_connected(g, s, t) == (r.cut_size >= 2)
 
 
+@settings(max_examples=80, deadline=None)
+@given(graphs(), st.data())
+def test_warm_flow_with_closed_links_matches_fresh_graph(g, data):
+    # Continuing a max flow with links closed cancels the paths through them
+    # and augments again: its value is the max flow from scratch of the graph
+    # without those links, and the residual it continued from is unchanged.
+    names = sorted(g.nodes)
+    s = data.draw(st.sampled_from(names))
+    t = data.draw(st.sampled_from([n for n in names if n != s]))
+    closed = data.draw(st.sets(st.sampled_from(g.edges))) if g.edges else set()
+    kept = Graph(frozenset(g.nodes), frozenset(e for e in g.edges if e not in closed))
+    net = fs.CutNetwork(g)
+    _, residual = net.max_flow(s, t)
+    before = bytes(residual)
+    fresh = fs.CutNetwork(kept).max_flow(s, t)[0]
+    assert net.max_flow(s, t, residual=residual, closed=closed)[0] == fresh
+    assert bytes(residual) == before
+    if not kept.has_edge(s, t):
+        assert fresh == fs.brute_vertex_cut(kept, s, t)
+
+
 @settings(max_examples=40, deadline=None)
 @given(graphs(max_nodes=5), st.data())
 def test_cut_grows_with_edges(g, data):
@@ -230,11 +251,12 @@ def test_cut_grows_with_edges(g, data):
 @settings(max_examples=80, deadline=None)
 @given(topologies(max_nodes=10))
 def test_analysis_tables_match_fresh_graphs(t):
-    # Every table the context builds from shared networks and one extended
-    # adjacency equals a fresh graph per query: min_vertex_cut_size on the
-    # star and each minus-monitor graph, the two-connected set of each
-    # extended-minus graph, and that set read off flow cuts (a non-monitor
-    # is never adjacent to the virtual monitor, so it is "cut >= 2").
+    # Every table the context builds from one shared network equals a fresh
+    # graph per query: min_vertex_cut_size on the star and each minus-monitor
+    # graph. The reach DFS that skips a node equals the two-connected set of
+    # the fresh extended-minus graph, and that set read off flow cuts (a
+    # non-monitor is never adjacent to the virtual monitor, so it is
+    # "cut >= 2").
     a = fs.Analysis(t)
     m = VIRTUAL_MONITOR
     star = fs.build_star(t)
@@ -244,16 +266,103 @@ def test_analysis_tables_match_fresh_graphs(t):
         delta_min = min(fs.min_vertex_cut_size(g, v, m).cut_size for g in minus)
         assert a.cap[v] == delta_star
         assert a.csp[v] == fs.CspInternals(delta_star, delta_min)
-    assert a.csp_anchored == _two_connected_set(fs.build_extended(t).adjacency, m)
+    extended = fs.build_extended(t).adjacency
     for w in t.non_monitors:
         g = fs.build_extended_minus(t, w)
-        assert a.csp_reach[w] == _two_connected_set(g.adjacency, m)
+        reach = _two_connected_set(extended, m, w)
+        assert reach == _two_connected_set(g.adjacency, m)
         by_flow = {
             v
             for v in t.non_monitors
             if v != w and fs.min_vertex_cut_size(g, v, m).cut_size >= 2
         }
-        assert a.csp_reach[w] & set(t.non_monitors) == by_flow
+        assert reach & set(t.non_monitors) == by_flow
+
+
+@st.composite
+def sole_monitor_topologies(draw, max_nodes: int = 9):
+    """A drawn topology plus one more non-monitor, ``x``, whose only monitor
+    neighbor is the first monitor, so that monitor's minus graph is not the
+    star graph."""
+    t = draw(topologies(max_nodes))
+    monitor = min(t.monitors)
+    others = draw(st.sets(st.sampled_from(t.non_monitors)))
+    edges = set(t.edges) | {("x", monitor)} | {("x", w) for w in others}
+    return Topology(frozenset(t.nodes) | {"x"}, frozenset(edges), frozenset(t.monitors))
+
+
+def _plain_csp_single(t: Topology) -> dict[str, str]:
+    # The single-failure rules by definition, from full reach sets: the
+    # non-monitors two-connected (flow cut >= 2) to the virtual monitor in
+    # the extended graph, and in each fresh extended-minus graph.
+    m = VIRTUAL_MONITOR
+
+    def reach(g):
+        return {v for v in t.non_monitors if v in g.nodes and fs.min_vertex_cut_size(g, v, m).cut_size >= 2}
+
+    anchored = reach(fs.build_extended(t))
+    without = {w: reach(fs.build_extended_minus(t, w)) for w in t.non_monitors}
+    rules = {}
+    for v in t.non_monitors:
+        if v not in anchored:
+            rules[v] = f"single-failure-test:not-two-connected:{v}"
+            continue
+        nm = t.non_monitors
+        w = next((w for w in nm if w != v and v not in without[w] and w not in without[v]), None)
+        rules[v] = "single-failure-test" if w is None else f"single-failure-test:confusable-pair:{v}~{w}"
+    return rules
+
+
+@settings(max_examples=80, deadline=None)
+@given(sole_monitor_topologies())
+def test_csp_tables_match_plain_definitions(t):
+    # delta_min is the smallest cut over a fresh minus-monitor graph per
+    # monitor; the single-failure verdicts and witnesses are those of full
+    # reach sets on fresh extended-minus graphs.
+    a = fs.Analysis(t)
+    minus = [fs.build_minus_monitor(t, monitor) for monitor in sorted(t.monitors)]
+    for v in t.non_monitors:
+        cuts = [fs.min_vertex_cut_size(g, v, VIRTUAL_MONITOR).cut_size for g in minus]
+        assert a.csp[v].delta_min == min(cuts)
+    assert {v: r.rule for v, r in a.single(Mechanism.CSP).items()} == _plain_csp_single(t)
+
+
+def test_csp_table_skips_and_warm_starts(monkeypatch):
+    # On er30 some minus-monitor questions are settled by the star flow alone
+    # (no path enters through the dropped links) and some continue from it:
+    # both branches run on the one star network, and the table still
+    # matches fresh graphs. The single-failure table builds one network.
+    t = fs.load_topology(read_fixture("reports/er30.edges"))
+    warm, built = [], []
+    max_flow, init = fs.CutNetwork.max_flow, fs.CutNetwork.__init__
+
+    def spy(self, s, sink, limit=None, **kwargs):
+        if kwargs.get("residual") is not None:
+            warm.append(s)
+        return max_flow(self, s, sink, limit, **kwargs)
+
+    def build(self, g):
+        built.append(g.kind)
+        init(self, g)
+
+    monkeypatch.setattr(fs.CutNetwork, "max_flow", spy)
+    monkeypatch.setattr(fs.CutNetwork, "__init__", build)
+    table = fs.csp_internals_all(t)
+    assert built == ["star"]
+    fs.Analysis(t).single(Mechanism.CSP)
+    assert built == ["star", "extended"]
+    only = {
+        w: ms
+        for w in t.monitor_neighbors
+        if len(ms := [m for m in t.adjacency[w] if m in t.monitors]) == 1
+    }
+    sole = {ms[0] for ms in only.values()}
+    far = [v for v in t.non_monitors if v not in t.monitor_neighbors]
+    assert 0 < len(warm) < len(far) * len(sole)
+    minus = [fs.build_minus_monitor(t, monitor) for monitor in sorted(sole)]
+    for v in t.non_monitors:
+        cuts = [fs.min_vertex_cut_size(g, v, VIRTUAL_MONITOR).cut_size for g in minus]
+        assert table[v].delta_min == min(cuts + [table[v].delta_star])
 
 
 def test_cut_engine_matches_networkx():

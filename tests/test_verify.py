@@ -60,6 +60,10 @@ class TestVerifyBatchSpec:
     def test_cuts_kind(self):
         assert fs.verify_batch_spec({"kind": "cuts", "count": 5, "seed": 9}).ok
 
+    def test_corrupt_refused_for_cuts(self):
+        with pytest.raises(ValueError, match="corrupt"):
+            fs.verify_batch_spec({"kind": "cuts", "count": 2}, corrupt=True)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             fs.verify_batch_spec({"kind": "zz", "count": 1, "seed": 0})
