@@ -151,12 +151,23 @@ def fold_bounds(table: Mapping[str, IntBounds], members: Iterable[str]) -> IntBo
     return IntBounds(min(b.lo for b in bounds), min(b.hi for b in bounds))
 
 
-def threshold_bounds(table: Mapping[str, IntBounds], k: int) -> SetBounds:
-    """Maximal k-identifiable set approximations: the nodes whose lower
-    (inner) or upper (outer) bound reaches k."""
-    inner = frozenset(v for v, b in table.items() if b.lo >= k)
-    outer = frozenset(v for v, b in table.items() if b.hi >= k)
-    return SetBounds(inner, outer)
+def threshold_sweep(table: Mapping[str, IntBounds], sigma: int) -> tuple[SetBounds, ...]:
+    """Maximal k-identifiable set approximations for every k in 1..sigma,
+    entry k - 1 for k: the nodes whose lower (inner) or upper (outer) bound
+    reaches k. The sets only grow as k falls, so one sweep from k = sigma
+    down adds each node at its own bound; a k at which no node joins shares
+    the previous entry."""
+    by_lo: list[list[str]] = [[] for _ in range(sigma + 1)]
+    by_hi: list[list[str]] = [[] for _ in range(sigma + 1)]
+    for v, b in table.items():
+        by_lo[min(b.lo, sigma)].append(v)
+        by_hi[min(b.hi, sigma)].append(v)
+    sets, out = SetBounds(frozenset(), frozenset()), []
+    for k in range(sigma, 0, -1):
+        if by_lo[k] or by_hi[k]:
+            sets = SetBounds(sets.inner.union(by_lo[k]), sets.outer.union(by_hi[k]))
+        out.append(sets)
+    return tuple(reversed(out))
 
 
 def _verdict(bounds: IntBounds, k: int, rules: str | tuple[str, str, str]) -> TriState:
@@ -201,7 +212,10 @@ class Analysis:
 
     @cached_property
     def cap(self) -> Mapping[str, int]:
-        """The CAP cut table (see :func:`cap_values`)."""
+        """The CAP cut table (see :func:`cap_values`), or the ``delta_star``
+        column of the CSP table when that is built: the same star cuts."""
+        if "csp" in self.__dict__:
+            return MappingProxyType({v: c.delta_star for v, c in self.csp.items()})
         return cap_values(self)
 
     @cached_property
@@ -251,7 +265,7 @@ class Analysis:
 def _node(t: Topology | Analysis, v: str) -> Analysis:
     """The context of a single-node query, with ``v`` checked against it."""
     a = _analysis(t)
-    check_members(a.t.non_monitors, [v])
+    check_members(a.t.non_monitor_set, [v])
     return a
 
 
@@ -427,7 +441,7 @@ def one_identifiable(
     not two-connected to the monitors decides before any confusable pair.
     """
     a = _analysis(t)
-    members = check_members(a.t.non_monitors, group)
+    members = check_members(a.t.non_monitor_set, group)
     return _single_group(a, members, Mechanism(mechanism))
 
 
@@ -446,27 +460,27 @@ def gsc(ps: PathSet, v: str) -> int:
 
     Each round picks the node covering the most still-uncovered paths, ties
     broken by name. By convention the result is sigma when some path sees
-    only v (covering infeasible) and 0 when no path sees v.
+    only v (covering infeasible) and 0 when no path sees v. Only a node on
+    one of v's paths can cover any, so only those are scanned.
     """
-    check_members(ps.universe, [v])
-    mask = ps.incidence_masks[v]
+    masks = ps.incidence_masks
+    check_members(masks, [v])
+    mask = masks[v]
     if mask == 0:
         return 0
     if v in ps.directly_measured:
         return len(ps.universe)
     uncovered = mask
     count = 0
-    candidates = [w for w in ps.universe if w != v]
+    sharing: set[str] = set()
+    while mask:
+        sharing.update(ps.paths[(mask & -mask).bit_length() - 1])
+        mask &= mask - 1
+    candidates = [masks[w] for w in sorted(sharing - {v})]
     while uncovered:
-        best_gain = 0
-        best_mask = 0
-        for w in candidates:
-            gain = (ps.incidence_masks[w] & uncovered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_mask = ps.incidence_masks[w]
-        assert best_gain > 0, "every remaining path must carry another node"
-        uncovered &= ~best_mask
+        best = max(candidates, key=lambda w_mask: (w_mask & uncovered).bit_count())
+        assert best & uncovered, "every remaining path must carry another node"
+        uncovered &= ~best
         count += 1
     return count
 
@@ -479,15 +493,10 @@ def omega_up(ps: PathSet, v: str) -> IntBounds:
     cover size, and the bounds derive it from the greedy cover and its
     logarithmic guarantee.
     """
-    check_members(ps.universe, [v])
-    sigma = len(ps.universe)
-    mask = ps.incidence_masks[v]
-    if mask == 0:
-        return IntBounds.exactly(0)
-    if v in ps.directly_measured:
-        return IntBounds.exactly(sigma)
     greedy = gsc(ps, v)
-    lo = math.ceil(greedy / (math.log(mask.bit_count()) + 1.0)) - 1
+    if greedy == 0 or v in ps.directly_measured:
+        return IntBounds.exactly(greedy)
+    lo = math.ceil(greedy / (math.log(ps.incidence_masks[v].bit_count()) + 1.0)) - 1
     return IntBounds(max(lo, 0), greedy)
 
 
@@ -502,7 +511,7 @@ def k_identifiable(
     and in between the cut or cover bounds can leave the verdict undetermined.
     """
     a = _analysis(t)
-    members = check_members(a.t.non_monitors, group)
+    members = check_members(a.t.non_monitor_set, group)
     mechanism = Mechanism(mechanism)
     sigma = a.t.sigma
     check_k(k, sigma)
@@ -563,7 +572,7 @@ def per_node_bounds(
 def omega_set(t: Topology | Analysis, group: Iterable[str], mechanism: Mechanism) -> IntBounds:
     """Index bounds for a set: the member-wise minimum of the per-node bounds."""
     a = _analysis(t)
-    members = check_members(a.t.non_monitors, group)
+    members = check_members(a.t.non_monitor_set, group)
     return fold_bounds(a.table(mechanism), members)
 
 
@@ -578,4 +587,4 @@ def max_identifiable_set(t: Topology | Analysis, k: int, mechanism: Mechanism) -
     """
     a = _analysis(t)
     check_k(k, a.t.sigma)
-    return threshold_bounds(a.table(mechanism), k)
+    return threshold_sweep(a.table(mechanism), a.t.sigma)[k - 1]

@@ -53,7 +53,7 @@ def oracle_k_identifiable(ps: PathSet, group: Iterable[str], k: int) -> bool:
     set of paths they disrupt, and looks inside each bucket for two sets
     that differ on ``group``.
     """
-    members = check_members(ps.universe, group)
+    members = check_members(ps.incidence_masks, group)
     sigma = len(ps.universe)
     check_k(k, sigma)
     check_universe_size(sigma)
@@ -117,7 +117,7 @@ def oracle_omega(ps: PathSet, group: Iterable[str]) -> int:
     """Exact identifiability index of ``group``: the largest k (0..sigma) for
     which the set is k-identifiable. 0 means two single-failure scenarios
     differing on the group already look identical."""
-    members = check_members(ps.universe, group)
+    members = check_members(ps.incidence_masks, group)
     sigma = len(ps.universe)
     index = {v: i for i, v in enumerate(ps.universe)}
     smask = 0
@@ -152,7 +152,7 @@ def oracle_msc(ps: PathSet, v: str) -> int:
     other non-monitor (covering is infeasible, and that path pins v's state
     directly), and 0 when no path traverses v at all.
     """
-    (member,) = check_members(ps.universe, [v])
+    (member,) = check_members(ps.incidence_masks, [v])
     sigma = len(ps.universe)
     check_universe_size(sigma)
     target = ps.incidence_masks[member]

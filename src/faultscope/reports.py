@@ -9,11 +9,11 @@ fixed seed and flag set always reproduces a byte-identical report.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -23,7 +23,7 @@ from .identify import (
     Mechanism,
     SetBounds,
     fold_bounds,
-    threshold_bounds,
+    threshold_sweep,
 )
 from .probing import PathSet, route_up
 from .randomnet import gen_er
@@ -102,6 +102,7 @@ class AnalysisReport:
     maxset_rows: tuple[MaxsetRow, ...] = ()
 
     def to_csv(self) -> str:
+        join = functools.cache(lambda s: "+".join(sorted(s)))  # max sets repeat across k
         buf = io.StringIO()
         _write_comments(buf, SCHEMA_ANALYSIS, self.meta)
         # A section leaves the columns it does not name empty.
@@ -140,13 +141,14 @@ class AnalysisReport:
                     mechanism=mrow.mechanism.value,
                     k=mrow.k,
                     exact=_bool(mrow.sets.exact),
-                    inner="+".join(sorted(mrow.sets.inner)),
-                    outer="+".join(sorted(mrow.sets.outer)),
+                    inner=join(mrow.sets.inner),
+                    outer=join(mrow.sets.outer),
                 )
             )
         return buf.getvalue()
 
     def to_json(self) -> str:
+        members = functools.cache(sorted)  # max sets repeat across k
         doc = {
             "schema": SCHEMA_ANALYSIS,
             "version": self.meta.version,
@@ -181,8 +183,8 @@ class AnalysisReport:
                 {
                     "mechanism": mrow.mechanism.value,
                     "k": mrow.k,
-                    "inner": sorted(mrow.sets.inner),
-                    "outer": sorted(mrow.sets.outer),
+                    "inner": members(mrow.sets.inner),
+                    "outer": members(mrow.sets.outer),
                     "exact": mrow.sets.exact,
                 }
                 for mrow in self.maxset_rows
@@ -283,9 +285,11 @@ def _tables(
     refine_single: bool,
     exact: bool,
 ) -> dict[Mechanism, Mapping[str, IntBounds]]:
-    """Per mechanism, the context's bound table, or oracle values if ``exact``."""
+    """Per mechanism, the context's bound table, or oracle values if ``exact``.
+    CAP goes last: when CSP is asked for too, the CSP star pass gives its cuts."""
     if not exact:
-        return {m: a.table(m, refine_single=refine_single) for m in mechs}
+        order = sorted(mechs, key=Mechanism.CAP.__eq__)
+        return {m: a.table(m, refine_single=refine_single) for m in order}
     return {m: {v: IntBounds.exactly(w) for v, w in a.oracle(m).items()} for m in mechs}
 
 
@@ -307,7 +311,7 @@ def analyze(
     """
     t.require_monitored()
     mechs = normalize_mechanisms(mechanisms)
-    members = None if group is None else check_members(t.non_monitors, group)
+    members = None if group is None else check_members(t.non_monitor_set, group)
     meta = meta or ReportMeta()
     a = _context(t, mechs, ps)
     tables = _tables(a, mechs, refine_single=False, exact=exact)
@@ -328,8 +332,8 @@ def analyze(
     set_rows: list[SetRow] = []
     if members is not None:
         set_rows = [SetRow(m, members, fold_bounds(folded[m], members)) for m in mechs]
-    ks = range(1, t.sigma + 1)
-    maxset_rows = [MaxsetRow(m, k, threshold_bounds(folded[m], k)) for k in ks for m in mechs]
+    sweeps = {m: threshold_sweep(folded[m], t.sigma) for m in mechs}
+    maxset_rows = [MaxsetRow(m, k, sweeps[m][k - 1]) for k in range(1, t.sigma + 1) for m in mechs]
 
     return AnalysisReport(
         meta=meta,
@@ -357,14 +361,13 @@ def maxset_report(
     for k in wanted:
         check_k(k, t.sigma)
     tables = _tables(_context(t, mechs, ps), mechs, refine_single=True, exact=exact)
+    sweeps = {m: threshold_sweep(tables[m], t.sigma) for m in mechs}
     return AnalysisReport(
         meta=meta or ReportMeta(),
         sigma=t.sigma,
         mechanisms=mechs,
         rows=(),
-        maxset_rows=tuple(
-            MaxsetRow(m, k, threshold_bounds(tables[m], k)) for k in wanted for m in mechs
-        ),
+        maxset_rows=tuple(MaxsetRow(m, k, sweeps[m][k - 1]) for k in wanted for m in mechs),
     )
 
 
@@ -382,7 +385,7 @@ def set_report(
     indices with ``exact=True`` (a set's exact index is that minimum too)."""
     t.require_monitored()
     mechs = normalize_mechanisms(mechanisms)
-    members = check_members(t.non_monitors, group)
+    members = check_members(t.non_monitor_set, group)
     tables = _tables(_context(t, mechs, ps), mechs, refine_single=True, exact=exact)
     return AnalysisReport(
         meta=meta or ReportMeta(),
@@ -410,10 +413,11 @@ def ccdf(
     mechs = normalize_mechanisms(mechanisms)
     tables = _tables(_context(t, mechs, ps), mechs, refine_single=True, exact=exact)
     sigma = t.sigma
+    sweeps = {m: threshold_sweep(tables[m], sigma) for m in mechs}
     rows: list[CcdfRow] = []
     for k in range(1, sigma + 1):
         for m in mechs:
-            sets = threshold_bounds(tables[m], k)
+            sets = sweeps[m][k - 1]
             inner, outer = len(sets.inner) / sigma, len(sets.outer) / sigma
             rows.append(CcdfRow(k, m, t.mu, inner, outer, sets.exact))
     return CcdfTable(meta=meta or ReportMeta(), rows=tuple(rows))
@@ -535,6 +539,8 @@ def ccdf_batch(
     ]
     workers = min(jobs, spec.count, os.cpu_count() or 1)
     if workers > 1:
+        # imported here: only a parallel batch pays for the process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_ccdf_instance, tasks))
     else:

@@ -17,7 +17,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Container, Iterable
 
 from .errors import TopologyError
 
@@ -129,6 +129,10 @@ class Topology(Graph):
     def non_monitors(self) -> tuple[str, ...]:
         return tuple(n for n in self.nodes if n not in self.monitors)
 
+    @cached_property
+    def non_monitor_set(self) -> frozenset[str]:
+        return frozenset(self.non_monitors)
+
     @property
     def mu(self) -> int:
         """Number of monitors."""
@@ -173,12 +177,12 @@ class Topology(Graph):
             raise TopologyError("analysis requires at least one monitor")
 
 
-def check_members(non_monitors: Iterable[str], group: Iterable[str]) -> tuple[str, ...]:
-    """The queried set, sorted, after checking it is a non-empty set of non-monitors."""
+def check_members(allowed: Container[str], group: Iterable[str]) -> tuple[str, ...]:
+    """The queried set, sorted, after checking it is a non-empty set of the
+    non-monitors in ``allowed``, a set or mapping built once per topology or path set."""
     members = tuple(sorted(set(group)))
     if not members:
         raise ValueError("the queried set must be non-empty")
-    allowed = set(non_monitors)
     for v in members:
         if v not in allowed:
             raise ValueError(f"{v!r} is not a non-monitor")

@@ -1,3 +1,4 @@
+import os
 from itertools import permutations
 from pathlib import Path
 
@@ -6,10 +7,17 @@ import pytest
 import faultscope as fs
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def src_env() -> dict[str, str]:
+    """The environment of a subprocess that imports faultscope from ``src``."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 def all_simple_paths(t: fs.Topology) -> list[tuple[str, ...]]:

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
 import faultscope as fs
 from faultscope.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_VERIFY, main
 
-from conftest import read_fixture
+from conftest import read_fixture, src_env
 
 
 @pytest.fixture()
@@ -551,3 +553,31 @@ class TestGoldenReports:
         rc, out, _ = run(capsys, "analyze", "--topology", "er200.edges")
         assert rc == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestCliDigests:
+    """Report bytes at n=800 (sigma 760), from one in-process analysis."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        t = fs.place_monitors(fs.gen_er(800, 0.0075, 1).topology, 40, 1)
+        return fs.analyze(t, ("cap", "csp", "up"))
+
+    def test_csv_bytes_at_n800(self, report):
+        digest = "ea05673d9ba5d75e02ce03f1aec79a03203737c5fbd6717412027ff48ca17043"
+        assert hashlib.sha256(report.to_csv().encode()).hexdigest() == digest
+
+    def test_json_bytes_at_n800(self, report):
+        digest = "51bc1a55bfb4d920254aeefad70dad3027521b8af82f90e906c3fefda664a073"
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a parallel ccdf batch needs the pool; every other run skips its import
+    code = "import json, sys, faultscope.cli; print(json.dumps(sorted(sys.modules)))"
+    argv = [sys.executable, "-c", code]
+    proc = subprocess.run(argv, env=src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "faultscope.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")] == []

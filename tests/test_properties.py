@@ -279,6 +279,41 @@ def test_analysis_tables_match_fresh_graphs(t):
         assert reach & set(t.non_monitors) == by_flow
 
 
+@settings(max_examples=80, deadline=None)
+@given(topologies(max_nodes=10))
+@example(fs.place_monitors(fs.gen_er(200, 0.03, 1).topology, 10, 1))
+def test_cap_table_is_the_csp_delta_star_column(t):
+    # Once the CSP table is built the context reads the CAP table off its
+    # delta_star column; that equals the star flows run alone.
+    a = fs.Analysis(t)
+    delta_star = {v: ints.delta_star for v, ints in a.csp.items()}
+    assert dict(a.cap) == delta_star == dict(fs.cap_values(t))
+
+
+@st.composite
+def bound_tables(draw):
+    """sigma, and bounds for some of sigma names, a few past sigma."""
+    sigma = draw(st.integers(1, 12))
+    names = st.sampled_from([f"v{i}" for i in range(sigma)])
+    pairs = st.tuples(st.integers(0, sigma + 1), st.integers(0, sigma + 1))
+    bounds = pairs.map(lambda p: fs.IntBounds(min(p), max(p)))
+    return sigma, draw(st.dictionaries(names, bounds))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_tables())
+def test_threshold_sweep_is_the_plain_threshold(case):
+    sigma, table = case
+    sweep = fs.identify.threshold_sweep(table, sigma)
+    assert len(sweep) == sigma
+    for k, sets in enumerate(sweep, start=1):
+        assert sets.inner == {v for v, b in table.items() if b.lo >= k}
+        assert sets.outer == {v for v, b in table.items() if b.hi >= k}
+        # no node joins between k + 1 and k: the same sets are handed out
+        if k < sigma and sets == sweep[k]:
+            assert sets is sweep[k]
+
+
 @st.composite
 def sole_monitor_topologies(draw, max_nodes: int = 9):
     """A drawn topology plus one more non-monitor, ``x``, whose only monitor

@@ -234,9 +234,11 @@ class TestTablesBuiltOnce:
 
         report = fs.analyze(t, ALL, ps=ps, group=t.non_monitors[:2])
 
+        # the CSP star pass gives the CAP table
         built = Counter(table_builds)
-        for name in ("cap_values", "csp_internals_all", "_csp_single_failure_nodes"):
-            assert built[(name, None)] == 1
+        assert built[("csp_internals_all", None)] == 1
+        assert built[("_csp_single_failure_nodes", None)] == 1
+        assert built[("cap_values", None)] == 0
         for m in ALL:
             assert 1 <= built[("per_node_bounds", m)] <= 2
         assert len(routes) == (0 if ps is not None else 1)
@@ -248,6 +250,20 @@ class TestTablesBuiltOnce:
             assert row.sets.inner == {v for v, b in table.items() if b.lo >= row.k}
             assert row.sets.outer == {v for v, b in table.items() if b.hi >= row.k}
 
+    def test_cap_first_analyze_reads_cap_off_the_csp_table(self, instance, table_builds):
+        t, ps = instance
+        fs.analyze(t, tuple(reversed(ALL)), ps=ps)
+        built = Counter(name for name, _ in table_builds)
+        assert built["csp_internals_all"] == 1
+        assert built["cap_values"] == 0
+
+    def test_cap_only_analyze_runs_the_star_flows_alone(self, instance, table_builds):
+        t, _ = instance
+        fs.analyze(t, [Mechanism.CAP])
+        built = Counter(name for name, _ in table_builds)
+        assert built["cap_values"] == 1
+        assert built["csp_internals_all"] == built["_csp_single_failure_nodes"] == 0
+
     def test_analysis_answers_repeated_queries_from_one_table_each(self, instance, table_builds):
         t, ps = instance
         a = fs.Analysis(t, ps if ps is not None else fs.route_up(t))
@@ -258,7 +274,8 @@ class TestTablesBuiltOnce:
         for v in t.non_monitors:
             fs.omega_csp(a, v)
             fs.omega_cap(a, v)
-        cut_tables = ("cap_values", "csp_internals_all", "_csp_single_failure_nodes")
+        # CSP is queried before CAP, so the CAP table is its delta_star column
+        cut_tables = ("csp_internals_all", "_csp_single_failure_nodes")
         assert Counter(table_builds) == Counter(
             [(name, None) for name in cut_tables] + [("per_node_bounds", m) for m in ALL]
         )

@@ -3,14 +3,19 @@ library must show here rather than as a crash of the benchmark.
 
 ``perfbench/tracer.py`` lists its targets in ``TARGETS`` as (module,
 attribute) pairs, a dotted attribute naming a method. The list is read with
-``ast``, so the test does not import the benchmark script.
+``ast``, so the test does not import the benchmark script. One more test
+runs the tracer on the golden fixture, as the benchmark runs it.
 """
 
 import ast
 import importlib
-from pathlib import Path
+import json
+import subprocess
+import sys
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from conftest import FIXTURES, ROOT, src_env
+
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _targets() -> tuple[tuple[str, str], ...]:
@@ -32,3 +37,17 @@ def test_every_tracer_target_resolves_to_a_callable():
             assert hasattr(owner, part), f"faultscope.{module_name}.{attr}"
             owner = getattr(owner, part)
         assert callable(owner), f"faultscope.{module_name}.{attr}"
+
+
+def test_tracer_runs_an_analysis(tmp_path):
+    # The tracer reads every target module right after importing the CLI, so
+    # a module the CLI stops importing fails here, not in the benchmark.
+    golden = FIXTURES / "golden"
+    spans = tmp_path / "spans.json"
+    argv = ["analyze", "--topology", str(golden / "net.edges"), "--paths", str(golden / "up.paths")]
+    command = [sys.executable, str(TRACER), str(spans), *argv]
+    proc = subprocess.run(command, env=src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(spans.read_text(encoding="utf-8"))
+    assert doc["returncode"] == 0
+    assert "reports.analyze" in {doc["names"][span[0]] for span in doc["spans"]}
