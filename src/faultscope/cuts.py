@@ -11,10 +11,14 @@ arcs of s and t never carry flow, and no link arc can carry more than one
 unit, so capacity 1 on every arc gives the same maximum.
 
 :class:`CutNetwork` builds that digraph once per graph, in O(V + E). Each
-query copies the capacity array (O(E)) and augments along shortest paths by
-BFS, O(V + E) each. It stops as soon as the flow reaches min(deg s, deg t),
-an upper bound on any non-adjacent cut, or the caller's ``limit``, so the
-final failing search runs only when the cut is below both. A query costs
+query copies the capacity array (O(E)) and augments along paths found by an
+iterative depth-first search, O(V + E) each. The search tries first the arcs
+whose head is fewer hops from the sink (Dinic, 1970, guides by the same
+distance), an order sorted once per sink, on its first query, and kept. Any
+augmenting-path order reaches a maximum flow of the same value. It stops as
+soon as the flow reaches min(deg s, deg t), an upper bound on any
+non-adjacent cut, or the caller's ``limit``, so the final failing search runs
+only when the cut is below both. A query costs
 O(min(cut + 1, bound) * (V + E)) and leaves the network as it found it.
 
 :meth:`CutNetwork.max_flow` returns its residual and continues from one
@@ -87,6 +91,7 @@ class CutNetwork:
         self._head = head
         self._arcs = arcs
         self._capacity = bytearray([1, 0]) * (len(head) // 2)
+        self._toward: dict[str, list[list[int]]] = {}  # sink -> arcs by hops to it
 
     def cut_size(self, s: str, t: str, limit: int | None = None) -> int:
         """min(cut between ``s`` and ``t``, ``limit``); the cut of an adjacent
@@ -119,8 +124,11 @@ class CutNetwork:
                 if capacity[e ^ 1]:
                     self._cancel(capacity, e, src, dst)
                 capacity[e] = 0
-        flow = 0 if residual is None else len(self.inflow(capacity, t))
-        while flow < bound and self._augment(capacity, src, dst):
+        flow = 0
+        if residual is not None:  # no search enters src: units leave it on forward arcs
+            flow = sum(capacity[e ^ 1] for e in self._arcs[src] if not e & 1)
+        order = self._toward.get(t) or self._order_toward(t)
+        while flow < bound and self._augment(capacity, src, dst, order):
             flow += 1
         return flow, capacity
 
@@ -147,17 +155,36 @@ class CutNetwork:
                 capacity[a], capacity[a ^ 1] = 0, 1
                 x = head[a]
 
-    def _augment(self, capacity: bytearray, src: int, dst: int) -> bool:
-        # One BFS for a shortest augmenting path; on success flip the
-        # residual capacities along it. Every path carries one unit.
-        head, arcs = self._head, self._arcs
-        prev = [-1] * len(arcs)
-        prev[src] = -2
-        queue = [src]
+    def _order_toward(self, t: str) -> list[list[int]]:
+        # Each node's arcs, those whose head is fewer hops from t first, in
+        # build order otherwise: one BFS from t, then a stable sort.
+        adj, nodes, head = self.graph.adjacency, self.graph.nodes, self._head
+        hops = dict.fromkeys(adj, len(adj))
+        hops[t] = 0
+        queue = [t]
         for u in queue:
-            for e in arcs[u]:
-                if capacity[e] and prev[head[e]] == -1:
-                    x = head[e]
+            for v in adj[u]:
+                if hops[v] == len(adj):
+                    hops[v] = hops[u] + 1
+                    queue.append(v)
+        rank = [hops[nodes[x >> 1]] for x in head]  # per arc, the hops of its head
+        order = [sorted(a, key=rank.__getitem__) for a in self._arcs]
+        self._toward[t] = order
+        return order
+
+    def _augment(self, capacity: bytearray, src: int, dst: int, order: list[list[int]]) -> bool:
+        # One depth-first search for an augmenting path: at each node take the
+        # first residual arc in ``order`` to an unvisited node, and stop when
+        # dst is discovered; then flip the residual capacities along the path.
+        # Every path carries one unit.
+        head = self._head
+        prev = [-1] * len(order)
+        prev[src] = -2
+        stack = [iter(order[src])]
+        while stack:
+            for e in stack[-1]:
+                x = head[e]
+                if capacity[e] and prev[x] == -1:
                     prev[x] = e
                     if x == dst:
                         while x != src:
@@ -166,7 +193,10 @@ class CutNetwork:
                             capacity[e ^ 1] = 1
                             x = head[e ^ 1]
                         return True
-                    queue.append(x)
+                    stack.append(iter(order[x]))
+                    break
+            else:
+                stack.pop()
         return False
 
 

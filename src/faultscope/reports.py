@@ -105,46 +105,26 @@ class AnalysisReport:
         join = functools.cache(lambda s: "+".join(sorted(s)))  # max sets repeat across k
         buf = io.StringIO()
         _write_comments(buf, SCHEMA_ANALYSIS, self.meta)
-        # A section leaves the columns it does not name empty.
-        writer = csv.DictWriter(buf, ANALYSIS_COLUMNS, restval="", lineterminator="\n")
-        writer.writeheader()
-        for row in self.rows:
-            for mech, b in row.bounds:
-                writer.writerow(
-                    dict(
-                        section="node",
-                        mechanism=mech.value,
-                        node=row.node,
-                        degree=row.degree,
-                        monitor_degree=row.monitor_degree,
-                        nonmonitor_degree=row.nonmonitor_degree,
-                        lo=b.lo,
-                        hi=b.hi,
-                        exact=_bool(b.exact),
-                    )
-                )
-        for srow in self.set_rows:
-            writer.writerow(
-                dict(
-                    section="set",
-                    mechanism=srow.mechanism.value,
-                    node="+".join(srow.members),
-                    lo=srow.bounds.lo,
-                    hi=srow.bounds.hi,
-                    exact=_bool(srow.bounds.exact),
-                )
-            )
-        for mrow in self.maxset_rows:
-            writer.writerow(
-                dict(
-                    section="maxset",
-                    mechanism=mrow.mechanism.value,
-                    k=mrow.k,
-                    exact=_bool(mrow.sets.exact),
-                    inner=join(mrow.sets.inner),
-                    outer=join(mrow.sets.outer),
-                )
-            )
+        # Positional rows in ANALYSIS_COLUMNS order; a section leaves the
+        # columns it does not name empty.
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(ANALYSIS_COLUMNS)
+        writer.writerows(
+            ("node", m.value, row.node, "", row.degree, row.monitor_degree, row.nonmonitor_degree)
+            + (b.lo, b.hi, _bool(b.exact), "", "")
+            for row in self.rows
+            for m, b in row.bounds
+        )
+        writer.writerows(
+            ("set", r.mechanism.value, "+".join(r.members), "", "", "", "")
+            + (r.bounds.lo, r.bounds.hi, _bool(r.bounds.exact), "", "")
+            for r in self.set_rows
+        )
+        writer.writerows(
+            ("maxset", r.mechanism.value, "", r.k, "", "", "", "", "", _bool(r.sets.exact))
+            + (join(r.sets.inner), join(r.sets.outer))
+            for r in self.maxset_rows
+        )
         return buf.getvalue()
 
     def to_json(self) -> str:

@@ -191,6 +191,8 @@ def check_members(allowed: Container[str], group: Iterable[str]) -> tuple[str, .
 
 def check_k(k: int, sigma: int) -> None:
     """Refuse a failure bound k outside 1..sigma."""
+    if sigma == 0:
+        raise ValueError("k must be in 1..sigma, but the topology has no non-monitors")
     if k < 1 or k > sigma:
         raise ValueError(f"k must be in 1..{sigma}")
 

@@ -65,6 +65,37 @@ def all_walk_traces(t: fs.Topology) -> set[frozenset[str]]:
     return found
 
 
+def reference_connectivity(g: fs.Graph, s: str, t: str) -> int:
+    """Number of s-t paths that share no node but s and t (the link s-t, if
+    any, is one of them), by breadth-first augmenting paths on a dict
+    node-split residual graph: node v is the arc (v, 0) -> (v, 1), and each
+    link u-v the arcs (u, 1) -> (v, 0) and (v, 1) -> (u, 0)."""
+    residual: dict[tuple[str, int], dict[tuple[str, int], int]] = {}
+    arcs = [((v, 0), (v, 1)) for v in g.nodes]
+    arcs += [((u, 1), (v, 0)) for a, b in g.edges for u, v in ((a, b), (b, a))]
+    for x, y in arcs:
+        residual.setdefault(x, {})[y] = 1
+        residual.setdefault(y, {})[x] = 0
+    src, dst = (s, 1), (t, 0)
+    flow = 0
+    while True:
+        prev = {src: src}
+        queue = [src]
+        for x in queue:
+            for y, capacity in residual[x].items():
+                if capacity and y not in prev:
+                    prev[y] = x
+                    queue.append(y)
+        if dst not in prev:
+            return flow
+        y = dst
+        while y != src:
+            x = prev[y]
+            residual[x][y], residual[y][x] = 0, 1
+            y = x
+        flow += 1
+
+
 @pytest.fixture(scope="session")
 def golden() -> fs.Topology:
     """Four-monitor-neighborhood topology behind the worked path sets."""

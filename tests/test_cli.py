@@ -235,6 +235,12 @@ class TestMaxset:
         assert rc == EXIT_OK
         assert "set,csp,v1+v2+v3+v4,,,,,3,3,true,," in out
 
+    def test_k_without_non_monitors_names_the_cause(self, tmp_path, capsys):
+        (tmp_path / "pair.edges").write_text("# monitors: a b\na b\n")
+        rc, out, err = run(capsys, "maxset", "--topology", str(tmp_path / "pair.edges"), "--k", "1")
+        assert rc == EXIT_VALIDATION and out == ""
+        assert err == "error: k must be in 1..sigma, but the topology has no non-monitors\n"
+
 
 #: A small valid ccdf batch spec.
 SPEC = '{"count": 1, "n": 8, "p": 0.4, "mus": [2], "seed": 5, "mechanisms": ["cap"]}'

@@ -12,7 +12,7 @@ from faultscope import VIRTUAL_MONITOR, Graph, Mechanism, Topology
 from faultscope.cuts import _two_connected_set
 from faultscope.verify import er_battery
 
-from conftest import all_simple_paths, all_walk_traces, read_fixture
+from conftest import all_simple_paths, all_walk_traces, read_fixture, reference_connectivity
 
 
 @st.composite
@@ -28,6 +28,19 @@ def topologies(draw, max_nodes: int = 7):
     edges |= {frozenset((order[i], order[i + 1])) for i in range(n - 1)}
     mu = draw(st.integers(1, min(3, n - 1)))
     return Topology(frozenset(nodes), frozenset(edges), frozenset(order[:mu]))
+
+
+@st.composite
+def sparse_graphs(draw, min_nodes: int = 9, max_nodes: int = 40):
+    """Graph past the brute-force cut's 8 nodes, possibly disconnected, with
+    one to three times as many drawn links as nodes (loops and repeats
+    dropped)."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    nodes = [f"n{i:02d}" for i in range(n)]
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), min_size=n, max_size=3 * n))
+    edges = {(nodes[min(a, b)], nodes[max(a, b)]) for a, b in pairs if a != b}
+    return Graph(frozenset(nodes), frozenset(edges))
 
 
 @st.composite
@@ -224,6 +237,36 @@ def test_warm_flow_with_closed_links_matches_fresh_graph(g, data):
     assert bytes(residual) == before
     if not kept.has_edge(s, t):
         assert fresh == fs.brute_vertex_cut(kept, s, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_graphs(), st.data())
+def test_cut_engine_matches_reference_past_brute_force(g, data):
+    # The plain reference checks the engine where brute force cannot: fresh
+    # and bounded queries, a warm start with links closed against the graph
+    # without them, and two sinks interleaved on one network against fresh
+    # networks, residuals included (each sink's arc order is its own).
+    names = sorted(g.nodes)
+    pair = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True)
+    s, t = data.draw(pair)
+    expected = reference_connectivity(g, s, t)
+    limit = data.draw(st.integers(0, 4))
+    net = fs.CutNetwork(g)
+    assert net.max_flow(s, t)[0] == expected
+    assert net.max_flow(s, t, limit)[0] == min(expected, limit)
+    assert net.cut_size(s, t) == (len(names) - 1 if g.has_edge(s, t) else expected)
+
+    closed = data.draw(st.sets(st.sampled_from(g.edges))) if g.edges else set()
+    kept = Graph(frozenset(g.nodes), frozenset(e for e in g.edges if e not in closed))
+    _, residual = net.max_flow(s, t)
+    warm = net.max_flow(s, t, residual=residual, closed=closed)[0]
+    assert warm == reference_connectivity(kept, s, t)
+
+    sinks = data.draw(pair)
+    for source in names:
+        for sink in sinks:
+            if source != sink:
+                assert net.max_flow(source, sink) == fs.CutNetwork(g).max_flow(source, sink)
 
 
 @settings(max_examples=40, deadline=None)
