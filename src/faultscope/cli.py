@@ -53,13 +53,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _mechanism_list(value: str) -> tuple[Mechanism, ...]:
-    return normalize_mechanisms(v.strip() for v in value.split(",") if v.strip())
+    try:
+        return normalize_mechanisms(v.strip() for v in value.split(",") if v.strip())
+    except ValueError as exc:  # argparse would print this function's name instead
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _name_list(value: str) -> tuple[str, ...]:
     names = tuple(v.strip() for v in value.split(",") if v.strip())
     if not names:
-        raise ValueError("empty node list")
+        raise argparse.ArgumentTypeError("empty node list")
     return names
 
 
@@ -67,9 +70,9 @@ def _check_list(value: str) -> tuple[str, ...]:
     checks = tuple(v.strip() for v in value.split(",") if v.strip())
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
+        raise argparse.ArgumentTypeError(f"unknown checks: {sorted(unknown)}")
     if not checks:
-        raise ValueError("empty check list")
+        raise argparse.ArgumentTypeError("empty check list")
     return checks
 
 
@@ -122,11 +125,7 @@ def _meta(args: argparse.Namespace, names: tuple[str, ...]) -> ReportMeta:
             tokens.append(f"{name}={rendered}")
         else:
             tokens.append(f"{name}={value}")
-    return ReportMeta(
-        version=VERSION,
-        seed=getattr(args, "seed", None),
-        flags=" ".join(sorted(tokens)),
-    )
+    return ReportMeta(seed=getattr(args, "seed", None), flags=" ".join(sorted(tokens)))
 
 
 def _refuse(args: argparse.Namespace, flags: tuple[str, ...], context: str) -> None:
@@ -197,7 +196,7 @@ def _cmd_ccdf(args: argparse.Namespace) -> int:
         spec = BatchSpec.from_dict(spec_dict)
         meta = _meta(args, ("batch", "mechanism"))
         jobs = 1 if args.jobs is None else args.jobs
-        table = ccdf_batch(spec, jobs=jobs, meta=ReportMeta(VERSION, spec.seed, meta.flags))
+        table = ccdf_batch(spec, jobs=jobs, meta=ReportMeta(spec.seed, meta.flags))
     else:
         _refuse(args, ("jobs",), "without --batch")
         if args.topology is None:

@@ -22,8 +22,9 @@ only when the cut is below both. A query costs
 O(min(cut + 1, bound) * (V + E)) and leaves the network as it found it.
 
 :meth:`CutNetwork.max_flow` returns its residual and continues from one
-with links closed (their paths cancelled, at most one search per path plus
-one), so one network answers subgraphs that differ by closed links.
+with some links into the sink closed (each unit on them cancelled back to the
+source; one search per cancelled path, plus one), so one network answers
+every subgraph that drops links into the sink.
 
 Adjacent pairs get the convention used throughout the identifiability
 results: C_G(s, t) := V(G) \\ {t}, i.e. cut size |V(G)| - 1. All public
@@ -82,11 +83,8 @@ class CutNetwork:
         for i in range(len(g.nodes)):
             add_arc(2 * i, 2 * i + 1)
         index = self._index
-        self._arc: dict[tuple[str, str], int] = {}  # (u, v) -> arc u_out -> v_in
         for u, v in g.edges:
-            self._arc[u, v] = len(head)
             add_arc(2 * index[u] + 1, 2 * index[v])
-            self._arc[v, u] = len(head)
             add_arc(2 * index[v] + 1, 2 * index[u])
         self._head = head
         self._arcs = arcs
@@ -109,21 +107,24 @@ class CutNetwork:
         limit: int | None = None,
         *,
         residual: bytearray | None = None,
-        closed: Iterable[tuple[str, str]] = (),
+        closed: Iterable[str] = (),
     ) -> tuple[int, bytearray]:
         """(value, fresh residual) of an ``s``-``t`` flow augmented until
         maximum or ``limit``, from the pair's earlier ``residual`` or zero,
-        with ``closed`` links out of the network and their units cancelled."""
+        with the links from the ``closed`` nodes to ``t`` out of the network
+        and their units cancelled."""
         _check_pair(self.graph, s, t)
         adj = self.graph.adjacency
         bound = min(len(adj[s]), len(adj[t]), len(adj) if limit is None else limit)
         capacity = (self._capacity if residual is None else residual)[:]
         src, dst = 2 * self._index[s] + 1, 2 * self._index[t]
-        for u, v in closed:
-            for e in (self._arc[u, v], self._arc[v, u]):
-                if capacity[e ^ 1]:
-                    self._cancel(capacity, e, src, dst)
-                capacity[e] = 0
+        head, arcs = self._head, self._arcs
+        for w in closed:  # arc w_out -> t_in; t_out is on no s-t path, t_out -> w_in stays
+            for e in arcs[2 * self._index[w] + 1]:
+                if head[e] == dst:
+                    if capacity[e ^ 1]:
+                        self._cancel(capacity, e, src)
+                    capacity[e] = 0
         flow = 0
         if residual is not None:  # no search enters src: units leave it on forward arcs
             flow = sum(capacity[e ^ 1] for e in self._arcs[src] if not e & 1)
@@ -137,23 +138,17 @@ class CutNetwork:
         nodes, head = self.graph.nodes, self._head
         return [nodes[head[e] // 2] for e in self._arcs[2 * self._index[t]] if e & 1 and residual[e]]
 
-    def _cancel(self, capacity: bytearray, e: int, src: int, dst: int) -> None:
-        # Cancel the unit on arc e: a unit-node-capacity flow is disjoint paths
-        # and cycles, so follow it on to dst (or round to e), then back to src.
+    def _cancel(self, capacity: bytearray, e: int, src: int) -> None:
+        # Cancel the unit on arc e into the sink: a unit-node-capacity flow is
+        # disjoint paths and cycles, and no cycle passes the sink, so walk the
+        # unit's path back to src.
         head, arcs = self._head, self._arcs
-        tail = head[e ^ 1]
         capacity[e], capacity[e ^ 1] = 1, 0
-        x = head[e]
-        while x != dst and x != tail:
-            a = next(a for a in arcs[x] if not a & 1 and capacity[a ^ 1])
-            capacity[a], capacity[a ^ 1] = 1, 0
+        x = head[e ^ 1]
+        while x != src:
+            a = next(a for a in arcs[x] if a & 1 and capacity[a])
+            capacity[a], capacity[a ^ 1] = 0, 1
             x = head[a]
-        if x == dst:
-            x = tail
-            while x != src:
-                a = next(a for a in arcs[x] if a & 1 and capacity[a])
-                capacity[a], capacity[a ^ 1] = 0, 1
-                x = head[a]
 
     def _order_toward(self, t: str) -> list[list[int]]:
         # Each node's arcs, those whose head is fewer hops from t first, in

@@ -297,9 +297,9 @@ def csp_internals_all(t: Topology | Analysis) -> Mapping[str, CspInternals]:
         for w in sorted(a.t.monitor_neighbors)
         if len(ms := [m for m in adj[w] if m in monitors]) == 1
     }
-    closed: dict[str, list[tuple[str, str]]] = {}
+    closed: dict[str, list[str]] = {}  # m -> N_m
     for w, m in only.items():
-        closed.setdefault(m, []).append((w, vm))
+        closed.setdefault(m, []).append(w)
     star = CutNetwork(build_star(a.t))
     out: dict[str, CspInternals] = {}
     for v in a.t.non_monitors:

@@ -56,7 +56,6 @@ CCDF_COLUMNS = ("k", "mechanism", "mu", "inner_fraction", "outer_fraction", "exa
 class ReportMeta:
     """Provenance stamped into every rendered report."""
 
-    version: str = VERSION
     seed: int | None = None
     flags: str = ""
 
@@ -131,7 +130,7 @@ class AnalysisReport:
         members = functools.cache(sorted)  # max sets repeat across k
         doc = {
             "schema": SCHEMA_ANALYSIS,
-            "version": self.meta.version,
+            "version": VERSION,
             "seed": self.meta.seed,
             "flags": self.meta.flags,
             "sigma": self.sigma,
@@ -210,7 +209,7 @@ class CcdfTable:
     def to_json(self) -> str:
         doc = {
             "schema": SCHEMA_CCDF,
-            "version": self.meta.version,
+            "version": VERSION,
             "seed": self.meta.seed,
             "flags": self.meta.flags,
             "rows": [
@@ -234,7 +233,7 @@ def _bool(value: bool) -> str:
 
 def _write_comments(buf: io.StringIO, schema: str, meta: ReportMeta) -> None:
     buf.write(f"# schema: {schema}\n")
-    buf.write(f"# version: {meta.version}\n")
+    buf.write(f"# version: {VERSION}\n")
     buf.write(f"# seed: {meta.seed if meta.seed is not None else '-'}\n")
     buf.write(f"# flags: {meta.flags or '-'}\n")
 
@@ -512,6 +511,8 @@ def ccdf_batch(
     for mu in spec.mus:
         if not 1 <= mu < spec.n:
             raise ValueError(f"mu={mu} leaves no non-monitors to analyze (n={spec.n})")
+    if len(set(spec.mus)) < len(spec.mus):
+        raise ValueError(f"batch spec field 'mus' repeats a value, got {list(spec.mus)}")
     mechs = normalize_mechanisms(spec.mechanisms)
     tasks = [
         (spec.n, spec.p, spec.seed, i, tuple(spec.mus), mechs)

@@ -197,22 +197,7 @@ def check_k(k: int, sigma: int) -> None:
         raise ValueError(f"k must be in 1..{sigma}")
 
 
-@dataclass(frozen=True)
-class AuxiliaryGraph(Graph):
-    """A derived graph containing the single virtual monitor node.
-
-    ``kind`` names the construction; ``removed`` records the node the
-    construction excluded, when it excludes one. Auxiliary graphs may be
-    disconnected (e.g. the virtual monitor is isolated in the
-    minus-monitor graph of a single-monitor topology).
-    """
-
-    virtual_monitor: str
-    kind: str
-    removed: str | None = None
-
-
-def build_star(t: Topology) -> AuxiliaryGraph:
+def build_star(t: Topology) -> Graph:
     """Replace all monitors with one virtual monitor tied to their neighborhood.
 
     Nodes: the non-monitors plus the virtual monitor. Edges: every
@@ -223,14 +208,14 @@ def build_star(t: Topology) -> AuxiliaryGraph:
     nodes = t.non_monitors + (VIRTUAL_MONITOR,)
     edges = [e for e in t.edges if e[0] not in t.monitors and e[1] not in t.monitors]
     edges += [(VIRTUAL_MONITOR, w) for w in sorted(t.monitor_neighbors)]
-    return AuxiliaryGraph(nodes, tuple(edges), VIRTUAL_MONITOR, "star")
+    return Graph(nodes, tuple(edges))
 
 
-def build_minus_monitor(t: Topology, m: str) -> AuxiliaryGraph:
+def build_minus_monitor(t: Topology, m: str) -> Graph:
     """Like :func:`build_star`, but ignore links contributed by monitor ``m``.
 
     The virtual monitor connects only to non-monitors adjacent to some
-    monitor other than ``m``.
+    monitor other than ``m``, so it is isolated when ``m`` is the only monitor.
     """
     t.require_monitored()
     if m not in t.monitors:
@@ -243,18 +228,18 @@ def build_minus_monitor(t: Topology, m: str) -> AuxiliaryGraph:
     nodes = t.non_monitors + (VIRTUAL_MONITOR,)
     edges = [e for e in t.edges if e[0] not in t.monitors and e[1] not in t.monitors]
     edges += [(VIRTUAL_MONITOR, w) for w in sorted(keep)]
-    return AuxiliaryGraph(nodes, tuple(edges), VIRTUAL_MONITOR, "minus-monitor", m)
+    return Graph(nodes, tuple(edges))
 
 
-def build_extended(t: Topology) -> AuxiliaryGraph:
+def build_extended(t: Topology) -> Graph:
     """Keep the whole topology and attach the virtual monitor to every monitor."""
     t.require_monitored()
     nodes = t.nodes + (VIRTUAL_MONITOR,)
     edges = list(t.edges) + [(VIRTUAL_MONITOR, m) for m in sorted(t.monitors)]
-    return AuxiliaryGraph(nodes, tuple(edges), VIRTUAL_MONITOR, "extended")
+    return Graph(nodes, tuple(edges))
 
 
-def build_extended_minus(t: Topology, w: str) -> AuxiliaryGraph:
+def build_extended_minus(t: Topology, w: str) -> Graph:
     """Extended graph with non-monitor ``w`` (and its links) removed."""
     t.require_monitored()
     if w in t.monitors or w not in t.adjacency:
@@ -262,7 +247,7 @@ def build_extended_minus(t: Topology, w: str) -> AuxiliaryGraph:
     nodes = tuple(n for n in t.nodes if n != w) + (VIRTUAL_MONITOR,)
     edges = [e for e in t.edges if w not in e]
     edges += [(VIRTUAL_MONITOR, m) for m in sorted(t.monitors)]
-    return AuxiliaryGraph(nodes, tuple(edges), VIRTUAL_MONITOR, "extended-minus", w)
+    return Graph(nodes, tuple(edges))
 
 
 def load_topology(text: str, monitors: Iterable[str] | None = None) -> Topology:

@@ -16,7 +16,7 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .cuts import CutNetwork, two_connected
-from .identify import Analysis, Mechanism, gsc, max_identifiable_set, omega_csp
+from .identify import Analysis, Mechanism, threshold_sweep
 from .oracle import DEFAULT_MAX_CUT_NODES, brute_vertex_cut, oracle_msc
 from .probing import DEFAULT_MAX_ENUM_NODES, route_up
 from .randomnet import gen_er, place_monitors, random_graph
@@ -103,13 +103,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def merged(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(
-            self.instances + other.instances,
-            self.checks + other.checks,
-            self.failures + other.failures,
-        )
-
     def to_json(self) -> str:
         doc = {
             "schema": SCHEMA_VERIFY,
@@ -183,9 +176,8 @@ def verify_topologies(
         # CSP before CAP: the CSP star pass gives the CAP table too
         if "csp" in checks:
             target = a.oracle(Mechanism.CSP)
-            for v in t.non_monitors:
+            for v, b in a.table(Mechanism.CSP, refine_single=False).items():
                 nchecks += 1
-                b = omega_csp(a, v)
                 if not b.contains(target[v]):
                     failures.append(
                         CheckFailure(
@@ -223,10 +215,11 @@ def verify_topologies(
         if "up" in checks:
             ps = a.paths
             target = a.oracle(Mechanism.UP)
-            for v in ps.universe:
+            # omega_up's upper bound is the greedy cover size
+            for v, bounds in a.table(Mechanism.UP, refine_single=False).items():
                 nchecks += 1
                 msc = oracle_msc(ps, v)
-                greedy = gsc(ps, v)
+                greedy = bounds.hi
                 if not max(msc - 1, 0) <= target[v] <= msc:
                     failures.append(
                         CheckFailure(
@@ -253,9 +246,8 @@ def verify_topologies(
         if want_sets:
             for mech in (Mechanism.CAP, Mechanism.CSP, Mechanism.UP):
                 omega = a.oracle(mech)
-                for k in range(1, t.sigma + 1):
+                for k, bounds in enumerate(threshold_sweep(a.table(mech), t.sigma), start=1):
                     nchecks += 1
-                    bounds = max_identifiable_set(a, k, mech)
                     exact_set = frozenset(v for v, w in omega.items() if w >= k)
                     if not (bounds.inner <= exact_set <= bounds.outer):
                         failures.append(

@@ -215,6 +215,24 @@ class TestUsageErrors:
             main(["analyze", "--topology", str(workspace / "net.edges"), "--mechanism", "zz"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        ("argv", "reason"),
+        [
+            (["verify", "--checks", "foo"], "argument --checks: unknown checks: ['foo']"),
+            (
+                ["analyze", "--mechanism", "zz"],
+                "argument --mechanism: 'zz' is not a valid Mechanism",
+            ),
+            (["analyze", "--set", ","], "argument --set: empty node list"),
+        ],
+    )
+    def test_bad_flag_value_gives_its_reason(self, workspace, capsys, argv, reason):
+        topology = ["--topology", str(workspace / "net.edges")] if argv[0] == "analyze" else []
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + topology + argv[1:])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {reason}")
+
 
 class TestMaxset:
     def test_single_k(self, workspace, capsys):
@@ -301,6 +319,7 @@ class TestCcdf:
             ("jobs", {"count": 1, "n": 5, "p": 0.5, "mus": [1], "seed": 1, "jobs": 4}),
             ("p", {"count": 1, "n": 5, "p": float("nan"), "mus": [1], "seed": 1}),
             ("p", {"count": 1, "n": 5, "p": 2, "mus": [1], "seed": 1}),
+            ("mus", {"count": 1, "n": 5, "p": 0.5, "mus": [1, 1], "seed": 1}),
         ],
     )
     def test_batch_field_of_wrong_type(self, field, spec, capsys):

@@ -218,17 +218,24 @@ def test_flow_cut_matches_brute_force(g, data):
     assert fs.two_connected(g, s, t) == (r.cut_size >= 2)
 
 
+def _close_sink_links(g: Graph, t: str, data) -> tuple[set[str], Graph]:
+    """A drawn subset of ``t``'s neighbours, and ``g`` without their links to ``t``."""
+    closed = data.draw(st.sets(st.sampled_from(g.adjacency[t]))) if g.adjacency[t] else set()
+    dropped = {(w, t) if w < t else (t, w) for w in closed}
+    return closed, Graph(frozenset(g.nodes), frozenset(e for e in g.edges if e not in dropped))
+
+
 @settings(max_examples=80, deadline=None)
 @given(graphs(), st.data())
 def test_warm_flow_with_closed_links_matches_fresh_graph(g, data):
-    # Continuing a max flow with links closed cancels the paths through them
-    # and augments again: its value is the max flow from scratch of the graph
-    # without those links, and the residual it continued from is unchanged.
+    # Continuing a max flow with some of the sink's links closed cancels the
+    # paths through them and augments again: its value is the max flow from
+    # scratch of the graph without those links, and the residual it continued
+    # from is unchanged.
     names = sorted(g.nodes)
     s = data.draw(st.sampled_from(names))
     t = data.draw(st.sampled_from([n for n in names if n != s]))
-    closed = data.draw(st.sets(st.sampled_from(g.edges))) if g.edges else set()
-    kept = Graph(frozenset(g.nodes), frozenset(e for e in g.edges if e not in closed))
+    closed, kept = _close_sink_links(g, t, data)
     net = fs.CutNetwork(g)
     _, residual = net.max_flow(s, t)
     before = bytes(residual)
@@ -243,8 +250,8 @@ def test_warm_flow_with_closed_links_matches_fresh_graph(g, data):
 @given(sparse_graphs(), st.data())
 def test_cut_engine_matches_reference_past_brute_force(g, data):
     # The plain reference checks the engine where brute force cannot: fresh
-    # and bounded queries, a warm start with links closed against the graph
-    # without them, and two sinks interleaved on one network against fresh
+    # and bounded queries, a warm start with sink links closed against the
+    # graph without them, and two sinks interleaved on one network against fresh
     # networks, residuals included (each sink's arc order is its own).
     names = sorted(g.nodes)
     pair = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True)
@@ -256,8 +263,7 @@ def test_cut_engine_matches_reference_past_brute_force(g, data):
     assert net.max_flow(s, t, limit)[0] == min(expected, limit)
     assert net.cut_size(s, t) == (len(names) - 1 if g.has_edge(s, t) else expected)
 
-    closed = data.draw(st.sets(st.sampled_from(g.edges))) if g.edges else set()
-    kept = Graph(frozenset(g.nodes), frozenset(e for e in g.edges if e not in closed))
+    closed, kept = _close_sink_links(g, t, data)
     _, residual = net.max_flow(s, t)
     warm = net.max_flow(s, t, residual=residual, closed=closed)[0]
     assert warm == reference_connectivity(kept, s, t)
@@ -420,7 +426,7 @@ def test_csp_table_skips_and_warm_starts(monkeypatch):
         return max_flow(self, s, sink, limit, **kwargs)
 
     def build(self, g):
-        built.append(g.kind)
+        built.append("extended" if t.monitors <= set(g.nodes) else "star")  # star holds no monitor
         init(self, g)
 
     monkeypatch.setattr(fs.CutNetwork, "max_flow", spy)

@@ -61,7 +61,7 @@ class TestAnalyze:
 
 class TestCsvRendering:
     def test_header_lines(self, golden, up_paths):
-        meta = ReportMeta(version="0.1.0", seed=42, flags="mechanism=up seed=42")
+        meta = ReportMeta(seed=42, flags="mechanism=up seed=42")
         text = fs.analyze(golden, [Mechanism.UP], ps=up_paths, meta=meta).to_csv()
         lines = text.splitlines()
         assert lines[0] == "# schema: faultscope/analysis v1"
@@ -198,6 +198,11 @@ class TestCcdfBatch:
     def test_mu_validated(self):
         with pytest.raises(ValueError):
             fs.ccdf_batch(self.SPEC._replace(mus=(10,)))
+
+    def test_repeated_mu_refused(self):
+        # summed under one key, a repeated mu would double its fractions
+        with pytest.raises(ValueError, match="'mus' repeats a value"):
+            fs.ccdf_batch(self.SPEC._replace(mus=(2, 3, 2)))
 
     def test_from_dict(self):
         spec = BatchSpec.from_dict(

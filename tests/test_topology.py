@@ -100,22 +100,20 @@ def test_degree_split(golden):
 class TestAuxiliaryGraphs:
     def test_star_chain4(self, chain4):
         g = fs.build_star(chain4)
-        m = g.virtual_monitor
-        assert g.kind == "star"
+        m = VIRTUAL_MONITOR
         assert sorted(g.nodes) == sorted([m, "v1", "v2"])
         assert set(g.edges) == {(m, "v1"), (m, "v2"), ("v1", "v2")}
         assert g.degree(m) == chain4.theta
 
     def test_star_degree_is_theta(self, golden):
         g = fs.build_star(golden)
-        assert g.degree(g.virtual_monitor) == golden.theta == 4
+        assert g.degree(VIRTUAL_MONITOR) == golden.theta == 4
 
     def test_minus_monitor_chain4(self, chain4):
         g = fs.build_minus_monitor(chain4, "m1")
-        assert g.removed == "m1"
-        assert set(g.edges) == {(g.virtual_monitor, "v2"), ("v1", "v2")}
+        assert set(g.edges) == {(VIRTUAL_MONITOR, "v2"), ("v1", "v2")}
         g = fs.build_minus_monitor(chain4, "m2")
-        assert set(g.edges) == {(g.virtual_monitor, "v1"), ("v1", "v2")}
+        assert set(g.edges) == {(VIRTUAL_MONITOR, "v1"), ("v1", "v2")}
 
     def test_minus_monitor_within_star(self, golden):
         star = fs.build_star(golden)
@@ -126,21 +124,19 @@ class TestAuxiliaryGraphs:
 
     def test_extended_golden(self, golden):
         g = fs.build_extended(golden)
-        assert g.kind == "extended"
         assert len(g.nodes) == 8
         assert len(g.edges) == 13
-        assert g.degree(g.virtual_monitor) == golden.mu == 3
+        assert g.degree(VIRTUAL_MONITOR) == golden.mu == 3
 
     def test_extended_minus_golden(self, golden):
         g = fs.build_extended_minus(golden, "v2")
-        assert g.removed == "v2"
         assert len(g.nodes) == 7
         assert len(g.edges) == 9
         assert "v2" not in g.nodes
 
     def test_extended_minus_chain4(self, chain4):
         g = fs.build_extended_minus(chain4, "v1")
-        m = g.virtual_monitor
+        m = VIRTUAL_MONITOR
         assert sorted(g.nodes) == sorted([m, "m1", "m2", "v2"])
         assert set(g.edges) == {(m, "m1"), (m, "m2"), ("m2", "v2")}
 

@@ -70,13 +70,6 @@ class TestVerifyBatchSpec:
 
 
 class TestVerificationReport:
-    def test_merged(self):
-        a = fs.verify_cut_engine(3, seed=1)
-        b = fs.verify_cut_engine(2, seed=2)
-        m = a.merged(b)
-        assert m.instances == 5
-        assert m.checks == a.checks + b.checks
-
     def test_json(self):
         doc = json.loads(fs.verify_cut_engine(2, seed=1).to_json())
         assert doc["schema"] == "faultscope/verify v1"
@@ -84,12 +77,30 @@ class TestVerificationReport:
         assert doc["failures"] == []
 
 
-def test_battery_builds_one_table_per_instance_and_mechanism(table_builds):
+def test_battery_builds_one_table_per_instance_and_mechanism(table_builds, monkeypatch):
+    # Every per-node bound comes from a table: omega_csp and gsc run once per
+    # non-monitor, wherever in the package they are called from.
+    per_node = []
+    for name in ("omega_csp", "gsc"):
+        original = getattr(fs.identify, name)
+
+        def spy(*args, _name=name, _original=original):
+            per_node.append(_name)
+            return _original(*args)
+
+        for module in (fs.identify, fs.verify):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
     tops = fs.er_battery(6, seed=4)
     assert fs.verify_topologies(tops).ok
+    sigma = sum(t.sigma for t in tops)
+    assert per_node.count("omega_csp") == per_node.count("gsc") == sigma
     # the CSP star pass gives the CAP table
     assert table_builds.count(("cap_values", None)) == 0
     assert table_builds.count(("csp_internals_all", None)) == len(tops)
     assert table_builds.count(("_csp_single_failure_nodes", None)) == len(tops)
-    for m in fs.Mechanism:
-        assert table_builds.count(("per_node_bounds", m)) == len(tops)
+    # CAP: the refined table the sets read; CSP and UP: the raw table the
+    # per-node checks read too
+    assert table_builds.count(("per_node_bounds", fs.Mechanism.CAP)) == len(tops)
+    for m in (fs.Mechanism.CSP, fs.Mechanism.UP):
+        assert table_builds.count(("per_node_bounds", m)) == 2 * len(tops)
