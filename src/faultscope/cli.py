@@ -171,9 +171,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_maxset(args: argparse.Namespace) -> int:
+    if args.set is not None:
+        _refuse(args, ("k",), "with --set")
     t = _load_cli_topology(args)
     ps = _load_cli_paths(args, t)
-    meta = _meta(args, ("topology", "paths", "mechanism", "k", "exact"))
+    meta = _meta(args, ("topology", "paths", "mechanism", "k", "set", "exact"))
     if args.set is not None:
         report = set_report(t, args.mechanism, args.set, ps=ps, exact=args.exact, meta=meta)
     else:

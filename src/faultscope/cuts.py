@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .topology import Graph
+from .topology import Graph, hops
 
 
 @dataclass(frozen=True)
@@ -151,18 +151,11 @@ class CutNetwork:
             x = head[a]
 
     def _order_toward(self, t: str) -> list[list[int]]:
-        # Each node's arcs, those whose head is fewer hops from t first, in
-        # build order otherwise: one BFS from t, then a stable sort.
-        adj, nodes, head = self.graph.adjacency, self.graph.nodes, self._head
-        hops = dict.fromkeys(adj, len(adj))
-        hops[t] = 0
-        queue = [t]
-        for u in queue:
-            for v in adj[u]:
-                if hops[v] == len(adj):
-                    hops[v] = hops[u] + 1
-                    queue.append(v)
-        rank = [hops[nodes[x >> 1]] for x in head]  # per arc, the hops of its head
+        # Each node's arcs, those whose head is fewer hops from t first (an
+        # unreached head ranks |V|), in build order otherwise: a stable sort.
+        nodes = self.graph.nodes
+        dist = hops(self.graph.adjacency, t)
+        rank = [dist.get(nodes[x >> 1], len(nodes)) for x in self._head]  # per arc
         order = [sorted(a, key=rank.__getitem__) for a in self._arcs]
         self._toward[t] = order
         return order

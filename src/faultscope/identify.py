@@ -195,6 +195,8 @@ class Analysis:
 
     def __init__(self, t: Topology, ps: PathSet | None = None) -> None:
         t.require_monitored()
+        if ps is not None and ps.universe != t.non_monitors:
+            raise ValueError("path set universe does not match the topology's non-monitors")
         self.t = t
         self.ps = ps
         self._tables: dict[tuple[Mechanism, bool], dict[str, IntBounds]] = {}
@@ -203,11 +205,9 @@ class Analysis:
 
     @property
     def paths(self) -> PathSet:
-        """The UP path set, checked against the topology's non-monitors."""
+        """The UP path set."""
         if self.ps is None:
             raise ValueError("routing-determined analysis needs a path set")
-        if tuple(self.ps.universe) != self.t.non_monitors:
-            raise ValueError("path set universe does not match the topology's non-monitors")
         return self.ps
 
     @cached_property

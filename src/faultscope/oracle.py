@@ -18,11 +18,7 @@ from .probing import PathSet
 from .topology import Graph, check_k, check_members
 
 DEFAULT_MAX_SIGMA = 10
-DEFAULT_MAX_K = 5
 DEFAULT_MAX_CUT_NODES = 8
-
-#: A failure set is just a set of non-monitor names.
-FailureSet = frozenset[str]
 
 
 def _guard(value: int, cap: int, what: str) -> None:
@@ -35,41 +31,18 @@ def _guard(value: int, cap: int, what: str) -> None:
 
 def check_universe_size(sigma: int) -> None:
     """Raise OracleCapError when a universe of ``sigma`` non-monitors is past
-    the cap. ``Analysis.oracle`` checks it before enumerating any path."""
+    the cap. ``Analysis.oracle`` checks it before enumerating any path, and
+    ``verify_batch_spec`` before drawing any instance."""
     _guard(sigma, DEFAULT_MAX_SIGMA, "universe size")
 
 
-def _failure_mask(ps: PathSet, failures: Iterable[str]) -> int:
-    fp = 0
-    for v in failures:
-        fp |= ps.incidence_masks[v]
-    return fp
-
-
 def oracle_k_identifiable(ps: PathSet, group: Iterable[str], k: int) -> bool:
-    """Exhaustively check k-identifiability of ``group``.
-
-    Enumerates every failure set of size <= k, buckets them by the exact
-    set of paths they disrupt, and looks inside each bucket for two sets
-    that differ on ``group``.
-    """
+    """Whether ``group`` is k-identifiable, for any k in 1..sigma: by
+    definition, whether its exact index (:func:`oracle_omega`) reaches k.
+    The universe cap bounds the cost."""
     members = check_members(ps.incidence_masks, group)
-    sigma = len(ps.universe)
-    check_k(k, sigma)
-    check_universe_size(sigma)
-    _guard(k, DEFAULT_MAX_K, "failure bound k")
-    member_set = frozenset(members)
-    buckets: dict[int, dict[FailureSet, None]] = {}
-    for size in range(k + 1):
-        for combo in combinations(ps.universe, size):
-            fp = _failure_mask(ps, combo)
-            proj = frozenset(combo) & member_set
-            seen = buckets.setdefault(fp, {})
-            if proj not in seen:
-                if seen:
-                    return False
-                seen[proj] = None
-    return True
+    check_k(k, len(ps.universe))
+    return oracle_omega(ps, members) >= k
 
 
 def _projection_groups(ps: PathSet) -> list[list[int]]:

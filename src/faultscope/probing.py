@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import EnumerationCapError, TopologyError
-from .topology import Topology
+from .topology import Topology, hops
 
 #: Node cap of the exponential CSP/CAP enumerators.
 DEFAULT_MAX_ENUM_NODES = 14
@@ -124,16 +124,7 @@ def route_up(t: Topology) -> PathSet:
     adj = t.adjacency
     paths: list[frozenset[str]] = []
     for a in monitors:
-        dist = {a: 0}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
+        dist = hops(adj, a)
         for b in monitors:
             if b <= a:
                 continue

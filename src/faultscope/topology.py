@@ -17,7 +17,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable
+from typing import Container, Iterable, Mapping
 
 from .errors import TopologyError
 
@@ -25,6 +25,19 @@ from .errors import TopologyError
 VIRTUAL_MONITOR = "__m'"
 
 _MONITOR_HEADER = re.compile(r"^#\s*monitors\s*:\s*(.*)$", re.IGNORECASE)
+
+
+def hops(adj: Mapping[str, Iterable[str]], source: str) -> dict[str, int]:
+    """Hop distance from ``source`` to every node it reaches, by breadth-first search."""
+    dist = {source: 0}
+    queue = [source]
+    for u in queue:
+        d = dist[u] + 1
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = d
+                queue.append(w)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -88,19 +101,7 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self._edge_set
 
     def is_connected(self) -> bool:
-        if not self.nodes:
-            return True
-        seen = {self.nodes[0]}
-        frontier = [self.nodes[0]]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in self.adjacency[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return len(seen) == len(self.nodes)
+        return not self.nodes or len(hops(self.adjacency, self.nodes[0])) == len(self.nodes)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .cuts import CutNetwork, two_connected
 from .identify import Analysis, Mechanism, threshold_sweep
-from .oracle import DEFAULT_MAX_CUT_NODES, brute_vertex_cut, oracle_msc
+from .oracle import DEFAULT_MAX_CUT_NODES, brute_vertex_cut, check_universe_size, oracle_msc
 from .probing import DEFAULT_MAX_ENUM_NODES, route_up
 from .randomnet import gen_er, place_monitors, random_graph
 from .reports import (
@@ -173,75 +173,48 @@ def verify_topologies(
         name = _instance_name(index, t)
         a = Analysis(t, route_up(t) if "up" in checks or want_sets else None)
 
-        # CSP before CAP: the CSP star pass gives the CAP table too
-        if "csp" in checks:
-            target = a.oracle(Mechanism.CSP)
-            for v, b in a.table(Mechanism.CSP, refine_single=False).items():
-                nchecks += 1
-                if not b.contains(target[v]):
-                    failures.append(
-                        CheckFailure(
-                            name,
-                            "csp-sandwich",
-                            f"{v}: oracle {target[v]} outside [{b.lo}, {b.hi}]",
-                        )
-                    )
-                elif not b.exact and b.hi - b.lo > 1:
-                    failures.append(
-                        CheckFailure(
-                            name,
-                            "csp-width",
-                            f"{v}: general-case interval [{b.lo}, {b.hi}] wider than one",
-                        )
-                    )
+        def fail(check: str, detail: str) -> None:
+            failures.append(CheckFailure(name, check, detail))
 
-        if "cap" in checks:
-            values = dict(a.cap)
-            if corrupt and index == 0 and t.non_monitors:
-                first = t.non_monitors[0]
-                values[first] += 1
-            target = a.oracle(Mechanism.CAP)
+        # CSP before CAP: the CSP star pass gives the CAP table too
+        for mech in (Mechanism.CSP, Mechanism.CAP, Mechanism.UP):
+            if mech.value not in checks:
+                continue
+            target = a.oracle(mech)
+            table = a.cap if mech is Mechanism.CAP else a.table(mech, refine_single=False)
             for v in t.non_monitors:
                 nchecks += 1
-                if values[v] != target[v]:
-                    failures.append(
-                        CheckFailure(
-                            name,
-                            "cap-exact",
-                            f"{v}: closed form {values[v]} != oracle {target[v]}",
+                omega, got = target[v], table[v]
+                if mech is Mechanism.CSP:
+                    if not got.contains(omega):
+                        fail("csp-sandwich", f"{v}: oracle {omega} outside [{got.lo}, {got.hi}]")
+                    elif not got.exact and got.hi - got.lo > 1:
+                        fail(
+                            "csp-width",
+                            f"{v}: general-case interval [{got.lo}, {got.hi}] wider than one",
                         )
+                elif mech is Mechanism.CAP:
+                    if corrupt and index == 0 and v == t.non_monitors[0]:
+                        got += 1
+                    if got != omega:
+                        fail("cap-exact", f"{v}: closed form {got} != oracle {omega}")
+                else:
+                    # omega_up's upper bound is the greedy cover size
+                    ps, greedy = a.paths, got.hi
+                    msc = oracle_msc(ps, v)
+                    if not max(msc - 1, 0) <= omega <= msc:
+                        fail("up-sandwich", f"{v}: oracle {omega} outside [{msc - 1}, {msc}]")
+                    pv = ps.incidence_masks[v].bit_count()
+                    limit = (
+                        msc
+                        if pv == 0 or v in ps.directly_measured
+                        else math.ceil((math.log(pv) + 1.0) * msc)
                     )
-
-        if "up" in checks:
-            ps = a.paths
-            target = a.oracle(Mechanism.UP)
-            # omega_up's upper bound is the greedy cover size
-            for v, bounds in a.table(Mechanism.UP, refine_single=False).items():
-                nchecks += 1
-                msc = oracle_msc(ps, v)
-                greedy = bounds.hi
-                if not max(msc - 1, 0) <= target[v] <= msc:
-                    failures.append(
-                        CheckFailure(
-                            name,
-                            "up-sandwich",
-                            f"{v}: oracle {target[v]} outside [{msc - 1}, {msc}]",
-                        )
-                    )
-                pv = ps.incidence_masks[v].bit_count()
-                limit = (
-                    msc
-                    if pv == 0 or v in ps.directly_measured
-                    else math.ceil((math.log(pv) + 1.0) * msc)
-                )
-                if not msc <= greedy <= limit:
-                    failures.append(
-                        CheckFailure(
-                            name,
+                    if not msc <= greedy <= limit:
+                        fail(
                             "up-greedy",
                             f"{v}: GSC {greedy} outside [MSC {msc}, guarantee {limit}]",
                         )
-                    )
 
         if want_sets:
             for mech in (Mechanism.CAP, Mechanism.CSP, Mechanism.UP):
@@ -250,13 +223,10 @@ def verify_topologies(
                     nchecks += 1
                     exact_set = frozenset(v for v, w in omega.items() if w >= k)
                     if not (bounds.inner <= exact_set <= bounds.outer):
-                        failures.append(
-                            CheckFailure(
-                                name,
-                                f"sets-{mech.value}",
-                                f"k={k}: inner {sorted(bounds.inner)} / oracle "
-                                f"{sorted(exact_set)} / outer {sorted(bounds.outer)}",
-                            )
+                        fail(
+                            f"sets-{mech.value}",
+                            f"k={k}: inner {sorted(bounds.inner)} / oracle "
+                            f"{sorted(exact_set)} / outer {sorted(bounds.outer)}",
                         )
     return VerificationReport(ninstances, nchecks, tuple(failures))
 
@@ -323,7 +293,9 @@ def verify_batch_spec(spec: dict, *, corrupt: bool = False) -> VerificationRepor
     the cut engine alone. Its ``_BATTERY_FIELDS`` rows give the other fields.
     An unknown field, or one of the wrong JSON type or out of range, raises
     a ValueError that names it, as does ``corrupt`` (the self-test hook that
-    breaks a CAP value) for a ``cuts`` battery.
+    breaks a CAP value) for a ``cuts`` battery. An ``er`` spec whose largest
+    universe would pass the oracle's cap raises OracleCapError before any
+    instance is drawn.
     """
     kind = spec.get("kind", "er")
     if not isinstance(kind, str) or kind not in _BATTERY_FIELDS:
@@ -334,6 +306,10 @@ def verify_batch_spec(spec: dict, *, corrupt: bool = False) -> VerificationRepor
         if corrupt:
             raise ValueError("corrupt does not apply to a cuts battery")
         return verify_cut_engine(f["count"], f["seed"], n_range=f["n_range"], p_range=p_range)
+    # er_battery places min(mu, n - 1) monitors: the top of n_range and the
+    # fewest monitors give the largest universe, refused before any draw
+    hi = f["n_range"][1]
+    check_universe_size(hi - min(min(f["monitor_counts"]), hi - 1))
     tops = er_battery(
         f["count"],
         f["seed"],

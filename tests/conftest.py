@@ -1,5 +1,5 @@
 import os
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -94,6 +94,22 @@ def reference_connectivity(g: fs.Graph, s: str, t: str) -> int:
             residual[x][y], residual[y][x] = 0, 1
             y = x
         flow += 1
+
+
+def literal_k_identifiable(ps: fs.PathSet, group, k: int) -> bool:
+    """Whether ``group`` is k-identifiable, read literally off the definition:
+    false when two failure sets of size <= k disrupt the same paths but differ
+    inside the group, true otherwise. Every pair of failure sets is compared."""
+    members = frozenset(group)
+    scenarios = [
+        (frozenset(combo), fs.affected(ps, combo))
+        for size in range(k + 1)
+        for combo in combinations(ps.universe, size)
+    ]
+    return not any(
+        hit1 == hit2 and f1 & members != f2 & members
+        for (f1, hit1), (f2, hit2) in combinations(scenarios, 2)
+    )
 
 
 @pytest.fixture(scope="session")

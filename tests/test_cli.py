@@ -253,6 +253,15 @@ class TestMaxset:
         assert rc == EXIT_OK
         assert "set,csp,v1+v2+v3+v4,,,,,3,3,true,," in out
 
+    def test_set_query_refuses_k(self, workspace, capsys):
+        argv = ("maxset", "--topology", str(workspace / "net.edges"), "--set", "v1,v2")
+        rc, out, err = run(capsys, *argv, "--k", "99")
+        assert rc == EXIT_VALIDATION and out == ""
+        assert err == "error: --k does not apply with --set\n"
+        rc, out, _ = run(capsys, *argv)
+        assert rc == EXIT_OK
+        assert "# flags: mechanism=cap,csp,up set=v1,v2 topology=" in out
+
     def test_k_without_non_monitors_names_the_cause(self, tmp_path, capsys):
         (tmp_path / "pair.edges").write_text("# monitors: a b\na b\n")
         rc, out, err = run(capsys, "maxset", "--topology", str(tmp_path / "pair.edges"), "--k", "1")
@@ -414,6 +423,17 @@ class TestVerify:
         monkeypatch.setattr("faultscope.identify.enumerate_cap", never)
         monkeypatch.setattr("faultscope.identify.enumerate_csp", never)
         spec = '{"kind": "er", "count": 2, "n_range": [14, 14], "monitor_counts": [2]}'
+        rc, out, err = run(capsys, "verify", "--batch", spec)
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        (line,) = err.splitlines()
+        assert "universe size 12 exceeds the oracle cap 10" in line
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_battery_that_can_pass_the_oracle_cap_refused_for_every_seed(self, seed, capsys):
+        # n=14 with two monitors would give 12 non-monitors: refused whatever
+        # the seed draws
+        spec = json.dumps({"count": 3, "n_range": [5, 14], "seed": seed})
         rc, out, err = run(capsys, "verify", "--batch", spec)
         assert rc == EXIT_VALIDATION
         assert out == ""

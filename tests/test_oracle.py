@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 import faultscope as fs
 from faultscope import Graph, OracleCapError
+
+from conftest import literal_k_identifiable
 
 
 class TestDistinguishable:
@@ -29,6 +33,23 @@ class TestOracleKIdentifiable:
             fs.oracle_k_identifiable(up_paths, ["v2"], 0)
         with pytest.raises(ValueError):
             fs.oracle_k_identifiable(up_paths, ["v2"], 5)
+
+    def test_matches_literal_definition(self):
+        # every k in 1..sigma, past any bound on k, on routed, simple-path
+        # and walk path sets
+        rng = random.Random(14)
+        tops = [t for t in fs.er_battery(80, seed=14, n_range=(4, 10)) if t.sigma <= 8]
+        answers_past_5 = set()
+        for t in tops:
+            for ps in (fs.route_up(t), fs.enumerate_csp(t), fs.enumerate_cap(t)):
+                for _ in range(2):
+                    group = rng.sample(t.non_monitors, rng.randint(1, t.sigma))
+                    for k in range(1, t.sigma + 1):
+                        expected = literal_k_identifiable(ps, group, k)
+                        assert fs.oracle_k_identifiable(ps, group, k) == expected, (group, k)
+                        if k > 5:
+                            answers_past_5.add(expected)
+        assert answers_past_5 == {False, True}
 
 
 class TestOracleOmega:
@@ -135,10 +156,7 @@ class TestCaps:
         with pytest.raises(OracleCapError):
             fs.oracle_omega_all(wide)
 
-    def test_k_cap(self):
-        t = fs.load_topology(
-            "m1 a\na b\nb c\nc d\nd e\ne f\nf g\ng m2\n", monitors=["m1", "m2"]
-        )
-        ps = fs.route_up(t)
-        with pytest.raises(OracleCapError):
-            fs.oracle_k_identifiable(ps, ["a"], 6)
+    def test_k_test_universe_cap(self, wide):
+        # the universe cap, not k, bounds the k-test
+        with pytest.raises(OracleCapError, match="universe size 11"):
+            fs.oracle_k_identifiable(wide, wide.universe[:1], 1)

@@ -43,6 +43,10 @@ class TestPerNodeBounds:
         with pytest.raises(ValueError):
             fs.per_node_bounds(fs.Analysis(golden, ps), Mechanism.UP)
 
+    def test_foreign_path_set_rejected_at_construction(self, golden, chain4):
+        with pytest.raises(ValueError, match="universe"):
+            fs.Analysis(golden, fs.route_up(chain4))
+
     def test_tables_handed_out_cannot_change_the_context(self, golden):
         a = fs.Analysis(golden)
         table = fs.per_node_bounds(a, Mechanism.CAP)

@@ -68,6 +68,16 @@ class TestVerifyBatchSpec:
         with pytest.raises(ValueError):
             fs.verify_batch_spec({"kind": "zz", "count": 1, "seed": 0})
 
+    def test_spec_past_the_oracle_cap_refused_before_any_draw(self, monkeypatch):
+        # one monitor at n=14 leaves 13 non-monitors
+        def never(*args, **kwargs):
+            raise AssertionError("instances drawn for a spec the oracle refuses")
+
+        monkeypatch.setattr("faultscope.verify.er_battery", never)
+        spec = {"count": 100000, "n_range": [13, 14], "monitor_counts": [1], "seed": 1}
+        with pytest.raises(fs.OracleCapError, match="universe size 13 exceeds the oracle cap 10"):
+            fs.verify_batch_spec(spec)
+
 
 class TestVerificationReport:
     def test_json(self):
