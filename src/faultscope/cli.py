@@ -21,7 +21,7 @@ from .errors import (
 from .identify import Mechanism
 from .oracle import oracle_k_identifiable, oracle_omega
 from .probing import PathSet, parse_paths
-from .randomnet import gen_er, place_monitors
+from .randomnet import DEFAULT_MAX_NODES, gen_er, place_monitors
 from .reports import (
     VERSION,
     BatchSpec,
@@ -90,9 +90,11 @@ def _write_output(text: str, out: str | None) -> None:
 def _load_cli_topology(args: argparse.Namespace) -> Topology:
     text = _read_text(args.topology)
     monitors = None
-    if args.monitors:
+    if args.monitors is not None:
         spec = args.monitors
         monitors = parse_monitor_names(_read_text(spec[1:]) if spec.startswith("@") else spec)
+        if not monitors:
+            raise ValueError("--monitors: empty node list")
     return load_topology(text, monitors=monitors)
 
 
@@ -144,6 +146,8 @@ def _render(report, fmt: str) -> str:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.n > DEFAULT_MAX_NODES:
+        raise ValueError(f"--n must be at most {DEFAULT_MAX_NODES}, got {args.n}")
     result = gen_er(args.n, args.p, args.seed)
     t = result.topology
     if args.mu is not None:

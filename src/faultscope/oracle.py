@@ -4,14 +4,15 @@ Everything here works straight from the definitions, with no graph theory:
 two failure sets are distinguishable iff they disrupt different paths, a set
 S is k-identifiable iff every pair of failure sets of size <= k that differ
 inside S is distinguishable, and the identifiability index is the largest
-such k. These routines exist to validate the scalable analyses, so they are
-deliberately simple and refuse instances beyond small caps.
+such k. The indices come from one walk over the 2^sigma failure sets
+(:func:`omega_from_masks`), the other answers from trying every subset.
+They exist to validate the scalable analyses and refuse past small caps.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import OracleCapError
 from .probing import PathSet
@@ -45,77 +46,65 @@ def oracle_k_identifiable(ps: PathSet, group: Iterable[str], k: int) -> bool:
     return oracle_omega(ps, members) >= k
 
 
-def _projection_groups(ps: PathSet) -> list[list[int]]:
-    """All failure sets as index bitmasks, grouped by disrupted-path fingerprint."""
-    sigma = len(ps.universe)
+def omega_from_masks(node_masks: Sequence[int], watch: int | None = None) -> list[int]:
+    """Exact per-node indices from each node's disrupted-path bitmask, for the
+    nodes in ``watch`` (a bitmask over node positions, default all).
+
+    Two same-fingerprint failure sets rule out every k >= the larger size
+    for the nodes where they differ. Walking the failure sets in
+    nondecreasing size, the first with a fingerprint is its representative
+    m0, and a later F with it settles each unsettled node of F ^ m0 at
+    |F| - 1. That is exact: any colliding pair differing at a node has a
+    member, no larger than the pair, that differs there from m0. Unsettled
+    nodes get sigma; the walk ends once every watched node is settled.
+    """
+    sigma = len(node_masks)
     check_universe_size(sigma)
-    node_masks = [ps.incidence_masks[v] for v in ps.universe]
+    unsettled = (1 << sigma) - 1 if watch is None else watch
+    omega = [sigma] * sigma
     # a failure set's fingerprint is that of the set without its lowest
-    # node, plus that node's paths: one OR per set
+    # node, plus that node's paths: one OR per set, the smaller set first
     fps = [0] * (1 << sigma)
-    groups: dict[int, list[int]] = {0: [0]}
-    for fmask in range(1, 1 << sigma):
-        low = fmask & -fmask
-        fp = fps[fmask ^ low] | node_masks[low.bit_length() - 1]
-        fps[fmask] = fp
-        groups.setdefault(fp, []).append(fmask)
-    return list(groups.values())
-
-
-def _omega_from_groups(groups: list[list[int]], smask: int, sigma: int) -> int:
-    # A pair of same-fingerprint failure sets that differ inside S rules out
-    # every k >= max(|F1|, |F2|); the index is the smallest such threshold
-    # minus one. Minimizing max(|F1|, |F2|) over cross-projection pairs means
-    # pairing the two projections with the smallest minimal sizes.
-    best: int | None = None
-    for group in groups:
-        if len(group) < 2:
-            continue
-        min_sizes: dict[int, int] = {}
-        for fmask in group:
-            proj = fmask & smask
-            size = fmask.bit_count()
-            if proj not in min_sizes or size < min_sizes[proj]:
-                min_sizes[proj] = size
-        if len(min_sizes) < 2:
-            continue
-        first, second = sorted(min_sizes.values())[:2]
-        threshold = max(first, second)
-        if best is None or threshold < best:
-            best = threshold
-    return sigma if best is None else best - 1
+    first: dict[int, int] = {}
+    for fmask in sorted(range(1 << sigma), key=int.bit_count):
+        if not unsettled:
+            break
+        if fmask:
+            low = fmask & -fmask
+            fps[fmask] = fps[fmask ^ low] | node_masks[low.bit_length() - 1]
+        m0 = first.setdefault(fps[fmask], fmask)
+        settled = (fmask ^ m0) & unsettled
+        if settled:
+            unsettled ^= settled
+            size = fmask.bit_count() - 1
+            while settled:
+                low = settled & -settled
+                settled ^= low
+                omega[low.bit_length() - 1] = size
+    return omega
 
 
 def oracle_omega(ps: PathSet, group: Iterable[str]) -> int:
     """Exact identifiability index of ``group``: the largest k (0..sigma) for
-    which the set is k-identifiable. 0 means two single-failure scenarios
-    differing on the group already look identical."""
+    which the set is k-identifiable, the smallest of its members' indices.
+    0 means two single-failure scenarios differing on the group already
+    look identical."""
     members = check_members(ps.incidence_masks, group)
-    sigma = len(ps.universe)
-    index = {v: i for i, v in enumerate(ps.universe)}
-    smask = 0
-    for v in members:
-        smask |= 1 << index[v]
-    groups = _projection_groups(ps)
-    return _omega_from_groups(groups, smask, sigma)
+    positions = [ps.universe.index(v) for v in members]
+    omega = omega_from_masks(list(ps.incidence_masks.values()), sum(1 << i for i in positions))
+    return min(omega[i] for i in positions)
 
 
 def oracle_omega_all(ps: PathSet) -> dict[str, int]:
-    """Per-node exact indices, sharing one enumeration across all nodes."""
-    sigma = len(ps.universe)
-    groups = _projection_groups(ps)
-    return {
-        v: _omega_from_groups(groups, 1 << i, sigma)
-        for i, v in enumerate(ps.universe)
-    }
+    """Per-node exact indices, from one walk over the failure sets."""
+    omega = omega_from_masks(list(ps.incidence_masks.values()))
+    return dict(zip(ps.universe, omega))
 
 
 def oracle_max_identifiable_set(ps: PathSet, k: int) -> frozenset[str]:
     """Exact maximal k-identifiable set: the nodes whose index reaches k."""
-    sigma = len(ps.universe)
-    check_k(k, sigma)
-    values = oracle_omega_all(ps)
-    return frozenset(v for v, omega in values.items() if omega >= k)
+    check_k(k, len(ps.universe))
+    return frozenset(v for v, omega in oracle_omega_all(ps).items() if omega >= k)
 
 
 def oracle_msc(ps: PathSet, v: str) -> int:

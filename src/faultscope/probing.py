@@ -16,13 +16,11 @@ three mechanisms differ only in which paths are available:
   link at most once per direction.
 
 Paths with one trace fail together, so two failure sets are told apart by
-the traces they hit; both enumerators return each achievable trace once, in
-(size, sorted names) order, never every path (whose count blows up
-factorially). CSP searches the reachable (visited set, end node) states, at
-most n * 2^(n-1). CAP uses that a node set is a trace exactly when it is the
-non-monitor part of a connected set of at least two nodes containing a
-monitor, and grows those sets from the monitors one neighbour at a time.
-Both refuse more than ``DEFAULT_MAX_ENUM_NODES`` (14) nodes before any work.
+the traces they hit. The CSP and CAP enumerators give each achievable trace
+once, as a bitmask over the node indices, never every path (whose count
+blows up factorially): CSP by a DP over the 2^n visited sets, CAP by one
+flood fill for each of the 2^sigma sets of non-monitors. Both refuse more
+than ``DEFAULT_MAX_ENUM_NODES`` (14) nodes before any allocation.
 """
 
 from __future__ import annotations
@@ -85,14 +83,6 @@ class PathSet:
         return frozenset(next(iter(p)) for p in self.paths if len(p) == 1)
 
 
-def _require_node_cap(t: Topology, what: str) -> None:
-    if len(t.nodes) > DEFAULT_MAX_ENUM_NODES:
-        raise EnumerationCapError(
-            f"{what}: {len(t.nodes)} nodes exceeds the cap of {DEFAULT_MAX_ENUM_NODES}; "
-            "only the cut-based bounds run at this size"
-        )
-
-
 def _trace_set(t: Topology, masks: Iterable[int]) -> PathSet:
     """Traces given as bitmasks over ``t.nodes``, in (size, sorted names) order."""
     nodes = t.nodes
@@ -101,14 +91,33 @@ def _trace_set(t: Topology, masks: Iterable[int]) -> PathSet:
     return PathSet(tuple(frozenset(names) for names in traces), t.non_monitors)
 
 
-def _index_graph(t: Topology) -> tuple[list[int], int]:
-    """Neighbour bitmask per node index and the monitor bitmask, over ``t.nodes``."""
+def _index_graph(t: Topology, what: str) -> tuple[list[int], int]:
+    """Neighbour and monitor bitmasks over ``t.nodes``, past the enumerators' checks."""
+    t.require_monitored()
+    if len(t.nodes) > DEFAULT_MAX_ENUM_NODES:
+        raise EnumerationCapError(
+            f"{what}: {len(t.nodes)} nodes exceeds the cap of {DEFAULT_MAX_ENUM_NODES}; "
+            "only the cut-based bounds run at this size"
+        )
     index = {v: i for i, v in enumerate(t.nodes)}
     adj = [0] * len(t.nodes)
     for u, v in t.edges:
         adj[index[u]] |= 1 << index[v]
         adj[index[v]] |= 1 << index[u]
     return adj, sum(1 << index[m] for m in t.monitors)
+
+
+def trace_incidence(t: Topology, traces: Iterable[int]) -> list[int]:
+    """Per non-monitor, in ``t.non_monitors`` order, the bitmask of the
+    traces (bitmasks over ``t.nodes``, numbered as given) that visit it."""
+    by_node = [0] * len(t.nodes)
+    for i, trace in enumerate(traces):
+        bit = 1 << i
+        while trace:
+            low = trace & -trace
+            trace ^= low
+            by_node[low.bit_length() - 1] |= bit
+    return [mask for v, mask in zip(t.nodes, by_node) if v not in t.monitors]
 
 
 def route_up(t: Topology) -> PathSet:
@@ -137,70 +146,73 @@ def route_up(t: Topology) -> PathSet:
     return PathSet(tuple(paths), t.non_monitors)
 
 
-def enumerate_csp(t: Topology) -> PathSet:
-    """Every achievable trace of a simple path between two distinct monitors.
+def csp_traces(t: Topology) -> list[int]:
+    """Every trace of a simple path between two distinct monitors, as a
+    bitmask over ``t.nodes``; interior nodes may be monitors.
 
-    Interior nodes may themselves be monitors (a controllable simple route
-    does not have to detour around one). The search visits each reachable
-    (visited set, end node) state once, seeded with every monitor but the
-    largest: a path between two monitors is found from whichever end is
-    seeded. Each step onto a monitor not yet visited ends a path, whose
-    trace is the visited set's non-monitor part. At most n * 2^(n-1) states.
+    ``ends[used]`` holds the nodes where a simple path from a monitor other
+    than the largest can end having visited exactly ``used``. Walked in
+    increasing order, each visited set is complete when read: the OR of its
+    ends' neighbours records ``used``'s non-monitors as a trace if it holds
+    a monitor outside ``used``, and extends ``used`` by each new neighbour.
     """
-    t.require_monitored()
-    _require_node_cap(t, "simple-path enumeration")
-    n = len(t.nodes)
-    adj, monitor_mask = _index_graph(t)
-    monitors = [i for i in range(n) if monitor_mask >> i & 1]
-    # state key: visited set * n + end node
-    seen = {(1 << a) * n + a for a in monitors[:-1]}
-    stack = list(seen)
+    adj, monitors = _index_graph(t, "simple-path enumeration")
+    ends = [0] * (1 << len(adj))
+    for a in [i for i in range(len(adj)) if monitors >> i & 1][:-1]:
+        ends[1 << a] = 1 << a
     traces: set[int] = set()
-    while stack:
-        used, end = divmod(stack.pop(), n)
-        step = adj[end] & ~used
+    for used, tails in enumerate(ends):
+        reach = 0
+        while tails:
+            low = tails & -tails
+            tails ^= low
+            reach |= adj[low.bit_length() - 1]
+        if reach & monitors & ~used:
+            traces.add(used & ~monitors)
+        step = reach & ~used
         while step:
             bit = step & -step
             step ^= bit
-            if monitor_mask & bit:
-                traces.add(used & ~monitor_mask)
-            key = (used | bit) * n + bit.bit_length() - 1
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return _trace_set(t, traces)
+            ends[used | bit] |= bit
+    return list(traces)
+
+
+def cap_traces(t: Topology) -> list[int]:
+    """Every trace of a monitor-to-monitor walk that uses each link at most
+    once per direction, as a bitmask over ``t.nodes``.
+
+    The traces are the sets C minus the monitors for connected node sets C
+    of two or more nodes holding a monitor: a walk visits such a set, and a
+    closed walk around a spanning tree of C uses each tree link once per
+    direction. So the empty set is a trace iff two monitors are adjacent,
+    and a set T of non-monitors is one iff a flood fill from T's lowest node
+    inside T and the monitors covers T and reaches a monitor.
+    """
+    adj, monitors = _index_graph(t, "walk enumeration")
+    others = (1 << len(adj)) - 1 & ~monitors
+    traces = [0] if any(a & monitors for i, a in enumerate(adj) if monitors >> i & 1) else []
+    subset = 0
+    while subset := (subset - others) & others:
+        reached = frontier = subset & -subset
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow = adj[low.bit_length() - 1] & (subset | monitors) & ~reached
+            reached |= grow
+            frontier |= grow
+        if reached & subset == subset and reached & monitors:
+            traces.append(subset)
+    return traces
+
+
+def enumerate_csp(t: Topology) -> PathSet:
+    """:func:`csp_traces` as a path set, in (size, sorted names) order."""
+    return _trace_set(t, csp_traces(t))
 
 
 def enumerate_cap(t: Topology) -> PathSet:
-    """Every achievable trace under link-once-per-direction walk probing.
-
-    Achievable traces are exactly the sets C cap N for connected node sets
-    C that contain a monitor and at least two nodes (a probe crosses at
-    least one link): any walk visits such a set, and conversely a
-    depth-first closed walk of a spanning tree of C uses each tree link
-    once per direction. Those sets are grown from the single monitors by
-    adding one neighbour at a time, each set visited once.
-    """
-    t.require_monitored()
-    _require_node_cap(t, "walk enumeration")
-    adj, monitor_mask = _index_graph(t)
-    # (node set, its neighbourhood) as bitmasks over t.nodes
-    stack = [(1 << i, adj[i]) for i in range(len(t.nodes)) if monitor_mask >> i & 1]
-    seen = {mask for mask, _ in stack}
-    traces: set[int] = set()
-    while stack:
-        mask, reach = stack.pop()
-        if mask & (mask - 1):
-            traces.add(mask & ~monitor_mask)
-        grow = reach & ~mask
-        while grow:
-            bit = grow & -grow
-            grow ^= bit
-            bigger = mask | bit
-            if bigger not in seen:
-                seen.add(bigger)
-                stack.append((bigger, reach | adj[bit.bit_length() - 1]))
-    return _trace_set(t, traces)
+    """:func:`cap_traces` as a path set, in (size, sorted names) order."""
+    return _trace_set(t, cap_traces(t))
 
 
 def affected(ps: PathSet, failures: Iterable[str]) -> frozenset[int]:

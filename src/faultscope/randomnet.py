@@ -10,11 +10,18 @@ from .topology import Graph, Topology
 
 
 DEFAULT_MAX_RETRIES = 1000
+#: Node cap of the generators, checked before any label is built.
+DEFAULT_MAX_NODES = 10_000
 
 
 class GenResult(NamedTuple):
     topology: Topology
     retries: int
+
+
+def _check_node_count(n: int, least: int) -> None:
+    if not least <= n <= DEFAULT_MAX_NODES:
+        raise ValueError(f"node count n must be in {least}..{DEFAULT_MAX_NODES}, got {n}")
 
 
 def _node_labels(n: int) -> tuple[str, ...]:
@@ -41,8 +48,7 @@ def gen_er(n: int, p: float, seed: int) -> GenResult:
     yields one reproducible outcome together with the number of rejected
     disconnected draws, at most ``DEFAULT_MAX_RETRIES`` of them.
     """
-    if n < 2:
-        raise ValueError("need at least two nodes")
+    _check_node_count(n, 2)
     if not 0.0 < p <= 1.0:
         raise ValueError("edge probability must be in (0, 1]")
     nodes = _node_labels(n)
@@ -67,8 +73,7 @@ def place_monitors(t: Topology, mu: int, seed: int) -> Topology:
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """One seeded ER draw with no connectivity requirement (cut batteries)."""
-    if n < 1:
-        raise ValueError("need at least one node")
+    _check_node_count(n, 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
     nodes = _node_labels(n)

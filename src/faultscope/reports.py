@@ -26,7 +26,7 @@ from .identify import (
     threshold_sweep,
 )
 from .probing import PathSet, route_up
-from .randomnet import gen_er
+from .randomnet import DEFAULT_MAX_NODES, gen_er
 from .topology import Topology, check_k, check_members
 
 VERSION = "0.1.0"
@@ -193,17 +193,11 @@ class CcdfTable:
         _write_comments(buf, SCHEMA_CCDF, self.meta)
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CCDF_COLUMNS)
-        for row in self.rows:
-            writer.writerow(
-                (
-                    row.k,
-                    row.mechanism.value,
-                    row.mu,
-                    repr(row.inner_fraction),
-                    repr(row.outer_fraction),
-                    _bool(row.exact),
-                )
-            )
+        writer.writerows(
+            (r.k, r.mechanism.value, r.mu, repr(r.inner_fraction), repr(r.outer_fraction))
+            + (_bool(r.exact),)
+            for r in self.rows
+        )
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -212,17 +206,7 @@ class CcdfTable:
             "version": VERSION,
             "seed": self.meta.seed,
             "flags": self.meta.flags,
-            "rows": [
-                {
-                    "k": row.k,
-                    "mechanism": row.mechanism.value,
-                    "mu": row.mu,
-                    "inner_fraction": row.inner_fraction,
-                    "outer_fraction": row.outer_fraction,
-                    "exact": row.exact,
-                }
-                for row in self.rows
-            ],
+            "rows": [{**row._asdict(), "mechanism": row.mechanism.value} for row in self.rows],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -460,7 +444,12 @@ def _is_list_of(value, ok: Callable[[object], bool]) -> bool:
 #: (field, default, what it must be, test) for every BatchSpec field, in field order.
 _BATCH_FIELDS = (
     ("count", None, "an integer", _is_int),
-    ("n", None, "an integer", _is_int),
+    (
+        "n",
+        None,
+        f"an integer <= {DEFAULT_MAX_NODES}",
+        lambda v: _is_int(v) and v <= DEFAULT_MAX_NODES,
+    ),
     ("p", None, "a number in (0, 1]", _is_edge_probability),
     ("mus", None, "a non-empty list of integers", lambda v: _is_list_of(v, _is_int) and len(v) > 0),
     ("seed", None, "an integer", _is_int),

@@ -35,13 +35,18 @@ SCHEMA_VERIFY = "faultscope/verify v1"
 ALL_CHECKS = ("cap", "csp", "up", "sets")
 
 
-def _n_range_row(default: tuple[int, int], least: int, most: int) -> tuple:
+def _range_row(name: str, default: tuple, what: str, ok) -> tuple:
     return (
-        "n_range",
+        name,
         default,
-        f"a list of two integers, low to high, low >= {least}, high <= {most}",
-        lambda v: _is_list_of(v, _is_int) and len(v) == 2 and least <= v[0] <= v[1] <= most,
+        f"a list of two {what}",
+        lambda v: _is_list_of(v, ok) and len(v) == 2 and v[0] <= v[1],
     )
+
+
+def _n_range_row(default: tuple[int, int], least: int, most: int) -> tuple:
+    what = f"integers, low to high, low >= {least}, high <= {most}"
+    return _range_row("n_range", default, what, lambda n: _is_int(n) and least <= n <= most)
 
 
 #: (field, default, what it must be, test) for every field a battery spec of
@@ -55,21 +60,16 @@ _COMMON_FIELDS = (
 _BATTERY_FIELDS = {
     "cuts": _COMMON_FIELDS + (
         _n_range_row((2, 8), 1, DEFAULT_MAX_CUT_NODES),
-        (
+        _range_row(
             "p_range",
             (0.1, 0.9),
-            "a list of two numbers in [0, 1]",
-            lambda v: _is_list_of(v, lambda p: _is_number(p) and 0 <= p <= 1) and len(v) == 2,
+            "numbers in [0, 1], low to high",
+            lambda p: _is_number(p) and 0 <= p <= 1,
         ),
     ),
     "er": _COMMON_FIELDS + (
         _n_range_row((5, 10), 2, DEFAULT_MAX_ENUM_NODES),
-        (
-            "p_range",
-            (0.3, 0.55),
-            "a list of two numbers in (0, 1]",
-            lambda v: _is_list_of(v, _is_edge_probability) and len(v) == 2,
-        ),
+        _range_row("p_range", (0.3, 0.55), "numbers in (0, 1], low to high", _is_edge_probability),
         (
             "monitor_counts",
             (2, 3),

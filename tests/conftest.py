@@ -1,5 +1,5 @@
 import os
-from itertools import combinations, permutations
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -22,20 +22,22 @@ def src_env() -> dict[str, str]:
 
 def all_simple_paths(t: fs.Topology) -> list[tuple[str, ...]]:
     """Every simple path between distinct monitors, smaller endpoint first,
-    in (length, node sequence) order, listed by brute force."""
+    in (length, node sequence) order, listed by brute force: a depth-first
+    search from every monitor that extends each path by every unvisited
+    neighbour and keeps each one that ends at a larger monitor."""
     adj = t.adjacency
-    return sorted(
-        (
-            seq
-            for r in range(2, len(t.nodes) + 1)
-            for seq in permutations(t.nodes, r)
-            if seq[0] in t.monitors
-            and seq[-1] in t.monitors
-            and seq[0] < seq[-1]
-            and all(b in adj[a] for a, b in zip(seq, seq[1:]))
-        ),
-        key=lambda s: (len(s), s),
-    )
+    found: list[tuple[str, ...]] = []
+
+    def extend(seq: tuple[str, ...]) -> None:
+        for w in adj[seq[-1]]:
+            if w not in seq:
+                if w in t.monitors and seq[0] < w:
+                    found.append(seq + (w,))
+                extend(seq + (w,))
+
+    for m in t.monitors:
+        extend((m,))
+    return sorted(found, key=lambda s: (len(s), s))
 
 
 def all_walk_traces(t: fs.Topology) -> set[frozenset[str]]:

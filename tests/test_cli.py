@@ -43,6 +43,16 @@ class TestGen:
         assert rc == EXIT_VALIDATION
         assert "error:" in err
 
+    def test_node_cap_refused_before_any_label(self, monkeypatch, capsys):
+        def never(n):
+            raise AssertionError("node labels built past the node cap")
+
+        monkeypatch.setattr("faultscope.randomnet._node_labels", never)
+        n = str(fs.randomnet.DEFAULT_MAX_NODES + 1)
+        rc, out, err = run(capsys, "gen", "--n", n, "--p", "0.5", "--seed", "1", "--mu", "1")
+        assert rc == EXIT_VALIDATION and out == ""
+        assert err == f"error: --n must be at most 10000, got {n}\n"
+
 
 class TestAnalyze:
     def test_csv_table(self, workspace, capsys):
@@ -121,13 +131,32 @@ class TestAnalyze:
         def never(*args, **kwargs):
             raise AssertionError("paths enumerated for an instance the oracle refuses")
 
-        monkeypatch.setattr("faultscope.identify.enumerate_cap", never)
-        monkeypatch.setattr("faultscope.identify.enumerate_csp", never)
+        monkeypatch.setattr("faultscope.identify.cap_traces", never)
+        monkeypatch.setattr("faultscope.identify.csp_traces", never)
         rc, out, err = run(capsys, argv[0], "--topology", net, *argv[1:])
         assert rc == EXIT_VALIDATION
         assert out == ""
         (line,) = err.splitlines()
         assert line.startswith("error: universe size 12 exceeds the oracle cap 10")
+
+    def test_exact_under_the_caps_enumerates_traces(self, workspace, monkeypatch, capsys):
+        # the names the refusal tests above replace are the ones that run
+        calls = []
+        for name in ("cap_traces", "csp_traces"):
+            original = getattr(fs.identify, name)
+
+            def spy(t, _name=name, _original=original):
+                calls.append(_name)
+                return _original(t)
+
+            monkeypatch.setattr(f"faultscope.identify.{name}", spy)
+        rc, out, _ = run(
+            capsys,
+            "analyze", "--topology", str(workspace / "net.edges"),
+            "--paths", str(workspace / "up.paths"), "--exact",
+        )
+        assert rc == EXIT_OK
+        assert sorted(calls) == ["cap_traces", "csp_traces"]
 
     def test_set_query(self, workspace, capsys):
         rc, out, _ = run(
@@ -149,6 +178,17 @@ class TestAnalyze:
         assert rc == EXIT_OK
         assert "node,cap,v3" not in out
         assert "node,cap,v2" in out
+
+    @pytest.mark.parametrize("monitors", ["", " , ", "@empty"])
+    def test_empty_monitor_list_refused(self, monitors, workspace, capsys):
+        (workspace / "empty").write_text("# no names\n")
+        rc, out, err = run(
+            capsys,
+            "analyze", "--topology", str(workspace / "net.edges"),
+            "--monitors", monitors.replace("@", f"@{workspace}/"),
+        )
+        assert rc == EXIT_VALIDATION and out == ""
+        assert err == "error: --monitors: empty node list\n"
 
     def test_monitor_file(self, workspace, capsys):
         mons = workspace / "mons.txt"
@@ -329,6 +369,7 @@ class TestCcdf:
             ("p", {"count": 1, "n": 5, "p": float("nan"), "mus": [1], "seed": 1}),
             ("p", {"count": 1, "n": 5, "p": 2, "mus": [1], "seed": 1}),
             ("mus", {"count": 1, "n": 5, "p": 0.5, "mus": [1, 1], "seed": 1}),
+            ("n", {"count": 1, "n": 10001, "p": 0.5, "mus": [1], "seed": 1}),
         ],
     )
     def test_batch_field_of_wrong_type(self, field, spec, capsys):
@@ -407,6 +448,8 @@ class TestVerify:
             ("p_range", "(0, 1]", {"kind": "er", "count": 2, "p_range": [float("nan"), 0.5]}),
             ("p_range", "[0, 1]", {"kind": "cuts", "count": 2, "p_range": [1.5, 2]}),
             ("monitor_counts", ">= 1", {"kind": "er", "count": 2, "monitor_counts": [0]}),
+            ("p_range", "low to high", {"kind": "er", "count": 1, "p_range": [0.9, 0.1]}),
+            ("p_range", "low to high", {"kind": "cuts", "count": 1, "p_range": [0.9, 0.1]}),
         ],
     )
     def test_batch_field_of_wrong_type(self, field, what, spec, capsys):
@@ -420,8 +463,8 @@ class TestVerify:
         def never(*args, **kwargs):
             raise AssertionError("paths enumerated for an instance the oracle refuses")
 
-        monkeypatch.setattr("faultscope.identify.enumerate_cap", never)
-        monkeypatch.setattr("faultscope.identify.enumerate_csp", never)
+        monkeypatch.setattr("faultscope.identify.cap_traces", never)
+        monkeypatch.setattr("faultscope.identify.csp_traces", never)
         spec = '{"kind": "er", "count": 2, "n_range": [14, 14], "monitor_counts": [2]}'
         rc, out, err = run(capsys, "verify", "--batch", spec)
         assert rc == EXIT_VALIDATION
@@ -446,8 +489,8 @@ class TestVerify:
         def never(*args, **kwargs):
             raise AssertionError("paths enumerated for an instance past the node cap")
 
-        monkeypatch.setattr("faultscope.identify.enumerate_cap", never)
-        monkeypatch.setattr("faultscope.identify.enumerate_csp", never)
+        monkeypatch.setattr("faultscope.identify.cap_traces", never)
+        monkeypatch.setattr("faultscope.identify.csp_traces", never)
         spec = '{"count": 1, "n_range": [22, 22], "monitor_counts": [13], "seed": 1}'
         rc, out, err = run(capsys, "verify", "--batch", spec)
         assert rc == EXIT_VALIDATION

@@ -5,14 +5,20 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 
 import faultscope as fs
 from faultscope import VIRTUAL_MONITOR, Graph, Mechanism, Topology
 from faultscope.cuts import _two_connected_set
 from faultscope.verify import er_battery
 
-from conftest import all_simple_paths, all_walk_traces, read_fixture, reference_connectivity
+from conftest import (
+    all_simple_paths,
+    all_walk_traces,
+    literal_k_identifiable,
+    read_fixture,
+    reference_connectivity,
+)
 
 
 @st.composite
@@ -193,6 +199,76 @@ def test_cap_traces_match_all_walks(t):
     ps = fs.enumerate_cap(t)
     assert list(ps.paths) == sorted(set(ps.paths), key=lambda p: (len(p), sorted(p)))
     assert set(ps.paths) == all_walk_traces(t)
+
+
+@st.composite
+def sparse_topologies(draw, max_nodes: int = 10, max_extra: int = 2):
+    """Connected topology on 2..max_nodes nodes with 1..5 monitors (fewer
+    than the nodes) anywhere: a random spanning tree plus up to
+    ``max_extra`` more links, which keeps the brute-force path and walk
+    listings small at ten nodes."""
+    n = draw(st.integers(2, max_nodes))
+    order = draw(st.permutations([f"n{i}" for i in range(n)]))
+    edges = {frozenset((order[i], order[draw(st.integers(0, i - 1))])) for i in range(1, n)}
+    spare = [frozenset((a, b)) for i, a in enumerate(order) for b in order[i + 1 :]]
+    spare = [p for p in spare if p not in edges]
+    if spare:
+        edges |= set(draw(st.lists(st.sampled_from(spare), max_size=max_extra, unique=True)))
+    mu = draw(st.integers(1, min(5, n - 1)))
+    monitors = draw(st.permutations(order))[:mu]
+    return Topology(frozenset(order), frozenset(edges), frozenset(monitors))
+
+
+def _ring(n: int, mu: int) -> Topology:
+    nodes = [f"n{i}" for i in range(n)]
+    edges = {frozenset((nodes[i], nodes[i - 1])) for i in range(n)}
+    return Topology(frozenset(nodes), frozenset(edges), frozenset(nodes[:mu]))
+
+
+def _names(t: Topology, masks: list[int]) -> list[frozenset[str]]:
+    return [frozenset(v for i, v in enumerate(t.nodes) if mask >> i & 1) for mask in masks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_topologies())
+# one monitor on ten nodes; the golden net, where n > sigma + 1
+@example(_ring(10, 1))
+@example(fs.load_topology(read_fixture("golden/net.edges")))
+def test_trace_masks_match_brute_force_listings(t):
+    csp = _names(t, fs.probing.csp_traces(t))
+    cap = _names(t, fs.probing.cap_traces(t))
+    assert len(set(csp)) == len(csp) and len(set(cap)) == len(cap)
+    assert set(csp) == {frozenset(seq) - t.monitors for seq in all_simple_paths(t)}
+    assert set(cap) == all_walk_traces(t)
+
+
+# Shrinking a failure here reruns the literal reading thousands of times and
+# takes minutes; a drawn topology has at most ten nodes, so it is reported as
+# drawn.
+@settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(sparse_topologies(), st.randoms())
+@example(_ring(10, 1), random.Random(0))
+@example(fs.load_topology(read_fixture("golden/net.edges")), random.Random(0))
+def test_oracle_matches_the_literal_definition(t, rng):
+    up = fs.route_up(t)
+    a = fs.Analysis(t, up)
+    # The literal reading compares every pair of scenarios: each node is
+    # held against it on both sides of its index, and one drawn node and
+    # one drawn group at every k.
+    csp, cap = fs.enumerate_csp(t), fs.enumerate_cap(t)
+    for ps, m in ((up, Mechanism.UP), (csp, Mechanism.CSP), (cap, Mechanism.CAP)):
+        omega = fs.oracle_omega_all(ps)
+        assert dict(a.oracle(m)) == omega
+        for v, k in omega.items():
+            assert k == 0 or literal_k_identifiable(ps, [v], k), (m, v, k)
+            assert k == t.sigma or not literal_k_identifiable(ps, [v], k + 1), (m, v, k)
+        v = rng.choice(t.non_monitors)
+        group = rng.sample(t.non_monitors, rng.randint(1, t.sigma))
+        group_omega = fs.oracle_omega(ps, group)
+        assert group_omega == min(omega[w] for w in group)
+        for k in range(1, t.sigma + 1):
+            assert literal_k_identifiable(ps, [v], k) == (omega[v] >= k), (m, v, k)
+            assert literal_k_identifiable(ps, group, k) == (group_omega >= k), (m, group, k)
 
 
 @settings(max_examples=60, deadline=None)

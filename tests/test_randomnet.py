@@ -38,6 +38,17 @@ class TestGenEr:
         with pytest.raises(ValueError):
             fs.gen_er(n, p, seed=0)
 
+    def test_node_cap_refused_before_any_label(self, monkeypatch):
+        def never(n):
+            raise AssertionError("node labels built past the node cap")
+
+        monkeypatch.setattr("faultscope.randomnet._node_labels", never)
+        cap = fs.randomnet.DEFAULT_MAX_NODES
+        with pytest.raises(ValueError, match=f"node count n must be in 2..{cap}, got {cap + 1}"):
+            fs.gen_er(cap + 1, 0.5, seed=1)
+        with pytest.raises(ValueError, match=f"node count n must be in 1..{cap}, got {cap + 1}"):
+            fs.random_graph(cap + 1, 0.5, seed=1)
+
     def test_no_monitors_yet(self):
         assert fs.gen_er(5, 0.9, seed=0).topology.monitors == frozenset()
 
