@@ -21,7 +21,7 @@ from .errors import (
 from .identify import Mechanism
 from .oracle import oracle_k_identifiable, oracle_omega
 from .probing import PathSet, parse_paths
-from .randomnet import DEFAULT_MAX_NODES, gen_er, place_monitors
+from .randomnet import gen_er, place_monitors
 from .reports import (
     VERSION,
     BatchSpec,
@@ -146,8 +146,6 @@ def _render(report, fmt: str) -> str:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.n > DEFAULT_MAX_NODES:
-        raise ValueError(f"--n must be at most {DEFAULT_MAX_NODES}, got {args.n}")
     result = gen_er(args.n, args.p, args.seed)
     t = result.topology
     if args.mu is not None:

@@ -42,7 +42,7 @@ from typing import Iterable, Mapping
 
 from . import oracle as _oracle
 from .cuts import CutNetwork, _two_connected_set
-from .probing import PathSet, cap_traces, csp_traces, trace_incidence
+from .probing import PathSet, enumerate_cap, enumerate_csp
 from .topology import (
     VIRTUAL_MONITOR,
     Topology,
@@ -247,18 +247,18 @@ class Analysis:
     def oracle(self, mechanism: Mechanism) -> Mapping[str, int]:
         """Per-node exact indices from the brute-force oracle, over the paths
         the mechanism is judged on: the UP path set, or every achievable CSP
-        or CAP trace, each node's traces a bitmask. The oracle's universe cap
-        is checked before any trace is enumerated."""
+        or CAP trace. The oracle's universe cap is checked before any path
+        is enumerated."""
         mechanism = Mechanism(mechanism)
         if mechanism not in self._oracle:
             _oracle.check_universe_size(self.t.sigma)
             if mechanism is Mechanism.UP:
-                masks = [self.paths.incidence_masks[v] for v in self.t.non_monitors]
+                ps = self.paths
+            elif mechanism is Mechanism.CSP:
+                ps = enumerate_csp(self.t)
             else:
-                traces = csp_traces if mechanism is Mechanism.CSP else cap_traces
-                masks = trace_incidence(self.t, traces(self.t))
-            omega = _oracle.omega_from_masks(masks)
-            self._oracle[mechanism] = dict(zip(self.t.non_monitors, omega))
+                ps = enumerate_cap(self.t)
+            self._oracle[mechanism] = _oracle.oracle_omega_all(ps)
         return MappingProxyType(self._oracle[mechanism])
 
 

@@ -5,14 +5,14 @@ two failure sets are distinguishable iff they disrupt different paths, a set
 S is k-identifiable iff every pair of failure sets of size <= k that differ
 inside S is distinguishable, and the identifiability index is the largest
 such k. The indices come from one walk over the 2^sigma failure sets
-(:func:`omega_from_masks`), the other answers from trying every subset.
+(:func:`oracle_omega_all`), the other answers from trying every subset.
 They exist to validate the scalable analyses and refuse past small caps.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import OracleCapError
 from .probing import PathSet
@@ -46,9 +46,18 @@ def oracle_k_identifiable(ps: PathSet, group: Iterable[str], k: int) -> bool:
     return oracle_omega(ps, members) >= k
 
 
-def omega_from_masks(node_masks: Sequence[int], watch: int | None = None) -> list[int]:
-    """Exact per-node indices from each node's disrupted-path bitmask, for the
-    nodes in ``watch`` (a bitmask over node positions, default all).
+def oracle_omega(ps: PathSet, group: Iterable[str]) -> int:
+    """Exact identifiability index of ``group``: the largest k (0..sigma) for
+    which the set is k-identifiable, the smallest of its members' indices.
+    0 means two single-failure scenarios differing on the group already
+    look identical."""
+    members = check_members(ps.incidence_masks, group)
+    omega = oracle_omega_all(ps)
+    return min(omega[v] for v in members)
+
+
+def oracle_omega_all(ps: PathSet) -> dict[str, int]:
+    """Exact per-node indices, from one walk over the failure sets.
 
     Two same-fingerprint failure sets rule out every k >= the larger size
     for the nodes where they differ. Walking the failure sets in
@@ -56,11 +65,12 @@ def omega_from_masks(node_masks: Sequence[int], watch: int | None = None) -> lis
     m0, and a later F with it settles each unsettled node of F ^ m0 at
     |F| - 1. That is exact: any colliding pair differing at a node has a
     member, no larger than the pair, that differs there from m0. Unsettled
-    nodes get sigma; the walk ends once every watched node is settled.
+    nodes get sigma; the walk ends once every node is settled.
     """
+    node_masks = list(ps.incidence_masks.values())
     sigma = len(node_masks)
     check_universe_size(sigma)
-    unsettled = (1 << sigma) - 1 if watch is None else watch
+    unsettled = (1 << sigma) - 1
     omega = [sigma] * sigma
     # a failure set's fingerprint is that of the set without its lowest
     # node, plus that node's paths: one OR per set, the smaller set first
@@ -81,23 +91,6 @@ def omega_from_masks(node_masks: Sequence[int], watch: int | None = None) -> lis
                 low = settled & -settled
                 settled ^= low
                 omega[low.bit_length() - 1] = size
-    return omega
-
-
-def oracle_omega(ps: PathSet, group: Iterable[str]) -> int:
-    """Exact identifiability index of ``group``: the largest k (0..sigma) for
-    which the set is k-identifiable, the smallest of its members' indices.
-    0 means two single-failure scenarios differing on the group already
-    look identical."""
-    members = check_members(ps.incidence_masks, group)
-    positions = [ps.universe.index(v) for v in members]
-    omega = omega_from_masks(list(ps.incidence_masks.values()), sum(1 << i for i in positions))
-    return min(omega[i] for i in positions)
-
-
-def oracle_omega_all(ps: PathSet) -> dict[str, int]:
-    """Per-node exact indices, from one walk over the failure sets."""
-    omega = omega_from_masks(list(ps.incidence_masks.values()))
     return dict(zip(ps.universe, omega))
 
 

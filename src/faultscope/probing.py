@@ -86,7 +86,14 @@ class PathSet:
 def _trace_set(t: Topology, masks: Iterable[int]) -> PathSet:
     """Traces given as bitmasks over ``t.nodes``, in (size, sorted names) order."""
     nodes = t.nodes
-    traces = [[nodes[i] for i in range(mask.bit_length()) if mask >> i & 1] for mask in masks]
+    traces = []
+    for mask in masks:
+        names = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            names.append(nodes[low.bit_length() - 1])
+        traces.append(names)
     traces.sort(key=lambda names: (len(names), names))
     return PathSet(tuple(frozenset(names) for names in traces), t.non_monitors)
 
@@ -105,19 +112,6 @@ def _index_graph(t: Topology, what: str) -> tuple[list[int], int]:
         adj[index[u]] |= 1 << index[v]
         adj[index[v]] |= 1 << index[u]
     return adj, sum(1 << index[m] for m in t.monitors)
-
-
-def trace_incidence(t: Topology, traces: Iterable[int]) -> list[int]:
-    """Per non-monitor, in ``t.non_monitors`` order, the bitmask of the
-    traces (bitmasks over ``t.nodes``, numbered as given) that visit it."""
-    by_node = [0] * len(t.nodes)
-    for i, trace in enumerate(traces):
-        bit = 1 << i
-        while trace:
-            low = trace & -trace
-            trace ^= low
-            by_node[low.bit_length() - 1] |= bit
-    return [mask for v, mask in zip(t.nodes, by_node) if v not in t.monitors]
 
 
 def route_up(t: Topology) -> PathSet:
@@ -162,6 +156,8 @@ def csp_traces(t: Topology) -> list[int]:
         ends[1 << a] = 1 << a
     traces: set[int] = set()
     for used, tails in enumerate(ends):
+        if not tails:
+            continue
         reach = 0
         while tails:
             low = tails & -tails

@@ -19,11 +19,6 @@ class GenResult(NamedTuple):
     retries: int
 
 
-def _check_node_count(n: int, least: int) -> None:
-    if not least <= n <= DEFAULT_MAX_NODES:
-        raise ValueError(f"node count n must be in {least}..{DEFAULT_MAX_NODES}, got {n}")
-
-
 def _node_labels(n: int) -> tuple[str, ...]:
     width = len(str(n - 1))
     return tuple(f"n{i:0{width}d}" for i in range(n))
@@ -48,7 +43,8 @@ def gen_er(n: int, p: float, seed: int) -> GenResult:
     yields one reproducible outcome together with the number of rejected
     disconnected draws, at most ``DEFAULT_MAX_RETRIES`` of them.
     """
-    _check_node_count(n, 2)
+    if not 2 <= n <= DEFAULT_MAX_NODES:
+        raise ValueError(f"node count n must be in 2..{DEFAULT_MAX_NODES}, got {n}")
     if not 0.0 < p <= 1.0:
         raise ValueError("edge probability must be in (0, 1]")
     nodes = _node_labels(n)
@@ -73,7 +69,8 @@ def place_monitors(t: Topology, mu: int, seed: int) -> Topology:
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """One seeded ER draw with no connectivity requirement (cut batteries)."""
-    _check_node_count(n, 1)
+    if not 1 <= n <= DEFAULT_MAX_NODES:
+        raise ValueError(f"node count n must be in 1..{DEFAULT_MAX_NODES}, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
     nodes = _node_labels(n)

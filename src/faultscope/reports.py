@@ -193,11 +193,17 @@ class CcdfTable:
         _write_comments(buf, SCHEMA_CCDF, self.meta)
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CCDF_COLUMNS)
-        writer.writerows(
-            (r.k, r.mechanism.value, r.mu, repr(r.inner_fraction), repr(r.outer_fraction))
-            + (_bool(r.exact),)
-            for r in self.rows
-        )
+        for row in self.rows:
+            writer.writerow(
+                (
+                    row.k,
+                    row.mechanism.value,
+                    row.mu,
+                    repr(row.inner_fraction),
+                    repr(row.outer_fraction),
+                    _bool(row.exact),
+                )
+            )
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -206,7 +212,17 @@ class CcdfTable:
             "version": VERSION,
             "seed": self.meta.seed,
             "flags": self.meta.flags,
-            "rows": [{**row._asdict(), "mechanism": row.mechanism.value} for row in self.rows],
+            "rows": [
+                {
+                    "k": row.k,
+                    "mechanism": row.mechanism.value,
+                    "mu": row.mu,
+                    "inner_fraction": row.inner_fraction,
+                    "outer_fraction": row.outer_fraction,
+                    "exact": row.exact,
+                }
+                for row in self.rows
+            ],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -51,7 +51,7 @@ class TestGen:
         n = str(fs.randomnet.DEFAULT_MAX_NODES + 1)
         rc, out, err = run(capsys, "gen", "--n", n, "--p", "0.5", "--seed", "1", "--mu", "1")
         assert rc == EXIT_VALIDATION and out == ""
-        assert err == f"error: --n must be at most 10000, got {n}\n"
+        assert err == f"error: node count n must be in 2..10000, got {n}\n"
 
 
 class TestAnalyze:
@@ -131,18 +131,18 @@ class TestAnalyze:
         def never(*args, **kwargs):
             raise AssertionError("paths enumerated for an instance the oracle refuses")
 
-        monkeypatch.setattr("faultscope.identify.cap_traces", never)
-        monkeypatch.setattr("faultscope.identify.csp_traces", never)
+        monkeypatch.setattr("faultscope.identify.enumerate_cap", never)
+        monkeypatch.setattr("faultscope.identify.enumerate_csp", never)
         rc, out, err = run(capsys, argv[0], "--topology", net, *argv[1:])
         assert rc == EXIT_VALIDATION
         assert out == ""
         (line,) = err.splitlines()
         assert line.startswith("error: universe size 12 exceeds the oracle cap 10")
 
-    def test_exact_under_the_caps_enumerates_traces(self, workspace, monkeypatch, capsys):
+    def test_exact_under_the_caps_enumerates_paths(self, workspace, monkeypatch, capsys):
         # the names the refusal tests above replace are the ones that run
         calls = []
-        for name in ("cap_traces", "csp_traces"):
+        for name in ("enumerate_cap", "enumerate_csp"):
             original = getattr(fs.identify, name)
 
             def spy(t, _name=name, _original=original):
@@ -156,7 +156,7 @@ class TestAnalyze:
             "--paths", str(workspace / "up.paths"), "--exact",
         )
         assert rc == EXIT_OK
-        assert sorted(calls) == ["cap_traces", "csp_traces"]
+        assert sorted(calls) == ["enumerate_cap", "enumerate_csp"]
 
     def test_set_query(self, workspace, capsys):
         rc, out, _ = run(
@@ -463,8 +463,8 @@ class TestVerify:
         def never(*args, **kwargs):
             raise AssertionError("paths enumerated for an instance the oracle refuses")
 
-        monkeypatch.setattr("faultscope.identify.cap_traces", never)
-        monkeypatch.setattr("faultscope.identify.csp_traces", never)
+        monkeypatch.setattr("faultscope.identify.enumerate_cap", never)
+        monkeypatch.setattr("faultscope.identify.enumerate_csp", never)
         spec = '{"kind": "er", "count": 2, "n_range": [14, 14], "monitor_counts": [2]}'
         rc, out, err = run(capsys, "verify", "--batch", spec)
         assert rc == EXIT_VALIDATION
@@ -489,8 +489,8 @@ class TestVerify:
         def never(*args, **kwargs):
             raise AssertionError("paths enumerated for an instance past the node cap")
 
-        monkeypatch.setattr("faultscope.identify.cap_traces", never)
-        monkeypatch.setattr("faultscope.identify.csp_traces", never)
+        monkeypatch.setattr("faultscope.identify.enumerate_cap", never)
+        monkeypatch.setattr("faultscope.identify.enumerate_csp", never)
         spec = '{"count": 1, "n_range": [22, 22], "monitor_counts": [13], "seed": 1}'
         rc, out, err = run(capsys, "verify", "--batch", spec)
         assert rc == EXIT_VALIDATION
