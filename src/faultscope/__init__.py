@@ -9,164 +9,50 @@ probing (csp) and routing-determined paths (up). A definitional brute-force
 oracle and seeded verification batteries back every closed-form result.
 """
 
-from .cuts import (
-    CutNetwork,
-    CutQueryResult,
-    biconnected_components,
-    min_vertex_cut_size,
-    two_connected,
-)
-from .errors import (
-    EnumerationCapError,
-    GenerationError,
-    OracleCapError,
-    TopologyError,
-)
-from .identify import (
-    Analysis,
-    CspInternals,
-    IntBounds,
-    Mechanism,
-    SetBounds,
-    Status,
-    TriState,
-    cap_values,
-    csp_internals,
-    csp_internals_all,
-    gsc,
-    k_identifiable,
-    max_identifiable_set,
-    omega_cap,
-    omega_csp,
-    omega_set,
-    omega_up,
-    one_identifiable,
-    per_node_bounds,
-)
-from .oracle import (
-    brute_vertex_cut,
-    oracle_k_identifiable,
-    oracle_max_identifiable_set,
-    oracle_msc,
-    oracle_omega,
-    oracle_omega_all,
-)
-from .probing import (
-    PathSet,
-    affected,
-    enumerate_cap,
-    enumerate_csp,
-    parse_paths,
-    route_up,
-    simulate,
-)
-from .randomnet import GenResult, gen_er, place_monitors, random_graph
-from .reports import (
-    VERSION,
-    AnalysisReport,
-    BatchSpec,
-    CcdfTable,
-    ReportMeta,
-    analyze,
-    ccdf,
-    ccdf_batch,
-    maxset_report,
-    set_report,
-)
-from .topology import (
-    VIRTUAL_MONITOR,
-    Graph,
-    Topology,
-    build_extended,
-    build_extended_minus,
-    build_minus_monitor,
-    build_star,
-    format_topology,
-    load_topology,
-    parse_monitor_names,
-)
-from .verify import (
-    CheckFailure,
-    VerificationReport,
-    er_battery,
-    verify_batch_spec,
-    verify_cut_engine,
-    verify_topologies,
-)
+from importlib import import_module
 
-__version__ = VERSION
+#: The public API: every exported name, in one row for the module that defines it.
+_EXPORTS = {
+    "cuts": (
+        "CutNetwork", "CutQueryResult", "biconnected_components", "min_vertex_cut_size",
+        "two_connected",
+    ),
+    "errors": ("EnumerationCapError", "GenerationError", "OracleCapError", "TopologyError"),
+    "identify": (
+        "Analysis", "CspInternals", "IntBounds", "Mechanism", "SetBounds", "Status",
+        "TriState", "cap_values", "csp_internals", "csp_internals_all", "gsc",
+        "k_identifiable", "max_identifiable_set", "omega_cap", "omega_csp", "omega_set",
+        "omega_up", "one_identifiable", "per_node_bounds",
+    ),
+    "oracle": (
+        "brute_vertex_cut", "oracle_k_identifiable", "oracle_max_identifiable_set",
+        "oracle_msc", "oracle_omega", "oracle_omega_all",
+    ),
+    "probing": (
+        "PathSet", "affected", "enumerate_cap", "enumerate_csp", "parse_paths", "route_up",
+        "simulate",
+    ),
+    "randomnet": ("GenResult", "gen_er", "place_monitors", "random_graph"),
+    "reports": (
+        "VERSION", "AnalysisReport", "BatchSpec", "CcdfTable", "ReportMeta", "analyze",
+        "ccdf", "ccdf_batch", "maxset_report", "set_report",
+    ),
+    "topology": (
+        "VIRTUAL_MONITOR", "Graph", "Topology", "build_extended", "build_extended_minus",
+        "build_minus_monitor", "build_star", "format_topology", "load_topology",
+        "parse_monitor_names",
+    ),
+    "verify": (
+        "CheckFailure", "VerificationReport", "er_battery", "verify_batch_spec",
+        "verify_cut_engine", "verify_topologies",
+    ),
+}
 
-__all__ = [
-    "Analysis",
-    "AnalysisReport",
-    "BatchSpec",
-    "CcdfTable",
-    "CheckFailure",
-    "CspInternals",
-    "CutNetwork",
-    "CutQueryResult",
-    "EnumerationCapError",
-    "GenResult",
-    "GenerationError",
-    "Graph",
-    "IntBounds",
-    "Mechanism",
-    "OracleCapError",
-    "PathSet",
-    "ReportMeta",
-    "SetBounds",
-    "Status",
-    "Topology",
-    "TopologyError",
-    "TriState",
-    "VERSION",
-    "VIRTUAL_MONITOR",
-    "VerificationReport",
-    "affected",
-    "analyze",
-    "biconnected_components",
-    "brute_vertex_cut",
-    "build_extended",
-    "build_extended_minus",
-    "build_minus_monitor",
-    "build_star",
-    "cap_values",
-    "ccdf",
-    "ccdf_batch",
-    "csp_internals",
-    "csp_internals_all",
-    "enumerate_cap",
-    "enumerate_csp",
-    "er_battery",
-    "format_topology",
-    "gen_er",
-    "gsc",
-    "k_identifiable",
-    "load_topology",
-    "max_identifiable_set",
-    "maxset_report",
-    "min_vertex_cut_size",
-    "omega_cap",
-    "omega_csp",
-    "omega_set",
-    "omega_up",
-    "one_identifiable",
-    "oracle_k_identifiable",
-    "oracle_max_identifiable_set",
-    "oracle_msc",
-    "oracle_omega",
-    "oracle_omega_all",
-    "parse_monitor_names",
-    "parse_paths",
-    "per_node_bounds",
-    "place_monitors",
-    "random_graph",
-    "route_up",
-    "set_report",
-    "simulate",
-    "two_connected",
-    "verify_batch_spec",
-    "verify_cut_engine",
-    "verify_topologies",
-    "__version__",
-]
+# Eager, not a lazy __getattr__: perfbench/tracer.py rewraps each name in every module's vars().
+for _module, _names in _EXPORTS.items():
+    _source = import_module(f".{_module}", __name__)
+    globals().update({name: getattr(_source, name) for name in _names})
+del _module, _names, _source, import_module
+
+__version__ = VERSION  # bound by the loop above
+__all__ = sorted(name for names in _EXPORTS.values() for name in names) + ["__version__"]

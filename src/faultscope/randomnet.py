@@ -46,7 +46,7 @@ def gen_er(n: int, p: float, seed: int) -> GenResult:
     if not 2 <= n <= DEFAULT_MAX_NODES:
         raise ValueError(f"node count n must be in 2..{DEFAULT_MAX_NODES}, got {n}")
     if not 0.0 < p <= 1.0:
-        raise ValueError("edge probability must be in (0, 1]")
+        raise ValueError(f"edge probability p must be in (0, 1], got {p}")
     nodes = _node_labels(n)
     rng = random.Random(seed)
     for attempt in range(DEFAULT_MAX_RETRIES + 1):
@@ -61,7 +61,7 @@ def gen_er(n: int, p: float, seed: int) -> GenResult:
 def place_monitors(t: Topology, mu: int, seed: int) -> Topology:
     """Re-monitor ``t`` with a uniform random seeded choice of ``mu`` nodes."""
     if not 1 <= mu <= len(t.nodes):
-        raise ValueError(f"monitor count must be in 1..{len(t.nodes)}")
+        raise ValueError(f"monitor count mu must be in 1..{len(t.nodes)}, got {mu}")
     rng = random.Random(seed)
     chosen = rng.sample(sorted(t.nodes), mu)
     return t.with_monitors(frozenset(chosen))
@@ -72,7 +72,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     if not 1 <= n <= DEFAULT_MAX_NODES:
         raise ValueError(f"node count n must be in 1..{DEFAULT_MAX_NODES}, got {n}")
     if not 0.0 <= p <= 1.0:
-        raise ValueError("edge probability must be in [0, 1]")
+        raise ValueError(f"edge probability p must be in [0, 1], got {p}")
     nodes = _node_labels(n)
     rng = random.Random(seed)
     return Graph(nodes=nodes, edges=_sample_edges(nodes, p, rng))

@@ -414,8 +414,8 @@ class BatchSpec(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: dict) -> "BatchSpec":
-        """Parse a JSON batch spec; a missing, unknown or invalid field raises
-        a ValueError that names it."""
+        """Parse a JSON batch spec; a missing, unknown or mistyped field raises
+        a ValueError that names it. ``ccdf_batch`` checks the ranges."""
         d = read_fields(d, _BATCH_FIELDS)
         d.update(p=float(d["p"]), mus=tuple(d["mus"]), mechanisms=normalize_mechanisms(d["mechanisms"]))
         return cls(**d)
@@ -460,14 +460,9 @@ def _is_list_of(value, ok: Callable[[object], bool]) -> bool:
 #: (field, default, what it must be, test) for every BatchSpec field, in field order.
 _BATCH_FIELDS = (
     ("count", None, "an integer", _is_int),
-    (
-        "n",
-        None,
-        f"an integer <= {DEFAULT_MAX_NODES}",
-        lambda v: _is_int(v) and v <= DEFAULT_MAX_NODES,
-    ),
+    ("n", None, "an integer", _is_int),
     ("p", None, "a number in (0, 1]", _is_edge_probability),
-    ("mus", None, "a non-empty list of integers", lambda v: _is_list_of(v, _is_int) and len(v) > 0),
+    ("mus", None, "a list of integers", lambda v: _is_list_of(v, _is_int)),
     ("seed", None, "an integer", _is_int),
     (
         "mechanisms",
@@ -512,12 +507,18 @@ def ccdf_batch(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if spec.count < 1:
-        raise ValueError("batch count must be at least 1")
-    for mu in spec.mus:
-        if not 1 <= mu < spec.n:
-            raise ValueError(f"mu={mu} leaves no non-monitors to analyze (n={spec.n})")
-    if len(set(spec.mus)) < len(spec.mus):
-        raise ValueError(f"batch spec field 'mus' repeats a value, got {list(spec.mus)}")
+        raise ValueError(f"batch spec field 'count' must be an integer >= 1, got {spec.count!r}")
+    if not 2 <= spec.n <= DEFAULT_MAX_NODES:
+        raise ValueError(
+            f"batch spec field 'n' must be an integer in 2..{DEFAULT_MAX_NODES}, got {spec.n!r}"
+        )
+    # a repeated mu would be summed under one key, doubling its fractions
+    mus = list(spec.mus)
+    if not mus or len(set(mus)) < len(mus) or not all(1 <= mu < spec.n for mu in mus):
+        raise ValueError(
+            "batch spec field 'mus' must be a non-empty list of distinct integers"
+            f" in 1..{spec.n - 1}, got {mus}"
+        )
     mechs = normalize_mechanisms(spec.mechanisms)
     tasks = [
         (spec.n, spec.p, spec.seed, i, tuple(spec.mus), mechs)

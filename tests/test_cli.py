@@ -43,6 +43,18 @@ class TestGen:
         assert rc == EXIT_VALIDATION
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        ("flags", "line"),
+        [
+            (["--p", "0"], "edge probability p must be in (0, 1], got 0.0"),
+            (["--p", "0.9", "--mu", "9"], "monitor count mu must be in 1..5, got 9"),
+        ],
+    )
+    def test_refusal_names_the_flag_and_value(self, flags, line, capsys):
+        rc, out, err = run(capsys, "gen", "--n", "5", "--seed", "1", *flags)
+        assert rc == EXIT_VALIDATION and out == ""
+        assert err == f"error: {line}\n"
+
     def test_node_cap_refused_before_any_label(self, monkeypatch, capsys):
         def never(n):
             raise AssertionError("node labels built past the node cap")
@@ -379,6 +391,21 @@ class TestCcdf:
         assert "Traceback" not in err
         (line,) = err.splitlines()
         assert f"{field!r}" in line
+
+    @pytest.mark.parametrize(
+        ("spec", "line"),
+        [
+            ({"n": 0}, "'n' must be an integer in 2..10000, got 0"),
+            ({"n": -5}, "'n' must be an integer in 2..10000, got -5"),
+            ({"mus": [0]}, "'mus' must be a non-empty list of distinct integers in 1..4, got [0]"),
+            ({"count": 0}, "'count' must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_batch_field_out_of_range_named(self, spec, line, capsys):
+        spec = {"count": 1, "n": 5, "p": 0.5, "mus": [1], "seed": 1, **spec}
+        rc, out, err = run(capsys, "ccdf", "--batch", json.dumps(spec))
+        assert rc == EXIT_VALIDATION and out == ""
+        assert err == f"error: batch spec field {line}\n"
 
     @pytest.mark.parametrize(
         ("flag", "argv"),

@@ -38,6 +38,12 @@ class TestGenEr:
         with pytest.raises(ValueError):
             fs.gen_er(n, p, seed=0)
 
+    def test_bad_p_named_with_its_value(self):
+        with pytest.raises(ValueError, match=r"edge probability p must be in \(0, 1\], got 0\.0$"):
+            fs.gen_er(5, 0.0, seed=1)
+        with pytest.raises(ValueError, match=r"edge probability p must be in \[0, 1\], got 1\.5$"):
+            fs.random_graph(5, 1.5, seed=1)
+
     def test_node_cap_refused_before_any_label(self, monkeypatch):
         def never(n):
             raise AssertionError("node labels built past the node cap")
@@ -75,7 +81,7 @@ class TestPlaceMonitors:
 
     @pytest.mark.parametrize("mu", [0, 10])
     def test_range(self, base, mu):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"monitor count mu must be in 1\.\.9, got {mu}$"):
             fs.place_monitors(base, mu, seed=0)
 
 

@@ -169,6 +169,7 @@ class TestCcdf:
 
 class TestCcdfBatch:
     SPEC = BatchSpec(count=3, n=10, p=0.35, mus=(2, 3), seed=5, mechanisms=(Mechanism.CAP, Mechanism.UP))
+    MUS_REFUSED = r"field 'mus' must be a non-empty list of distinct integers in 1\.\.9, got "
 
     def test_parallel_equals_serial(self):
         serial = fs.ccdf_batch(self.SPEC)
@@ -192,16 +193,26 @@ class TestCcdfBatch:
                     assert b.outer_fraction <= a.outer_fraction
 
     def test_count_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"field 'count' must be an integer >= 1, got 0$"):
             fs.ccdf_batch(self.SPEC._replace(count=0))
 
+    @pytest.mark.parametrize("n", [0, 1, -5, 10001])
+    def test_n_validated(self, n):
+        with pytest.raises(ValueError, match=rf"field 'n' must be an integer in 2\.\.10000, got {n}$"):
+            fs.ccdf_batch(self.SPEC._replace(n=n))
+
     def test_mu_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=self.MUS_REFUSED + r"\[10\]$"):
             fs.ccdf_batch(self.SPEC._replace(mus=(10,)))
+
+    @pytest.mark.parametrize(("mus", "got"), [((0,), r"\[0\]$"), ((), r"\[\]$")])
+    def test_mu_below_one_or_none_refused(self, mus, got):
+        with pytest.raises(ValueError, match=self.MUS_REFUSED + got):
+            fs.ccdf_batch(self.SPEC._replace(mus=mus))
 
     def test_repeated_mu_refused(self):
         # summed under one key, a repeated mu would double its fractions
-        with pytest.raises(ValueError, match="'mus' repeats a value"):
+        with pytest.raises(ValueError, match=self.MUS_REFUSED + r"\[2, 3, 2\]$"):
             fs.ccdf_batch(self.SPEC._replace(mus=(2, 3, 2)))
 
     def test_from_dict(self):
