@@ -29,6 +29,7 @@ from .reports import (
     analyze,
     ccdf,
     ccdf_batch,
+    json_document,
     maxset_report,
     normalize_mechanisms,
     set_report,
@@ -42,6 +43,15 @@ EXIT_VALIDATION = 2
 EXIT_VERIFY = 3
 
 SCHEMA_ORACLE = "faultscope/oracle v1"
+
+#: Parsed values a report header does not stamp: the subcommand, where and in
+#: what format the report goes, the seed (a header line of its own), the
+#: monitors (the topology's own) and the worker count (the bytes are the same
+#: for any). Every other value given is stamped.
+_UNSTAMPED = frozenset({"command", "func", "out", "format", "seed", "monitors", "jobs"})
+
+#: Every mechanism, the parser's default: a --mechanism given is a new tuple.
+_ALL_MECHANISMS = (Mechanism.CAP, Mechanism.CSP, Mechanism.UP)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,11 +122,10 @@ def _load_batch_dict(raw: str) -> dict:
     return spec
 
 
-def _meta(args: argparse.Namespace, names: tuple[str, ...]) -> ReportMeta:
+def _meta(args: argparse.Namespace) -> ReportMeta:
     tokens: list[str] = []
-    for name in names:
-        value = getattr(args, name, None)
-        if value is None or value is False:
+    for name, value in vars(args).items():
+        if name in _UNSTAMPED or value is None or value is False:
             continue
         if value is True:
             tokens.append(name)
@@ -127,7 +136,7 @@ def _meta(args: argparse.Namespace, names: tuple[str, ...]) -> ReportMeta:
             tokens.append(f"{name}={rendered}")
         else:
             tokens.append(f"{name}={value}")
-    return ReportMeta(seed=getattr(args, "seed", None), flags=" ".join(sorted(tokens)))
+    return ReportMeta(seed=args.seed, flags=" ".join(sorted(tokens)))
 
 
 def _refuse(args: argparse.Namespace, flags: tuple[str, ...], context: str) -> None:
@@ -137,8 +146,17 @@ def _refuse(args: argparse.Namespace, flags: tuple[str, ...], context: str) -> N
             raise ValueError(f"--{flag} does not apply {context}")
 
 
-def _render(report, fmt: str) -> str:
-    return report.to_csv() if fmt == "csv" else report.to_json()
+def _report(args: argparse.Namespace, build, **options) -> int:
+    """Load the topology and paths, build the report, stamp its header and write it."""
+    t = _load_cli_topology(args)
+    ps = _load_cli_paths(args, t)
+    report = build(t, args.mechanism, ps=ps, exact=args.exact, meta=_meta(args), **options)
+    return _write_report(report, args)
+
+
+def _write_report(report, args: argparse.Namespace) -> int:
+    _write_output(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -157,60 +175,33 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    t = _load_cli_topology(args)
-    ps = _load_cli_paths(args, t)
-    meta = _meta(args, ("topology", "paths", "mechanism", "set", "exact"))
-    report = analyze(
-        t,
-        args.mechanism,
-        ps=ps,
-        group=args.set,
-        exact=args.exact,
-        meta=meta,
-    )
-    _write_output(_render(report, args.format), args.out)
-    return EXIT_OK
+    return _report(args, analyze, group=args.set)
 
 
 def _cmd_maxset(args: argparse.Namespace) -> int:
     if args.set is not None:
         _refuse(args, ("k",), "with --set")
-    t = _load_cli_topology(args)
-    ps = _load_cli_paths(args, t)
-    meta = _meta(args, ("topology", "paths", "mechanism", "k", "set", "exact"))
-    if args.set is not None:
-        report = set_report(t, args.mechanism, args.set, ps=ps, exact=args.exact, meta=meta)
-    else:
-        ks = [args.k] if args.k is not None else None
-        report = maxset_report(t, args.mechanism, ks, ps=ps, exact=args.exact, meta=meta)
-    _write_output(_render(report, args.format), args.out)
-    return EXIT_OK
+        return _report(args, set_report, group=args.set)
+    return _report(args, maxset_report, ks=None if args.k is None else [args.k])
 
 
 def _cmd_ccdf(args: argparse.Namespace) -> int:
-    if args.batch is not None:
-        _refuse(args, ("topology", "monitors", "paths", "exact"), "with --batch")
-        spec_dict = _load_batch_dict(args.batch)
-        if "mechanisms" not in spec_dict:
-            spec_dict["mechanisms"] = [m.value for m in args.mechanism]
-        if "seed" not in spec_dict and args.seed is not None:
-            spec_dict["seed"] = args.seed
-        # jobs is an execution knob, not an analysis parameter: parallel and
-        # serial runs emit byte-identical reports, so it stays out of flags.
-        spec = BatchSpec.from_dict(spec_dict)
-        meta = _meta(args, ("batch", "mechanism"))
-        jobs = 1 if args.jobs is None else args.jobs
-        table = ccdf_batch(spec, jobs=jobs, meta=ReportMeta(spec.seed, meta.flags))
-    else:
+    if args.batch is None:
         _refuse(args, ("jobs",), "without --batch")
         if args.topology is None:
             raise ValueError("a topology file or a batch spec is required")
-        t = _load_cli_topology(args)
-        ps = _load_cli_paths(args, t)
-        meta = _meta(args, ("topology", "paths", "mechanism", "exact"))
-        table = ccdf(t, args.mechanism, ps=ps, exact=args.exact, meta=meta)
-    _write_output(_render(table, args.format), args.out)
-    return EXIT_OK
+        return _report(args, ccdf)
+    _refuse(args, ("topology", "monitors", "paths", "exact"), "with --batch")
+    spec_dict = _load_batch_dict(args.batch)
+    if "mechanisms" in spec_dict and args.mechanism is not _ALL_MECHANISMS:
+        raise ValueError("--mechanism does not apply with a batch spec that sets 'mechanisms'")
+    spec_dict.setdefault("mechanisms", [m.value for m in args.mechanism])
+    if "seed" not in spec_dict and args.seed is not None:
+        spec_dict["seed"] = args.seed
+    spec = BatchSpec.from_dict(spec_dict)
+    args.mechanism, args.seed = spec.mechanisms, spec.seed  # the header stamps what ran
+    jobs = 1 if args.jobs is None else args.jobs
+    return _write_report(ccdf_batch(spec, jobs=jobs, meta=_meta(args)), args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -242,17 +233,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     t = _load_cli_topology(args)
     ps = parse_paths(_read_text(args.paths), t)
     members = tuple(args.set) if args.set is not None else t.non_monitors
-    doc: dict = {
-        "schema": SCHEMA_ORACLE,
-        "version": VERSION,
-        "set": sorted(set(members)),
-    }
     if args.k is not None:
-        doc["k"] = args.k
-        doc["identifiable"] = oracle_k_identifiable(ps, members, args.k)
+        answer = {"k": args.k, "identifiable": oracle_k_identifiable(ps, members, args.k)}
     else:
-        doc["omega"] = oracle_omega(ps, members)
-    _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        answer = {"omega": oracle_omega(ps, members)}
+    _write_output(json_document(SCHEMA_ORACLE, set=sorted(set(members)), **answer), args.out)
     return EXIT_OK
 
 
@@ -287,7 +272,7 @@ def _add_probing_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--mechanism",
         type=_mechanism_list,
-        default=(Mechanism.CAP, Mechanism.CSP, Mechanism.UP),
+        default=_ALL_MECHANISMS,
         help="comma separated subset of cap,csp,up (default all)",
     )
 

@@ -23,7 +23,8 @@ threshold of one, and :func:`k_identifiable` holds the members' folded raw
 bounds against k, or at k == 1 under CSP and UP reads their single-failure
 verdicts. The functions take an :class:`Analysis`, whose tables they read,
 or a topology, analysed afresh; nothing is cached across calls. A UP query
-needs the path set, so it takes an :class:`Analysis` built with one.
+reads the path set the :class:`Analysis` was built with or, without one, the
+paths the routing protocol picks (:func:`~faultscope.probing.route_up`).
 
 The brute-force oracle (:mod:`faultscope.oracle`) is the ground truth these
 results are validated against. Its per-node indices are one more table of
@@ -42,7 +43,7 @@ from typing import Iterable, Mapping
 
 from . import oracle as _oracle
 from .cuts import CutNetwork, _two_connected_set
-from .probing import PathSet, enumerate_cap, enumerate_csp
+from .probing import PathSet, enumerate_cap, enumerate_csp, route_up
 from .topology import (
     VIRTUAL_MONITOR,
     Topology,
@@ -205,9 +206,9 @@ class Analysis:
 
     @property
     def paths(self) -> PathSet:
-        """The UP path set."""
+        """The UP path set: the one given, else :func:`route_up`'s, routed on first use."""
         if self.ps is None:
-            raise ValueError("routing-determined analysis needs a path set")
+            self.ps = route_up(self.t)
         return self.ps
 
     @cached_property
@@ -436,7 +437,7 @@ def one_identifiable(
     Never undetermined. Under CAP any connected monitored topology
     qualifies; under CSP the answer comes from biconnectivity of the
     extended graphs; under UP it is a direct comparison of path incidence
-    (an :class:`Analysis` with a path set required). Each member's verdict is
+    over :attr:`Analysis.paths`. Each member's verdict is
     read off :meth:`Analysis.single`; the first failing one decides, but one
     not two-connected to the monitors decides before any confusable pair.
     """

@@ -25,7 +25,7 @@ from .identify import (
     fold_bounds,
     threshold_sweep,
 )
-from .probing import PathSet, route_up
+from .probing import PathSet
 from .randomnet import DEFAULT_MAX_NODES, gen_er
 from .topology import Topology, check_k, check_members
 
@@ -128,14 +128,13 @@ class AnalysisReport:
 
     def to_json(self) -> str:
         members = functools.cache(sorted)  # max sets repeat across k
-        doc = {
-            "schema": SCHEMA_ANALYSIS,
-            "version": VERSION,
-            "seed": self.meta.seed,
-            "flags": self.meta.flags,
-            "sigma": self.sigma,
-            "mechanisms": [m.value for m in self.mechanisms],
-            "nodes": [
+        return json_document(
+            SCHEMA_ANALYSIS,
+            seed=self.meta.seed,
+            flags=self.meta.flags,
+            sigma=self.sigma,
+            mechanisms=[m.value for m in self.mechanisms],
+            nodes=[
                 {
                     "node": row.node,
                     "degree": row.degree,
@@ -148,7 +147,7 @@ class AnalysisReport:
                 }
                 for row in self.rows
             ],
-            "sets": [
+            sets=[
                 {
                     "mechanism": srow.mechanism.value,
                     "members": list(srow.members),
@@ -158,7 +157,7 @@ class AnalysisReport:
                 }
                 for srow in self.set_rows
             ],
-            "maxsets": [
+            maxsets=[
                 {
                     "mechanism": mrow.mechanism.value,
                     "k": mrow.k,
@@ -168,8 +167,7 @@ class AnalysisReport:
                 }
                 for mrow in self.maxset_rows
             ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        )
 
 
 class CcdfRow(NamedTuple):
@@ -207,12 +205,11 @@ class CcdfTable:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        doc = {
-            "schema": SCHEMA_CCDF,
-            "version": VERSION,
-            "seed": self.meta.seed,
-            "flags": self.meta.flags,
-            "rows": [
+        return json_document(
+            SCHEMA_CCDF,
+            seed=self.meta.seed,
+            flags=self.meta.flags,
+            rows=[
                 {
                     "k": row.k,
                     "mechanism": row.mechanism.value,
@@ -223,12 +220,17 @@ class CcdfTable:
                 }
                 for row in self.rows
             ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        )
 
 
 def _bool(value: bool) -> str:
     return "true" if value else "false"
+
+
+def json_document(schema: str, **body) -> str:
+    """A JSON report: its schema, the package version and ``body``, keys sorted."""
+    doc = {"schema": schema, "version": VERSION, **body}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _write_comments(buf: io.StringIO, schema: str, meta: ReportMeta) -> None:
@@ -248,13 +250,6 @@ def normalize_mechanisms(mechanisms: Iterable[Mechanism | str]) -> tuple[Mechani
     if not out:
         raise ValueError("at least one mechanism is required")
     return tuple(out)
-
-
-def _context(t: Topology, mechs: tuple[Mechanism, ...], ps: PathSet | None) -> Analysis:
-    """The one analysis context of a report; UP without given paths is routed here, once."""
-    if ps is None and Mechanism.UP in mechs:
-        ps = route_up(t)
-    return Analysis(t, ps)
 
 
 def _tables(
@@ -288,11 +283,10 @@ def analyze(
     sections fold in the exact single-failure test, and ``exact=True``
     replaces everything with oracle values (within the oracle caps).
     """
-    t.require_monitored()
+    a = Analysis(t, ps)
     mechs = normalize_mechanisms(mechanisms)
     members = None if group is None else check_members(t.non_monitor_set, group)
     meta = meta or ReportMeta()
-    a = _context(t, mechs, ps)
     tables = _tables(a, mechs, refine_single=False, exact=exact)
     rows = [
         AnalysisRow(
@@ -334,12 +328,12 @@ def maxset_report(
     meta: ReportMeta | None = None,
 ) -> AnalysisReport:
     """Maximal k-identifiable sets only (all k by default)."""
-    t.require_monitored()
+    a = Analysis(t, ps)
     mechs = normalize_mechanisms(mechanisms)
     wanted = list(ks) if ks is not None else list(range(1, t.sigma + 1))
     for k in wanted:
         check_k(k, t.sigma)
-    tables = _tables(_context(t, mechs, ps), mechs, refine_single=True, exact=exact)
+    tables = _tables(a, mechs, refine_single=True, exact=exact)
     sweeps = {m: threshold_sweep(tables[m], t.sigma) for m in mechs}
     return AnalysisReport(
         meta=meta or ReportMeta(),
@@ -362,10 +356,10 @@ def set_report(
     """Index bounds for one queried set, without the per-node table: the
     member-wise minimum of the per-node bounds, or of the oracle's per-node
     indices with ``exact=True`` (a set's exact index is that minimum too)."""
-    t.require_monitored()
+    a = Analysis(t, ps)
     mechs = normalize_mechanisms(mechanisms)
     members = check_members(t.non_monitor_set, group)
-    tables = _tables(_context(t, mechs, ps), mechs, refine_single=True, exact=exact)
+    tables = _tables(a, mechs, refine_single=True, exact=exact)
     return AnalysisReport(
         meta=meta or ReportMeta(),
         sigma=t.sigma,
@@ -388,9 +382,9 @@ def ccdf(
     meta: ReportMeta | None = None,
 ) -> CcdfTable:
     """Fraction of k-identifiable non-monitors for every k in 1..sigma."""
-    t.require_monitored()
+    a = Analysis(t, ps)
     mechs = normalize_mechanisms(mechanisms)
-    tables = _tables(_context(t, mechs, ps), mechs, refine_single=True, exact=exact)
+    tables = _tables(a, mechs, refine_single=True, exact=exact)
     sigma = t.sigma
     sweeps = {m: threshold_sweep(tables[m], sigma) for m in mechs}
     rows: list[CcdfRow] = []
@@ -473,22 +467,21 @@ _BATCH_FIELDS = (
 )
 
 
-def _ccdf_instance(
-    task: tuple[int, float, int, int, tuple[int, ...], tuple[Mechanism, ...]],
-) -> list[CcdfRow]:
-    """One batch instance, picklable for process pools.
+def _ccdf_instance(task: tuple[BatchSpec, int]) -> list[CcdfRow]:
+    """Instance ``index`` of a batch, a (spec, index) task picklable for process pools.
 
     Monitor placements are nested across the mu values of one instance (a
     shared random node order is prefixed), so curves for different mu are
     comparable draw by draw.
     """
-    n, p, seed, index, mus, mechs = task
-    base = gen_er(n, p, seed + index).topology
-    rng = random.Random((seed + index) * 1_000_003 + 17)
+    spec, index = task
+    seed = spec.seed + index
+    base = gen_er(spec.n, spec.p, seed).topology
+    rng = random.Random(seed * 1_000_003 + 17)
     order = rng.sample(sorted(base.nodes), len(base.nodes))
     rows: list[CcdfRow] = []
-    for mu in mus:
-        rows += ccdf(base.with_monitors(frozenset(order[:mu])), mechs).rows
+    for mu in spec.mus:
+        rows += ccdf(base.with_monitors(frozenset(order[:mu])), spec.mechanisms).rows
     return rows
 
 
@@ -519,11 +512,8 @@ def ccdf_batch(
             "batch spec field 'mus' must be a non-empty list of distinct integers"
             f" in 1..{spec.n - 1}, got {mus}"
         )
-    mechs = normalize_mechanisms(spec.mechanisms)
-    tasks = [
-        (spec.n, spec.p, spec.seed, i, tuple(spec.mus), mechs)
-        for i in range(spec.count)
-    ]
+    spec = spec._replace(mechanisms=normalize_mechanisms(spec.mechanisms))
+    tasks = [(spec, i) for i in range(spec.count)]
     workers = min(jobs, spec.count, os.cpu_count() or 1)
     if workers > 1:
         # imported here: only a parallel batch pays for the process pool
@@ -543,7 +533,7 @@ def ccdf_batch(
     rows: list[CcdfRow] = []
     for mu in spec.mus:
         for k in range(1, spec.n - mu + 1):
-            for m in mechs:
+            for m in spec.mechanisms:
                 inner, outer, exact = sums[(mu, m, k)]
                 rows.append(CcdfRow(k, m, mu, inner / spec.count, outer / spec.count, exact))
     return CcdfTable(meta=meta or ReportMeta(seed=spec.seed), rows=tuple(rows))

@@ -198,6 +198,16 @@ def check_k(k: int, sigma: int) -> None:
         raise ValueError(f"k must be in 1..{sigma}")
 
 
+def _with_virtual_monitor(t: Topology, removed: Container[str], anchors: Iterable[str]) -> Graph:
+    # The topology without the ``removed`` nodes and their links, plus the
+    # virtual monitor linked to each of the ``anchors``.
+    t.require_monitored()
+    nodes = tuple(n for n in t.nodes if n not in removed) + (VIRTUAL_MONITOR,)
+    edges = [e for e in t.edges if e[0] not in removed and e[1] not in removed]
+    edges += [(VIRTUAL_MONITOR, w) for w in sorted(anchors)]
+    return Graph(nodes, tuple(edges))
+
+
 def build_star(t: Topology) -> Graph:
     """Replace all monitors with one virtual monitor tied to their neighborhood.
 
@@ -205,11 +215,7 @@ def build_star(t: Topology) -> Graph:
     non-monitor to non-monitor link, plus a link from the virtual monitor to
     each non-monitor that was adjacent to any monitor.
     """
-    t.require_monitored()
-    nodes = t.non_monitors + (VIRTUAL_MONITOR,)
-    edges = [e for e in t.edges if e[0] not in t.monitors and e[1] not in t.monitors]
-    edges += [(VIRTUAL_MONITOR, w) for w in sorted(t.monitor_neighbors)]
-    return Graph(nodes, tuple(edges))
+    return _with_virtual_monitor(t, t.monitors, t.monitor_neighbors)
 
 
 def build_minus_monitor(t: Topology, m: str) -> Graph:
@@ -221,23 +227,13 @@ def build_minus_monitor(t: Topology, m: str) -> Graph:
     t.require_monitored()
     if m not in t.monitors:
         raise ValueError(f"{m!r} is not a monitor")
-    keep = set()
-    for other in t.monitors:
-        if other == m:
-            continue
-        keep.update(w for w in t.adjacency[other] if w not in t.monitors)
-    nodes = t.non_monitors + (VIRTUAL_MONITOR,)
-    edges = [e for e in t.edges if e[0] not in t.monitors and e[1] not in t.monitors]
-    edges += [(VIRTUAL_MONITOR, w) for w in sorted(keep)]
-    return Graph(nodes, tuple(edges))
+    keep = {w for other in t.monitors - {m} for w in t.adjacency[other] if w not in t.monitors}
+    return _with_virtual_monitor(t, t.monitors, keep)
 
 
 def build_extended(t: Topology) -> Graph:
     """Keep the whole topology and attach the virtual monitor to every monitor."""
-    t.require_monitored()
-    nodes = t.nodes + (VIRTUAL_MONITOR,)
-    edges = list(t.edges) + [(VIRTUAL_MONITOR, m) for m in sorted(t.monitors)]
-    return Graph(nodes, tuple(edges))
+    return _with_virtual_monitor(t, (), t.monitors)
 
 
 def build_extended_minus(t: Topology, w: str) -> Graph:
@@ -245,10 +241,7 @@ def build_extended_minus(t: Topology, w: str) -> Graph:
     t.require_monitored()
     if w in t.monitors or w not in t.adjacency:
         raise ValueError(f"{w!r} is not a non-monitor of the topology")
-    nodes = tuple(n for n in t.nodes if n != w) + (VIRTUAL_MONITOR,)
-    edges = [e for e in t.edges if w not in e]
-    edges += [(VIRTUAL_MONITOR, m) for m in sorted(t.monitors)]
-    return Graph(nodes, tuple(edges))
+    return _with_virtual_monitor(t, (w,), t.monitors)
 
 
 def load_topology(text: str, monitors: Iterable[str] | None = None) -> Topology:

@@ -8,7 +8,6 @@ instance's generation parameters so it can be replayed exactly.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -18,14 +17,14 @@ from typing import Iterable, Sequence
 from .cuts import CutNetwork, two_connected
 from .identify import Analysis, Mechanism, threshold_sweep
 from .oracle import DEFAULT_MAX_CUT_NODES, brute_vertex_cut, check_universe_size, oracle_msc
-from .probing import DEFAULT_MAX_ENUM_NODES, route_up
+from .probing import DEFAULT_MAX_ENUM_NODES
 from .randomnet import gen_er, place_monitors, random_graph
 from .reports import (
-    VERSION,
     _is_edge_probability,
     _is_int,
     _is_list_of,
     _is_number,
+    json_document,
     read_fields,
 )
 from .topology import Topology
@@ -104,18 +103,16 @@ class VerificationReport:
         return not self.failures
 
     def to_json(self) -> str:
-        doc = {
-            "schema": SCHEMA_VERIFY,
-            "version": VERSION,
-            "instances": self.instances,
-            "checks": self.checks,
-            "ok": self.ok,
-            "failures": [
+        return json_document(
+            SCHEMA_VERIFY,
+            instances=self.instances,
+            checks=self.checks,
+            ok=self.ok,
+            failures=[
                 {"instance": f.instance, "check": f.check, "detail": f.detail}
                 for f in self.failures
             ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        )
 
 
 def er_battery(
@@ -167,11 +164,10 @@ def verify_topologies(
     failures: list[CheckFailure] = []
     nchecks = 0
     ninstances = 0
-    want_sets = "sets" in checks
     for index, t in enumerate(tops):
         ninstances += 1
         name = _instance_name(index, t)
-        a = Analysis(t, route_up(t) if "up" in checks or want_sets else None)
+        a = Analysis(t)
 
         def fail(check: str, detail: str) -> None:
             failures.append(CheckFailure(name, check, detail))
@@ -216,7 +212,7 @@ def verify_topologies(
                             f"{v}: GSC {greedy} outside [MSC {msc}, guarantee {limit}]",
                         )
 
-        if want_sets:
+        if "sets" in checks:
             for mech in (Mechanism.CAP, Mechanism.CSP, Mechanism.UP):
                 omega = a.oracle(mech)
                 for k, bounds in enumerate(threshold_sweep(a.table(mech), t.sigma), start=1):
@@ -256,32 +252,22 @@ def verify_cut_engine(
         g = random_graph(n, p, seed * 101 + i)
         name = f"graph[{i}] n={n} p={p:.3f}"
         net = CutNetwork(g)
+
+        def fail(check: str, detail: str) -> None:
+            failures.append(CheckFailure(name, check, detail))
+
         for j, (s, t) in enumerate(permutations(g.nodes, 2)):
             nchecks += 3
             slow = brute_vertex_cut(g, s, t)
             fast = net.cut_size(s, t)
             if fast != slow:
-                failures.append(
-                    CheckFailure(name, "cut-equal", f"({s},{t}): flow {fast} != brute {slow}")
-                )
+                fail("cut-equal", f"({s},{t}): flow {fast} != brute {slow}")
             limit = j % n
             bounded = net.cut_size(s, t, limit)
             if bounded != min(slow, limit):
-                failures.append(
-                    CheckFailure(
-                        name,
-                        "cut-bounded",
-                        f"({s},{t}): flow limited to {limit} gave {bounded}, brute {slow}",
-                    )
-                )
+                fail("cut-bounded", f"({s},{t}): flow limited to {limit} gave {bounded}, brute {slow}")
             if two_connected(g, s, t) != (slow >= 2):
-                failures.append(
-                    CheckFailure(
-                        name,
-                        "two-connected",
-                        f"({s},{t}): biconnectivity disagrees with cut {slow}",
-                    )
-                )
+                fail("two-connected", f"({s},{t}): biconnectivity disagrees with cut {slow}")
     return VerificationReport(count, nchecks, tuple(failures))
 
 

@@ -415,6 +415,9 @@ class TestCcdf:
             ("--paths", ["--batch", SPEC, "--paths", "absent.paths"]),
             ("--monitors", ["--batch", SPEC, "--monitors", "m1,m2"]),
             ("--exact", ["--batch", SPEC, "--exact"]),
+            # SPEC sets its mechanisms: a --mechanism given is refused, even every one
+            ("--mechanism", ["--batch", SPEC, "--mechanism", "up"]),
+            ("--mechanism", ["--batch", SPEC, "--mechanism", "cap,csp,up"]),
         ],
     )
     def test_flag_that_does_not_apply_refused(self, flag, argv, workspace, monkeypatch, capsys):
@@ -424,6 +427,16 @@ class TestCcdf:
         assert out == ""
         (line,) = err.splitlines()
         assert line.startswith(f"error: {flag} does not apply")
+
+    @pytest.mark.parametrize("mechanisms", [["cap"], ["cap", "cap"]])
+    def test_batch_header_stamps_the_mechanisms_that_ran(self, mechanisms, capsys):
+        spec = json.dumps({"count": 1, "n": 5, "p": 0.5, "mus": [1], "seed": 1, "mechanisms": mechanisms})
+        rc, out, _ = run(capsys, "ccdf", "--batch", spec)
+        assert rc == EXIT_OK
+        lines = out.splitlines()
+        assert lines[3] == f"# flags: batch={spec} mechanism=cap"
+        # a repeated mechanism runs once
+        assert lines[5:] == [f"{k},cap,1,{f},{f},true" for k, f in enumerate((1.0, 1.0, 0.5, 0.5), 1)]
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, jobs, capsys):
@@ -685,6 +698,45 @@ class TestCliDigests:
     def test_json_bytes_at_n800(self, report):
         digest = "51bc1a55bfb4d920254aeefad70dad3027521b8af82f90e906c3fefda664a073"
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    ("argv", "flags"),
+    [
+        (
+            ["analyze", "--topology", "net.edges", "--paths", "up.paths", "--set", "v1,v2"],
+            "mechanism=cap,csp,up paths=up.paths set=v1,v2 topology=net.edges",
+        ),
+        (
+            ["maxset", "--topology", "net.edges", "--mechanism", "csp,cap", "--k", "2", "--exact"],
+            "exact k=2 mechanism=csp,cap topology=net.edges",
+        ),
+        (
+            ["maxset", "--topology", "net.edges", "--set", "v2,v4"],
+            "mechanism=cap,csp,up set=v2,v4 topology=net.edges",
+        ),
+        (
+            ["ccdf", "--topology", "net.edges", "--paths", "up.paths", "--mechanism", "up"],
+            "mechanism=up paths=up.paths topology=net.edges",
+        ),
+        (
+            ["ccdf", "--batch", '{"count":1,"n":5,"p":0.5,"mus":[1]}', "--jobs", "1"],
+            'batch={"count":1,"n":5,"p":0.5,"mus":[1]} mechanism=cap,csp,up',
+        ),
+    ],
+    ids=["analyze", "maxset", "maxset --set", "ccdf --topology", "ccdf --batch"],
+)
+def test_header_stamps_the_report_flags(argv, flags, workspace, monkeypatch, capsys):
+    # the seed has a header line of its own (a batch spec without one takes
+    # --seed); monitors, format, out and jobs are never stamped, and a batch
+    # refuses --monitors
+    monkeypatch.chdir(workspace)
+    if argv[0] != "ccdf" or "--batch" not in argv:
+        argv = [*argv, "--monitors", "m1,m2,m3"]
+    rc, _, _ = run(capsys, *argv, "--seed", "7", "--format", "csv", "--out", "report.csv")
+    assert rc == EXIT_OK
+    header = (workspace / "report.csv").read_text().splitlines()[2:4]
+    assert header == ["# seed: 7", f"# flags: {flags}"]
 
 
 def test_cli_import_loads_no_process_pool():

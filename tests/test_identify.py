@@ -225,9 +225,32 @@ class TestOneIdentifiable:
         assert fs.one_identifiable(a, ["n4", "n5"], "csp").rule == expected
         assert fs.k_identifiable(a, ["n4", "n5"], 1, "csp").rule == expected
 
-    def test_up_needs_paths(self, golden):
-        with pytest.raises(ValueError):
-            fs.one_identifiable(golden, ["v1"], Mechanism.UP)
+    def test_up_on_a_topology_reads_the_routed_paths(self, golden, monkeypatch):
+        # an Analysis built without paths routes them with route_up, once and
+        # only for an up query; a topology query builds a fresh Analysis
+        route_up, routes = fs.identify.route_up, []
+        monkeypatch.setattr(fs.identify, "route_up", lambda t: routes.append(t) or route_up(t))
+        routed = fs.Analysis(golden, route_up(golden))
+        queries = (
+            lambda t: fs.one_identifiable(t, ["v1", "v2"], Mechanism.UP),
+            lambda t: fs.k_identifiable(t, ["v4"], 2, Mechanism.UP),
+            lambda t: fs.per_node_bounds(t, Mechanism.UP),
+            lambda t: fs.max_identifiable_set(t, 2, Mechanism.UP),
+        )
+        for query in queries:
+            assert query(golden) == query(routed)
+        assert routes == [golden] * len(queries)
+
+        a, routes[:] = fs.Analysis(golden), []
+        for m in (Mechanism.CAP, Mechanism.CSP):
+            fs.one_identifiable(a, ["v1"], m)
+            fs.max_identifiable_set(a, 2, m)
+            a.oracle(m)
+        assert routes == []
+        for query in queries:
+            assert query(a) == query(routed)
+        assert a.oracle(Mechanism.UP) == routed.oracle(Mechanism.UP)
+        assert routes == [golden]
 
     def test_mechanism_by_name(self, chain4):
         assert fs.one_identifiable(chain4, ["v1"], "cap").is_identifiable

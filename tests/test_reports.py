@@ -171,10 +171,13 @@ class TestCcdfBatch:
     SPEC = BatchSpec(count=3, n=10, p=0.35, mus=(2, 3), seed=5, mechanisms=(Mechanism.CAP, Mechanism.UP))
     MUS_REFUSED = r"field 'mus' must be a non-empty list of distinct integers in 1\.\.9, got "
 
-    def test_parallel_equals_serial(self):
-        serial = fs.ccdf_batch(self.SPEC)
-        parallel = fs.ccdf_batch(self.SPEC, jobs=2)
-        assert serial.rows == parallel.rows
+    @pytest.mark.parametrize("mechanisms", [SPEC.mechanisms, ("cap", "up")], ids=["enum", "str"])
+    def test_parallel_equals_serial(self, mechanisms):
+        # a spec built directly may name its mechanisms as strings
+        spec = self.SPEC._replace(mechanisms=mechanisms)
+        serial = fs.ccdf_batch(spec)
+        parallel = fs.ccdf_batch(spec, jobs=2)
+        assert serial.rows == parallel.rows == fs.ccdf_batch(self.SPEC).rows
 
     def test_row_layout(self):
         rows = fs.ccdf_batch(self.SPEC).rows
@@ -245,7 +248,7 @@ class TestTablesBuiltOnce:
         t, ps = instance
         routes: list = []
         monkeypatch.setattr(
-            fs.reports, "route_up", lambda topo: routes.append(topo) or fs.route_up(topo)
+            fs.identify, "route_up", lambda topo: routes.append(topo) or fs.route_up(topo)
         )
 
         report = fs.analyze(t, ALL, ps=ps, group=t.non_monitors[:2])

@@ -34,10 +34,6 @@ class TestPerNodeBounds:
         assert all(b == IntBounds(0, 1) for b in raw.values())
         assert all(b == IntBounds.exactly(0) for b in refined.values())
 
-    def test_up_needs_paths(self, golden):
-        with pytest.raises(ValueError):
-            fs.per_node_bounds(golden, Mechanism.UP)
-
     def test_foreign_path_set_rejected(self, golden, chain4):
         ps = fs.route_up(chain4)
         with pytest.raises(ValueError):

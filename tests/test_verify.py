@@ -53,6 +53,29 @@ def test_verify_cut_engine():
     assert rep.instances == 10
 
 
+def test_cut_engine_records_every_failure_in_order(monkeypatch):
+    # A cut engine off by one and a negated biconnectivity test fail all
+    # three checks of every ordered pair: each record, in pair order.
+    cut_size, two_connected = fs.CutNetwork.cut_size, fs.verify.two_connected
+    monkeypatch.setattr(fs.CutNetwork, "cut_size", lambda net, *args: cut_size(net, *args) + 1)
+    monkeypatch.setattr(fs.verify, "two_connected", lambda g, s, t: not two_connected(g, s, t))
+    rep = fs.verify_cut_engine(2, 4, n_range=(2, 2))
+    assert (rep.instances, rep.checks) == (2, 12)
+    per_graph = [
+        ("cut-equal", "(n0,n1): flow 2 != brute 1"),
+        ("cut-bounded", "(n0,n1): flow limited to 0 gave 1, brute 1"),
+        ("two-connected", "(n0,n1): biconnectivity disagrees with cut 1"),
+        ("cut-equal", "(n1,n0): flow 2 != brute 1"),
+        ("cut-bounded", "(n1,n0): flow limited to 1 gave 2, brute 1"),
+        ("two-connected", "(n1,n0): biconnectivity disagrees with cut 1"),
+    ]
+    assert rep.failures == tuple(
+        fs.CheckFailure(graph, check, detail)
+        for graph in ("graph[0] n=2 p=0.343", "graph[1] n=2 p=0.483")
+        for check, detail in per_graph
+    )
+
+
 class TestVerifyBatchSpec:
     def test_er_kind(self):
         assert fs.verify_batch_spec({"kind": "er", "count": 3, "seed": 9}).ok
