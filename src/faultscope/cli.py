@@ -8,6 +8,7 @@ failure. All reports are deterministic for fixed flags and seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from .errors import (
     OracleCapError,
     TopologyError,
 )
-from .identify import Mechanism
+from .identify import Analysis, Mechanism
 from .oracle import oracle_k_identifiable, oracle_omega
 from .probing import PathSet, parse_paths
 from .randomnet import gen_er, place_monitors
@@ -149,12 +150,12 @@ def _refuse(args: argparse.Namespace, flags: tuple[str, ...], context: str) -> N
 def _report(args: argparse.Namespace, build, **options) -> int:
     """Load the topology and paths, build the report, stamp its header and write it."""
     t = _load_cli_topology(args)
-    ps = _load_cli_paths(args, t)
-    report = build(t, args.mechanism, ps=ps, exact=args.exact, meta=_meta(args), **options)
-    return _write_report(report, args)
+    a = Analysis(t, _load_cli_paths(args, t))
+    return _write_report(build(a, args.mechanism, exact=args.exact, **options), args)
 
 
 def _write_report(report, args: argparse.Namespace) -> int:
+    report = dataclasses.replace(report, meta=_meta(args))
     _write_output(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return EXIT_OK
 
@@ -196,12 +197,14 @@ def _cmd_ccdf(args: argparse.Namespace) -> int:
     if "mechanisms" in spec_dict and args.mechanism is not _ALL_MECHANISMS:
         raise ValueError("--mechanism does not apply with a batch spec that sets 'mechanisms'")
     spec_dict.setdefault("mechanisms", [m.value for m in args.mechanism])
-    if "seed" not in spec_dict and args.seed is not None:
+    if "seed" in spec_dict:
+        _refuse(args, ("seed",), "with a batch spec that sets 'seed'")
+    elif args.seed is not None:
         spec_dict["seed"] = args.seed
     spec = BatchSpec.from_dict(spec_dict)
     args.mechanism, args.seed = spec.mechanisms, spec.seed  # the header stamps what ran
     jobs = 1 if args.jobs is None else args.jobs
-    return _write_report(ccdf_batch(spec, jobs=jobs, meta=_meta(args)), args)
+    return _write_report(ccdf_batch(spec, jobs=jobs), args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

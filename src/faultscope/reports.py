@@ -22,10 +22,10 @@ from .identify import (
     IntBounds,
     Mechanism,
     SetBounds,
+    _analysis,
     fold_bounds,
     threshold_sweep,
 )
-from .probing import PathSet
 from .randomnet import DEFAULT_MAX_NODES, gen_er
 from .topology import Topology, check_k, check_members
 
@@ -267,14 +267,38 @@ def _tables(
     return {m: {v: IntBounds.exactly(w) for v, w in a.oracle(m).items()} for m in mechs}
 
 
+def _sections(
+    a: Analysis,
+    mechs: tuple[Mechanism, ...],
+    exact: bool,
+    *,
+    rows: Sequence[AnalysisRow] = (),
+    members: tuple[str, ...] | None = None,
+    ks: Iterable[int] = (),
+) -> AnalysisReport:
+    """A report of ``rows``, the set rows of ``members`` and the max-set rows
+    of each k in ``ks``, all folded from one refined (or, with ``exact``,
+    oracle) table per mechanism."""
+    tables = _tables(a, mechs, refine_single=True, exact=exact)
+    sweeps = {m: threshold_sweep(tables[m], a.t.sigma) for m in mechs}
+    return AnalysisReport(
+        meta=ReportMeta(),
+        sigma=a.t.sigma,
+        mechanisms=mechs,
+        rows=tuple(rows),
+        set_rows=tuple(
+            SetRow(m, members, fold_bounds(tables[m], members)) for m in mechs if members is not None
+        ),
+        maxset_rows=tuple(MaxsetRow(m, k, sweeps[m][k - 1]) for k in ks for m in mechs),
+    )
+
+
 def analyze(
-    t: Topology,
+    t: Topology | Analysis,
     mechanisms: Sequence[Mechanism | str],
     *,
-    ps: PathSet | None = None,
     group: Iterable[str] | None = None,
     exact: bool = False,
-    meta: ReportMeta | None = None,
 ) -> AnalysisReport:
     """Full per-node report, sorted non-increasing by the first mechanism's
     index bounds (ties by node id).
@@ -283,90 +307,56 @@ def analyze(
     sections fold in the exact single-failure test, and ``exact=True``
     replaces everything with oracle values (within the oracle caps).
     """
-    a = Analysis(t, ps)
+    a = _analysis(t)
+    t = a.t
     mechs = normalize_mechanisms(mechanisms)
     members = None if group is None else check_members(t.non_monitor_set, group)
-    meta = meta or ReportMeta()
-    tables = _tables(a, mechs, refine_single=False, exact=exact)
+    raw = _tables(a, mechs, refine_single=False, exact=exact)
+    first = raw[mechs[0]]
+    nodes = sorted(t.non_monitors, key=lambda v: (-first[v].hi, -first[v].lo, v))
     rows = [
         AnalysisRow(
             node=v,
             degree=t.degree(v),
             monitor_degree=t.monitor_degree(v),
             nonmonitor_degree=t.nonmonitor_degree(v),
-            bounds=tuple((m, tables[m][v]) for m in mechs),
+            bounds=tuple((m, raw[m][v]) for m in mechs),
         )
-        for v in t.non_monitors
+        for v in nodes
     ]
-    first = mechs[0]
-    rows.sort(key=lambda r: (-r.bound(first).hi, -r.bound(first).lo, r.node))
-
-    folded = tables if exact else _tables(a, mechs, refine_single=True, exact=False)
-    set_rows: list[SetRow] = []
-    if members is not None:
-        set_rows = [SetRow(m, members, fold_bounds(folded[m], members)) for m in mechs]
-    sweeps = {m: threshold_sweep(folded[m], t.sigma) for m in mechs}
-    maxset_rows = [MaxsetRow(m, k, sweeps[m][k - 1]) for k in range(1, t.sigma + 1) for m in mechs]
-
-    return AnalysisReport(
-        meta=meta,
-        sigma=t.sigma,
-        mechanisms=mechs,
-        rows=tuple(rows),
-        set_rows=tuple(set_rows),
-        maxset_rows=tuple(maxset_rows),
-    )
+    return _sections(a, mechs, exact, rows=rows, members=members, ks=range(1, t.sigma + 1))
 
 
 def maxset_report(
-    t: Topology,
+    t: Topology | Analysis,
     mechanisms: Sequence[Mechanism | str],
     ks: Sequence[int] | None = None,
     *,
-    ps: PathSet | None = None,
     exact: bool = False,
-    meta: ReportMeta | None = None,
 ) -> AnalysisReport:
     """Maximal k-identifiable sets only (all k by default)."""
-    a = Analysis(t, ps)
+    a = _analysis(t)
     mechs = normalize_mechanisms(mechanisms)
-    wanted = list(ks) if ks is not None else list(range(1, t.sigma + 1))
+    sigma = a.t.sigma
+    wanted = list(ks) if ks is not None else range(1, sigma + 1)
     for k in wanted:
-        check_k(k, t.sigma)
-    tables = _tables(a, mechs, refine_single=True, exact=exact)
-    sweeps = {m: threshold_sweep(tables[m], t.sigma) for m in mechs}
-    return AnalysisReport(
-        meta=meta or ReportMeta(),
-        sigma=t.sigma,
-        mechanisms=mechs,
-        rows=(),
-        maxset_rows=tuple(MaxsetRow(m, k, sweeps[m][k - 1]) for k in wanted for m in mechs),
-    )
+        check_k(k, sigma)
+    return _sections(a, mechs, exact, ks=wanted)
 
 
 def set_report(
-    t: Topology,
+    t: Topology | Analysis,
     mechanisms: Sequence[Mechanism | str],
     group: Iterable[str],
     *,
-    ps: PathSet | None = None,
     exact: bool = False,
-    meta: ReportMeta | None = None,
 ) -> AnalysisReport:
     """Index bounds for one queried set, without the per-node table: the
     member-wise minimum of the per-node bounds, or of the oracle's per-node
     indices with ``exact=True`` (a set's exact index is that minimum too)."""
-    a = Analysis(t, ps)
+    a = _analysis(t)
     mechs = normalize_mechanisms(mechanisms)
-    members = check_members(t.non_monitor_set, group)
-    tables = _tables(a, mechs, refine_single=True, exact=exact)
-    return AnalysisReport(
-        meta=meta or ReportMeta(),
-        sigma=t.sigma,
-        mechanisms=mechs,
-        rows=(),
-        set_rows=tuple(SetRow(m, members, fold_bounds(tables[m], members)) for m in mechs),
-    )
+    return _sections(a, mechs, exact, members=check_members(a.t.non_monitor_set, group))
 
 
 # ---------------------------------------------------------------------------
@@ -374,26 +364,20 @@ def set_report(
 
 
 def ccdf(
-    t: Topology,
+    t: Topology | Analysis,
     mechanisms: Sequence[Mechanism | str],
     *,
-    ps: PathSet | None = None,
     exact: bool = False,
-    meta: ReportMeta | None = None,
 ) -> CcdfTable:
     """Fraction of k-identifiable non-monitors for every k in 1..sigma."""
-    a = Analysis(t, ps)
+    a = _analysis(t)
     mechs = normalize_mechanisms(mechanisms)
-    tables = _tables(a, mechs, refine_single=True, exact=exact)
-    sigma = t.sigma
-    sweeps = {m: threshold_sweep(tables[m], sigma) for m in mechs}
+    sigma = a.t.sigma
     rows: list[CcdfRow] = []
-    for k in range(1, sigma + 1):
-        for m in mechs:
-            sets = sweeps[m][k - 1]
-            inner, outer = len(sets.inner) / sigma, len(sets.outer) / sigma
-            rows.append(CcdfRow(k, m, t.mu, inner, outer, sets.exact))
-    return CcdfTable(meta=meta or ReportMeta(), rows=tuple(rows))
+    for r in _sections(a, mechs, exact, ks=range(1, sigma + 1)).maxset_rows:
+        inner, outer = len(r.sets.inner) / sigma, len(r.sets.outer) / sigma
+        rows.append(CcdfRow(r.k, r.mechanism, a.t.mu, inner, outer, r.sets.exact))
+    return CcdfTable(meta=ReportMeta(), rows=tuple(rows))
 
 
 class BatchSpec(NamedTuple):
@@ -485,12 +469,7 @@ def _ccdf_instance(task: tuple[BatchSpec, int]) -> list[CcdfRow]:
     return rows
 
 
-def ccdf_batch(
-    spec: BatchSpec,
-    *,
-    jobs: int = 1,
-    meta: ReportMeta | None = None,
-) -> CcdfTable:
+def ccdf_batch(spec: BatchSpec, *, jobs: int = 1) -> CcdfTable:
     """CCDF fractions averaged over ``count`` seeded ER instances.
 
     Instance i uses seed ``spec.seed + i``. Results are merged in instance
@@ -505,7 +484,7 @@ def ccdf_batch(
         raise ValueError(
             f"batch spec field 'n' must be an integer in 2..{DEFAULT_MAX_NODES}, got {spec.n!r}"
         )
-    # a repeated mu would be summed under one key, doubling its fractions
+    # a repeated mu would print its curve twice
     mus = list(spec.mus)
     if not mus or len(set(mus)) < len(mus) or not all(1 <= mu < spec.n for mu in mus):
         raise ValueError(
@@ -523,17 +502,14 @@ def ccdf_batch(
     else:
         results = [_ccdf_instance(task) for task in tasks]
 
-    sums: dict[tuple[int, Mechanism, int], list] = {}
-    for result in results:
-        for row in result:
-            acc = sums.setdefault((row.mu, row.mechanism, row.k), [0.0, 0.0, True])
-            acc[0] += row.inner_fraction
-            acc[1] += row.outer_fraction
-            acc[2] = acc[2] and row.exact
+    # every instance gives the same (mu, k, mechanism) rows in the same order;
+    # a plain running sum in instance order (sum() of floats compensates on 3.12+)
     rows: list[CcdfRow] = []
-    for mu in spec.mus:
-        for k in range(1, spec.n - mu + 1):
-            for m in spec.mechanisms:
-                inner, outer, exact = sums[(mu, m, k)]
-                rows.append(CcdfRow(k, m, mu, inner / spec.count, outer / spec.count, exact))
-    return CcdfTable(meta=meta or ReportMeta(seed=spec.seed), rows=tuple(rows))
+    for column in zip(*results, strict=True):
+        inner = outer = 0.0
+        for row in column:
+            inner, outer = inner + row.inner_fraction, outer + row.outer_fraction
+        k, m, mu = column[0][:3]
+        exact = all(row.exact for row in column)
+        rows.append(CcdfRow(k, m, mu, inner / spec.count, outer / spec.count, exact))
+    return CcdfTable(meta=ReportMeta(seed=spec.seed), rows=tuple(rows))

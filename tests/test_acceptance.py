@@ -259,11 +259,14 @@ def test_criterion_09_figure_shape(capsys):
 
 
 def test_criterion_10_determinism(golden, up_paths, capsys):
-    rep = lambda: fs.analyze(golden, (Mechanism.UP, Mechanism.CSP, Mechanism.CAP), ps=up_paths)
+    # each render builds its own Analysis, so the two come from independent tables
+    rep = lambda: fs.analyze(
+        fs.Analysis(golden, up_paths), (Mechanism.UP, Mechanism.CSP, Mechanism.CAP)
+    )
     assert rep().to_csv() == rep().to_csv()
     assert rep().to_json() == rep().to_json()
 
-    tab = lambda: fs.ccdf(golden, (Mechanism.UP,), ps=up_paths)
+    tab = lambda: fs.ccdf(fs.Analysis(golden, up_paths), (Mechanism.UP,))
     assert tab().to_csv() == tab().to_csv()
 
     spec = fs.BatchSpec(

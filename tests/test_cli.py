@@ -418,6 +418,8 @@ class TestCcdf:
             # SPEC sets its mechanisms: a --mechanism given is refused, even every one
             ("--mechanism", ["--batch", SPEC, "--mechanism", "up"]),
             ("--mechanism", ["--batch", SPEC, "--mechanism", "cap,csp,up"]),
+            # SPEC sets its seed too
+            ("--seed", ["--batch", SPEC, "--seed", "7"]),
         ],
     )
     def test_flag_that_does_not_apply_refused(self, flag, argv, workspace, monkeypatch, capsys):
@@ -679,6 +681,28 @@ class TestGoldenReports:
         gen = ["gen", "--n", "200", "--p", "0.03", "--seed", str(seed), "--mu", "10", "--out", "er200.edges"]
         assert run(capsys, *gen)[0] == EXIT_OK
         rc, out, _ = run(capsys, "analyze", "--topology", "er200.edges")
+        assert rc == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        ("spec", "fmt", "digest"),
+        [
+            # the README's batch
+            (
+                '{"count": 50, "n": 20, "p": 0.27, "mus": [2, 10], "seed": 1}',
+                "csv",
+                "e622ccf272d8d12108bbb7a50e5d9bef17314eef536141bacb09e9b25c5912dd",
+            ),
+            (
+                '{"count": 20, "n": 15, "p": 0.3, "mus": [3, 5], "seed": 4, "mechanisms": ["up", "cap"]}',
+                "json",
+                "434e0f719dea305a09af7c6dbaeca8ec6390012d8a02d41709d1c6583e4b0512",
+            ),
+        ],
+    )
+    def test_ccdf_batch_bytes(self, spec, fmt, digest, capsys):
+        # the averages over instances, pinned byte for byte
+        rc, out, _ = run(capsys, "ccdf", "--batch", spec, "--format", fmt)
         assert rc == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -11,7 +12,7 @@ ALL = (Mechanism.UP, Mechanism.CSP, Mechanism.CAP)
 
 @pytest.fixture(scope="module")
 def report(golden, up_paths):
-    return fs.analyze(golden, ALL, ps=up_paths, group=["v1", "v2", "v4"])
+    return fs.analyze(fs.Analysis(golden, up_paths), ALL, group=["v1", "v2", "v4"])
 
 
 class TestAnalyze:
@@ -44,7 +45,7 @@ class TestAnalyze:
         assert seen == {(m, k) for m in ALL for k in range(1, golden.sigma + 1)}
 
     def test_exact_mode_uses_oracle(self, golden, up_paths):
-        rep = fs.analyze(golden, [Mechanism.UP], ps=up_paths, exact=True)
+        rep = fs.analyze(fs.Analysis(golden, up_paths), [Mechanism.UP], exact=True)
         got = {r.node: r.bound(Mechanism.UP) for r in rep.rows}
         assert got == {
             "v1": IntBounds.exactly(4),
@@ -62,7 +63,8 @@ class TestAnalyze:
 class TestCsvRendering:
     def test_header_lines(self, golden, up_paths):
         meta = ReportMeta(seed=42, flags="mechanism=up seed=42")
-        text = fs.analyze(golden, [Mechanism.UP], ps=up_paths, meta=meta).to_csv()
+        report = fs.analyze(fs.Analysis(golden, up_paths), [Mechanism.UP])
+        text = dataclasses.replace(report, meta=meta).to_csv()
         lines = text.splitlines()
         assert lines[0] == "# schema: faultscope/analysis v1"
         assert lines[1].startswith("# version: ")
@@ -71,29 +73,29 @@ class TestCsvRendering:
         assert lines[4].split(",") == list(fs.reports.ANALYSIS_COLUMNS)
 
     def test_missing_meta_dashes(self, golden, up_paths):
-        lines = fs.analyze(golden, [Mechanism.UP], ps=up_paths).to_csv().splitlines()
+        lines = fs.analyze(fs.Analysis(golden, up_paths), [Mechanism.UP]).to_csv().splitlines()
         assert lines[2] == "# seed: -"
         assert lines[3] == "# flags: -"
 
     def test_node_rows(self, golden, up_paths):
-        text = fs.analyze(golden, ALL, ps=up_paths).to_csv()
+        text = fs.analyze(fs.Analysis(golden, up_paths), ALL).to_csv()
         assert "node,up,v2,,4,1,3,0,1,false,," in text
         assert "node,cap,v2,,4,1,3,4,4,true,," in text
 
     def test_maxset_rows(self, golden, up_paths):
-        text = fs.analyze(golden, ALL, ps=up_paths, group=["v1", "v2", "v4"]).to_csv()
+        text = fs.analyze(fs.Analysis(golden, up_paths), ALL, group=["v1", "v2", "v4"]).to_csv()
         assert "set,up,v1+v2+v4,,,,,1,1,true,," in text
         assert "maxset,up,,4,,,,,,true,v1+v4,v1+v4" in text
         assert "maxset,csp,,4,,,,,,true,v1+v3+v4,v1+v3+v4" in text
 
     def test_deterministic(self, golden, up_paths):
-        render = lambda: fs.analyze(golden, ALL, ps=up_paths).to_csv()
+        render = lambda: fs.analyze(fs.Analysis(golden, up_paths), ALL).to_csv()
         assert render() == render()
 
 
 class TestJsonRendering:
     def test_shape(self, golden, up_paths):
-        doc = json.loads(fs.analyze(golden, ALL, ps=up_paths, group=["v2"]).to_json())
+        doc = json.loads(fs.analyze(fs.Analysis(golden, up_paths), ALL, group=["v2"]).to_json())
         assert doc["schema"] == "faultscope/analysis v1"
         assert doc["sigma"] == 4
         assert doc["mechanisms"] == ["up", "csp", "cap"]
@@ -105,7 +107,7 @@ class TestJsonRendering:
         assert any(m["k"] == 4 for m in doc["maxsets"])
 
     def test_ends_with_newline(self, golden, up_paths):
-        assert fs.analyze(golden, [Mechanism.UP], ps=up_paths).to_json().endswith("\n")
+        assert fs.analyze(fs.Analysis(golden, up_paths), [Mechanism.UP]).to_json().endswith("\n")
 
 
 class TestMaxsetAndSetReports:
@@ -121,7 +123,8 @@ class TestMaxsetAndSetReports:
             fs.maxset_report(golden, [Mechanism.CSP], ks=[9])
 
     def test_set_report_oracle(self, golden, up_paths):
-        rep = fs.set_report(golden, [Mechanism.UP], ["v1", "v2", "v4"], ps=up_paths, exact=True)
+        a = fs.Analysis(golden, up_paths)
+        rep = fs.set_report(a, [Mechanism.UP], ["v1", "v2", "v4"], exact=True)
         (row,) = rep.set_rows
         assert row.bounds == IntBounds.exactly(1)
         assert row.members == ("v1", "v2", "v4")
@@ -129,7 +132,7 @@ class TestMaxsetAndSetReports:
 
 class TestCcdf:
     def test_routing_fractions(self, golden, up_paths):
-        rows = fs.ccdf(golden, [Mechanism.UP], ps=up_paths).rows
+        rows = fs.ccdf(fs.Analysis(golden, up_paths), [Mechanism.UP]).rows
         frac = {r.k: (r.inner_fraction, r.outer_fraction, r.exact) for r in rows}
         assert frac[1] == (0.75, 0.75, True)
         for k in (2, 3, 4):
@@ -145,10 +148,10 @@ class TestCcdf:
             assert frac[(Mechanism.CAP, k)] == 1.0
 
     def test_mu_column(self, golden, up_paths):
-        assert all(r.mu == 3 for r in fs.ccdf(golden, [Mechanism.UP], ps=up_paths).rows)
+        assert all(r.mu == 3 for r in fs.ccdf(fs.Analysis(golden, up_paths), [Mechanism.UP]).rows)
 
     def test_non_increasing(self, golden, up_paths):
-        rows = fs.ccdf(golden, ALL, ps=up_paths).rows
+        rows = fs.ccdf(fs.Analysis(golden, up_paths), ALL).rows
         for mech in ALL:
             series = [r for r in rows if r.mechanism == mech]
             for a, b in zip(series, series[1:]):
@@ -156,13 +159,13 @@ class TestCcdf:
                 assert b.outer_fraction <= a.outer_fraction
 
     def test_csv(self, golden, up_paths):
-        lines = fs.ccdf(golden, [Mechanism.UP], ps=up_paths).to_csv().splitlines()
+        lines = fs.ccdf(fs.Analysis(golden, up_paths), [Mechanism.UP]).to_csv().splitlines()
         assert lines[0] == "# schema: faultscope/ccdf v1"
         assert lines[4] == "k,mechanism,mu,inner_fraction,outer_fraction,exact"
         assert lines[5] == "1,up,3,0.75,0.75,true"
 
     def test_json(self, golden, up_paths):
-        doc = json.loads(fs.ccdf(golden, [Mechanism.UP], ps=up_paths).to_json())
+        doc = json.loads(fs.ccdf(fs.Analysis(golden, up_paths), [Mechanism.UP]).to_json())
         assert doc["schema"] == "faultscope/ccdf v1"
         assert doc["rows"][0]["inner_fraction"] == 0.75
 
@@ -251,7 +254,7 @@ class TestTablesBuiltOnce:
             fs.identify, "route_up", lambda topo: routes.append(topo) or fs.route_up(topo)
         )
 
-        report = fs.analyze(t, ALL, ps=ps, group=t.non_monitors[:2])
+        report = fs.analyze(fs.Analysis(t, ps), ALL, group=t.non_monitors[:2])
 
         # the CSP star pass gives the CAP table
         built = Counter(table_builds)
@@ -269,9 +272,38 @@ class TestTablesBuiltOnce:
             assert row.sets.inner == {v for v, b in table.items() if b.lo >= row.k}
             assert row.sets.outer == {v for v, b in table.items() if b.hi >= row.k}
 
+    def test_one_analysis_serves_every_report(self, instance, table_builds, monkeypatch):
+        t, ps = instance
+        group = t.non_monitors[:2]
+        builders = (
+            lambda a: fs.analyze(a, ALL, group=group),
+            lambda a: fs.maxset_report(a, ALL),
+            lambda a: fs.set_report(a, ALL, group),
+            lambda a: fs.ccdf(a, ALL),
+        )
+        # each report alone, from a fresh topology (routed) or a fresh Analysis
+        fresh = [build(t if ps is None else fs.Analysis(t, ps)) for build in builders]
+        table_builds.clear()
+        routes: list = []
+        monkeypatch.setattr(
+            fs.identify, "route_up", lambda topo: routes.append(topo) or fs.route_up(topo)
+        )
+
+        shared = fs.Analysis(t, ps)
+        assert [build(shared) for build in builders] == fresh
+
+        built = Counter(table_builds)
+        assert built[("csp_internals_all", None)] == 1
+        assert built[("_csp_single_failure_nodes", None)] == 1
+        assert built[("cap_values", None)] == 0
+        for m in ALL:
+            assert 1 <= built[("per_node_bounds", m)] <= 2
+        # routed once when no paths were given
+        assert len(routes) == (0 if ps is not None else 1)
+
     def test_cap_first_analyze_reads_cap_off_the_csp_table(self, instance, table_builds):
         t, ps = instance
-        fs.analyze(t, tuple(reversed(ALL)), ps=ps)
+        fs.analyze(fs.Analysis(t, ps), tuple(reversed(ALL)))
         built = Counter(name for name, _ in table_builds)
         assert built["csp_internals_all"] == 1
         assert built["cap_values"] == 0
