@@ -31,8 +31,9 @@ results: C_G(s, t) := V(G) \\ {t}, i.e. cut size |V(G)| - 1. All public
 entry points honor it, including :func:`two_connected`; ``max_flow`` counts
 the flow, link s-t included.
 
-Two-connectivity to an anchor comes from the articulation-point DFS instead
-(linear in nodes + links), run only over the anchor's connected component.
+:meth:`CutNetwork.path_nodes` reads the nodes on a residual's flow paths. By
+Menger, removing a node off the paths of a maximum flow leaves every path
+whole, so only those nodes can lower the cut.
 """
 
 from __future__ import annotations
@@ -138,6 +139,22 @@ class CutNetwork:
         nodes, head = self.graph.nodes, self._head
         return [nodes[head[e] // 2] for e in self._arcs[2 * self._index[t]] if e & 1 and residual[e]]
 
+    def path_nodes(self, residual: bytearray, s: str, t: str) -> set[str]:
+        """The nodes other than ``s`` and ``t`` on the flow paths of ``residual``,
+        walked from ``s`` along the forward arcs that carry a unit."""
+        nodes, head, arcs = self.graph.nodes, self._head, self._arcs
+        dst = 2 * self._index[t]
+
+        def sent(x: int) -> list[int]:  # the heads of the units leaving node x
+            return [head[e] for e in arcs[x] if not e & 1 and residual[e ^ 1]]
+
+        out: set[str] = set()
+        for x in sent(2 * self._index[s] + 1):
+            while x != dst:  # in-node x passes its unit to its out-node, x + 1
+                out.add(nodes[x >> 1])
+                (x,) = sent(x + 1)
+        return out
+
     def _cancel(self, capacity: bytearray, e: int, src: int) -> None:
         # Cancel the unit on arc e into the sink: a unit-node-capacity flow is
         # disjoint paths and cycles, and no cycle passes the sink, so walk the
@@ -200,19 +217,12 @@ def min_vertex_cut_size(g: Graph, s: str, t: str) -> CutQueryResult:
     return CutQueryResult(s, t, size, adjacent_case=g.has_edge(s, t))
 
 
-def _blocks(
-    adj: Mapping[str, Sequence[str]],
-    root: str,
-    skip: str | None = None,
-    disc: dict[str, int] | None = None,
-) -> Iterator[list[str]]:
-    # Articulation-point DFS (iterative) over root's connected component,
-    # with node ``skip`` treated as deleted. Yields each biconnected
-    # component as a node list whose last entry is the component's top node
-    # (the articulation point it hangs from, or root). ``disc`` carries the
-    # discovery times across calls.
-    if disc is None:
-        disc = {}
+def _blocks(adj: Mapping[str, Sequence[str]], root: str, disc: dict[str, int]) -> Iterator[list[str]]:
+    # Articulation-point DFS (iterative) over root's connected component, for
+    # biconnected_components. Yields each biconnected component as a node
+    # list whose last entry is the component's top node (the articulation
+    # point it hangs from, or root). ``disc`` carries the discovery times
+    # across calls.
     disc[root] = len(disc)
     low = {root: disc[root]}
     nodes = [root]
@@ -220,7 +230,7 @@ def _blocks(
     while stack:
         v, parent, it, _ = stack[-1]
         for child in it:
-            if child == parent or child == skip:
+            if child == parent:
                 continue
             if child in disc:
                 if disc[child] < low[v]:
@@ -251,38 +261,12 @@ def biconnected_components(g: Graph) -> list[frozenset[str]]:
     comps: list[frozenset[str]] = []
     for root in g.nodes:
         if root not in disc:
-            comps.extend(frozenset(b) for b in _blocks(g.adjacency, root, disc=disc))
+            comps.extend(frozenset(b) for b in _blocks(g.adjacency, root, disc))
     return comps
 
 
-def _two_connected_set(
-    adj: Mapping[str, Sequence[str]], anchor: str, skip: str | None = None
-) -> frozenset[str]:
-    """Nodes sharing a biconnected component of >= 3 nodes with ``anchor``, in
-    the graph of adjacency ``adj`` with node ``skip`` (if given) deleted.
-
-    For non-adjacent pairs this is exactly "minimum cut >= 2"; callers must
-    not use it for pairs joined by an edge (the adjacent-pair convention of
-    :func:`min_vertex_cut_size` does not reduce to component membership).
-    """
-    out: set[str] = set()
-    for block in _blocks(adj, anchor, skip):
-        # the DFS starts at the anchor, so its components are those topped by it
-        if block[-1] == anchor and len(block) >= 3:
-            out.update(block)
-    out.discard(anchor)
-    return frozenset(out)
-
-
 def two_connected(g: Graph, s: str, t: str) -> bool:
-    """True iff the minimum vertex cut between ``s`` and ``t`` is at least 2.
-
-    Equivalent to ``min_vertex_cut_size(g, s, t).cut_size >= 2`` but computed
-    from the biconnected decomposition: for adjacent pairs the convention
-    makes the answer |V(G)| >= 3; otherwise the pair must share a
-    biconnected component (necessarily of >= 3 nodes).
-    """
+    """True iff the minimum vertex cut between ``s`` and ``t`` is at least 2:
+    a 2-bounded flow query, so adjacent pairs need |V(G)| >= 3."""
     _check_pair(g, s, t)
-    if g.has_edge(s, t):
-        return len(g.nodes) >= 3
-    return t in _two_connected_set(g.adjacency, s)
+    return CutNetwork(g).cut_size(s, t, 2) >= 2

@@ -42,12 +42,13 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import oracle as _oracle
-from .cuts import CutNetwork, _two_connected_set
+from .cuts import CutNetwork
 from .probing import PathSet, enumerate_cap, enumerate_csp, route_up
 from .topology import (
     VIRTUAL_MONITOR,
     Topology,
     build_extended,
+    build_extended_minus,
     build_star,
     check_k,
     check_members,
@@ -331,25 +332,33 @@ def _csp_single_failure_nodes(t: Topology | Analysis) -> dict[str, TriState]:
     # v qualifies when (a) v is two-connected to the virtual monitor and (b)
     # for every other non-monitor w, v stays two-connected with w removed or
     # w stays two-connected with v removed (otherwise {v} and {w} can disrupt
-    # identical path sets: the first such w is the witness). A 3-bounded cut
+    # identical path sets: the first such w is the witness). A 3-bounded flow
     # per node sorts them: below 2 fails (a), 3 survives any single removal
-    # and passes (b). Neither is a witness (removing a node outside v's block
-    # with the virtual monitor keeps it whole), so only nodes of cut 2 need a
-    # reach set: one articulation-point DFS with that node skipped.
+    # and passes (b). A node of cut 2 keeps the nodes of its two flow paths:
+    # by Menger only those can cut it, so a pair can fail (b) only if each
+    # lies on the other's paths. Each candidate w gets one extended-minus
+    # network, whose 2-bounded flows confirm its pairs.
     a = _analysis(t)
-    nm = a.t.non_monitors
-    ext = build_extended(a.t)
-    net = CutNetwork(ext)
-    cut = {v: net.cut_size(v, VIRTUAL_MONITOR, 3) for v in nm}
-    fragile = [w for w in nm if cut[w] == 2]
-    reach = {w: _two_connected_set(ext.adjacency, VIRTUAL_MONITOR, w) for w in fragile}
+    vm = VIRTUAL_MONITOR
+    net = CutNetwork(build_extended(a.t))
+    cut: dict[str, int] = {}
+    paths: dict[str, set[str]] = {}
+    for v in a.t.non_monitors:
+        cut[v], residual = net.max_flow(v, vm, 3)
+        if cut[v] == 2:
+            paths[v] = net.path_nodes(residual, v, vm)
+    near = {v: [w for w in paths if w in on and v in paths[w]] for v, on in paths.items()}
+    drops: dict[str, set[str]] = {}  # w -> the nodes of near[w] that removing w cuts
+    for w, vs in near.items():
+        if vs:
+            minus = CutNetwork(build_extended_minus(a.t, w))
+            drops[w] = {v for v in vs if minus.cut_size(v, vm, 2) < 2}
     table: dict[str, TriState] = {}
-    for v in nm:
+    for v in a.t.non_monitors:
         if cut[v] < 2:
             table[v] = _not_single(f"not-two-connected:{v}")
             continue
-        fails = (w for w in fragile if w != v and v not in reach[w] and w not in reach[v])
-        w = None if cut[v] == 3 else next(fails, None)
+        w = next((w for w in near.get(v, ()) if v in drops[w] and w in drops[v]), None)
         table[v] = _SINGLE_FAILURE if w is None else _not_single(f"confusable-pair:{v}~{w}")
     return table
 
@@ -435,11 +444,12 @@ def one_identifiable(
     """Exact 1-identifiability of ``group`` under the given mechanism.
 
     Never undetermined. Under CAP any connected monitored topology
-    qualifies; under CSP the answer comes from biconnectivity of the
-    extended graphs; under UP it is a direct comparison of path incidence
-    over :attr:`Analysis.paths`. Each member's verdict is
-    read off :meth:`Analysis.single`; the first failing one decides, but one
-    not two-connected to the monitors decides before any confusable pair.
+    qualifies; under CSP the answer comes from flow cuts of the extended
+    graph and of the extended graphs minus one node; under UP it is a direct
+    comparison of path incidence over :attr:`Analysis.paths`. Each member's
+    verdict is read off :meth:`Analysis.single`; the first failing one
+    decides, but one not two-connected to the monitors decides before any
+    confusable pair.
     """
     a = _analysis(t)
     members = check_members(a.t.non_monitor_set, group)

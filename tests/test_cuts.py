@@ -118,6 +118,32 @@ def test_brute_cut_matches_flow():
                 assert fs.brute_vertex_cut(g, s, t) == fs.min_vertex_cut_size(g, s, t).cut_size
 
 
+THETA = graph("s x", "x t", "s y1", "y1 y2", "y2 t", "s z1", "z1 z2", "z2 z3", "z3 t")
+
+
+class TestPathNodes:
+    def test_cycle_both_sides(self):
+        net = fs.CutNetwork(CYCLE4)
+        assert net.path_nodes(net.max_flow("a", "c")[1], "a", "c") == {"b", "d"}
+        # one unit: the nodes of one side
+        assert net.path_nodes(net.max_flow("a", "c", 1)[1], "a", "c") in ({"b"}, {"d"})
+
+    def test_theta_whole_paths(self):
+        net = fs.CutNetwork(THETA)
+        sides = [{"x"}, {"y1", "y2"}, {"z1", "z2", "z3"}]
+        flow, residual = net.max_flow("s", "t")
+        assert flow == 3 and net.path_nodes(residual, "s", "t") == set().union(*sides)
+        two = net.path_nodes(net.max_flow("s", "t", 2)[1], "s", "t")
+        assert two in [a | b for a, b in combinations(sides, 2)]
+        # a warm start with x's link into t closed drops x's path
+        after = net.max_flow("s", "t", residual=residual, closed=["x"])[1]
+        assert net.path_nodes(after, "s", "t") == sides[1] | sides[2]
+
+    def test_direct_link_carries_no_node(self):
+        net = fs.CutNetwork(TRIANGLE)
+        assert net.path_nodes(net.max_flow("s", "t")[1], "s", "t") == {"a"}
+
+
 class TestMaxFlow:
     def test_warm_start_through_closed_links(self):
         # K4 carries three a-b paths; closing c-b and d-b leaves the direct link

@@ -9,7 +9,7 @@ from hypothesis import Phase, example, given, settings
 
 import faultscope as fs
 from faultscope import VIRTUAL_MONITOR, Graph, Mechanism, Topology
-from faultscope.cuts import _two_connected_set
+from faultscope.topology import hops
 from faultscope.verify import er_battery
 
 from conftest import (
@@ -47,6 +47,22 @@ def sparse_graphs(draw, min_nodes: int = 9, max_nodes: int = 40):
     pairs = draw(st.lists(st.tuples(ends, ends), min_size=n, max_size=3 * n))
     edges = {(nodes[min(a, b)], nodes[max(a, b)]) for a, b in pairs if a != b}
     return Graph(frozenset(nodes), frozenset(edges))
+
+
+@st.composite
+def sparse_topologies(draw):
+    """A sparse graph (see sparse_graphs) with its components chained by one
+    link each, and one to four monitors."""
+    g = draw(sparse_graphs())
+    heads: list[str] = []
+    seen: set[str] = set()
+    for v in sorted(g.nodes):
+        if v not in seen:
+            heads.append(v)
+            seen.update(hops(g.adjacency, v))
+    edges = set(g.edges) | set(zip(heads, heads[1:]))
+    monitors = draw(st.sets(st.sampled_from(sorted(g.nodes)), min_size=1, max_size=4))
+    return Topology(frozenset(g.nodes), frozenset(edges), frozenset(monitors))
 
 
 @st.composite
@@ -367,15 +383,19 @@ def test_cut_grows_with_edges(g, data):
     assert after >= before
 
 
+# 21 non-monitors, 14 ordered pairs on each other's flow paths, 6 confusable verdicts
+SPARSE_ER24 = fs.place_monitors(fs.gen_er(24, 0.1, 1).topology, 3, 1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(topologies(max_nodes=10))
+@example(SPARSE_ER24)
 def test_analysis_tables_match_fresh_graphs(t):
     # Every table the context builds from one shared network equals a fresh
     # graph per query: min_vertex_cut_size on the star and each minus-monitor
-    # graph. The reach DFS that skips a node equals the two-connected set of
-    # the fresh extended-minus graph, and that set read off flow cuts (a
-    # non-monitor is never adjacent to the virtual monitor, so it is
-    # "cut >= 2").
+    # graph. The Menger filter of the single-failure table holds: each pair
+    # the plain definition calls confusable lies on each other's flow paths
+    # to the virtual monitor in the extended graph.
     a = fs.Analysis(t)
     m = VIRTUAL_MONITOR
     star = fs.build_star(t)
@@ -385,17 +405,13 @@ def test_analysis_tables_match_fresh_graphs(t):
         delta_min = min(fs.min_vertex_cut_size(g, v, m).cut_size for g in minus)
         assert a.cap[v] == delta_star
         assert a.csp[v] == fs.CspInternals(delta_star, delta_min)
-    extended = fs.build_extended(t).adjacency
-    for w in t.non_monitors:
-        g = fs.build_extended_minus(t, w)
-        reach = _two_connected_set(extended, m, w)
-        assert reach == _two_connected_set(g.adjacency, m)
-        by_flow = {
-            v
-            for v in t.non_monitors
-            if v != w and fs.min_vertex_cut_size(g, v, m).cut_size >= 2
-        }
-        assert reach & set(t.non_monitors) == by_flow
+    anchored, without = _plain_reach(t)
+    net = fs.CutNetwork(fs.build_extended(t))
+    on = {v: net.path_nodes(net.max_flow(v, m)[1], v, m) for v in anchored}
+    for v in anchored:
+        for w in t.non_monitors:
+            if w != v and v not in without[w] and w not in without[v]:
+                assert w in on[v] and v in on.get(w, ())
 
 
 @settings(max_examples=80, deadline=None)
@@ -445,17 +461,21 @@ def sole_monitor_topologies(draw, max_nodes: int = 9):
     return Topology(frozenset(t.nodes) | {"x"}, frozenset(edges), frozenset(t.monitors))
 
 
-def _plain_csp_single(t: Topology) -> dict[str, str]:
-    # The single-failure rules by definition, from full reach sets: the
-    # non-monitors two-connected (flow cut >= 2) to the virtual monitor in
-    # the extended graph, and in each fresh extended-minus graph.
+def _plain_reach(t: Topology) -> tuple[set[str], dict[str, set[str]]]:
+    # Full reach sets: the non-monitors two-connected (flow cut >= 2) to the
+    # virtual monitor in the extended graph, and in each fresh extended-minus
+    # graph.
     m = VIRTUAL_MONITOR
 
     def reach(g):
         return {v for v in t.non_monitors if v in g.nodes and fs.min_vertex_cut_size(g, v, m).cut_size >= 2}
 
-    anchored = reach(fs.build_extended(t))
-    without = {w: reach(fs.build_extended_minus(t, w)) for w in t.non_monitors}
+    return reach(fs.build_extended(t)), {w: reach(fs.build_extended_minus(t, w)) for w in t.non_monitors}
+
+
+def _plain_csp_single(t: Topology) -> dict[str, str]:
+    # The single-failure rules by definition, from full reach sets.
+    anchored, without = _plain_reach(t)
     rules = {}
     for v in t.non_monitors:
         if v not in anchored:
@@ -481,11 +501,51 @@ def test_csp_tables_match_plain_definitions(t):
     assert {v: r.rule for v, r in a.single(Mechanism.CSP).items()} == _plain_csp_single(t)
 
 
+@settings(max_examples=40, deadline=None)
+@given(sparse_topologies())
+@example(SPARSE_ER24)
+def test_csp_single_table_matches_plain_definition_past_the_oracle(t):
+    # Past the oracle's universe (9 to 40 nodes), the verdicts and witnesses
+    # read off the flow paths are those of full reach sets on fresh graphs.
+    rules = {v: r.rule for v, r in fs.Analysis(t).single(Mechanism.CSP).items()}
+    assert rules == _plain_csp_single(t)
+
+
+@pytest.mark.parametrize(
+    ("doc", "candidates"),
+    [
+        (read_fixture("reports/er30.edges"), []),
+        (read_fixture("golden/net.edges"), []),
+        (read_fixture("chain4.edges"), ["v1", "v2"]),
+        # a, b and c share one monitor-to-monitor path: six candidate pairs
+        ("# monitors: m1 m2\nm1 a\na b\nb c\nc m2\nm1 d\nd m2\n", ["a", "b", "c"]),
+    ],
+)
+def test_csp_single_table_builds_one_network_per_candidate(doc, candidates, monkeypatch):
+    # The single-failure table builds the extended network once, then one
+    # extended-minus network for each node that lies on the flow paths of a
+    # node on its own (a candidate), however many pairs it is in.
+    t = fs.load_topology(doc)
+    built = []
+    init = fs.CutNetwork.__init__
+
+    def build(self, g):
+        missing = set(t.nodes) - set(g.nodes)
+        built.append(("minus", *missing) if missing else "extended")
+        init(self, g)
+
+    monkeypatch.setattr(fs.CutNetwork, "__init__", build)
+    table = fs.Analysis(t).single(Mechanism.CSP)
+    assert built == ["extended"] + [("minus", w) for w in candidates]
+    monkeypatch.undo()
+    assert {v: r.rule for v, r in table.items()} == _plain_csp_single(t)
+
+
 def test_csp_table_skips_and_warm_starts(monkeypatch):
     # On er30 some minus-monitor questions are settled by the star flow alone
     # (no path enters through the dropped links) and some continue from it:
     # both branches run on the one star network, and the table still
-    # matches fresh graphs. The single-failure table builds one network.
+    # matches fresh graphs.
     t = fs.load_topology(read_fixture("reports/er30.edges"))
     warm, built = [], []
     max_flow, init = fs.CutNetwork.max_flow, fs.CutNetwork.__init__
@@ -503,8 +563,6 @@ def test_csp_table_skips_and_warm_starts(monkeypatch):
     monkeypatch.setattr(fs.CutNetwork, "__init__", build)
     table = fs.csp_internals_all(t)
     assert built == ["star"]
-    fs.Analysis(t).single(Mechanism.CSP)
-    assert built == ["star", "extended"]
     only = {
         w: ms
         for w in t.monitor_neighbors

@@ -54,11 +54,13 @@ def test_verify_cut_engine():
 
 
 def test_cut_engine_records_every_failure_in_order(monkeypatch):
-    # A cut engine off by one and a negated biconnectivity test fail all
-    # three checks of every ordered pair: each record, in pair order.
-    cut_size, two_connected = fs.CutNetwork.cut_size, fs.verify.two_connected
+    # A cut engine off by one and a negated two-connectivity test fail all
+    # three checks of every ordered pair: each record, in pair order. The
+    # negated test reads brute force, since two_connected itself runs through
+    # the patched engine.
+    cut_size = fs.CutNetwork.cut_size
     monkeypatch.setattr(fs.CutNetwork, "cut_size", lambda net, *args: cut_size(net, *args) + 1)
-    monkeypatch.setattr(fs.verify, "two_connected", lambda g, s, t: not two_connected(g, s, t))
+    monkeypatch.setattr(fs.verify, "two_connected", lambda g, s, t: fs.brute_vertex_cut(g, s, t) < 2)
     rep = fs.verify_cut_engine(2, 4, n_range=(2, 2))
     assert (rep.instances, rep.checks) == (2, 12)
     per_graph = [
