@@ -31,9 +31,8 @@ results: C_G(s, t) := V(G) \\ {t}, i.e. cut size |V(G)| - 1. All public
 entry points honor it, including :func:`two_connected`; ``max_flow`` counts
 the flow, link s-t included.
 
-:meth:`CutNetwork.path_nodes` reads the nodes on a residual's flow paths. By
-Menger, removing a node off the paths of a maximum flow leaves every path
-whole, so only those nodes can lower the cut.
+:meth:`CutNetwork.cut_nodes` reads off a maximum flow's residual the nodes
+in some minimum cut, those whose removal lowers it: one search per flow path.
 """
 
 from __future__ import annotations
@@ -139,19 +138,39 @@ class CutNetwork:
         nodes, head = self.graph.nodes, self._head
         return [nodes[head[e] // 2] for e in self._arcs[2 * self._index[t]] if e & 1 and residual[e]]
 
-    def path_nodes(self, residual: bytearray, s: str, t: str) -> set[str]:
-        """The nodes other than ``s`` and ``t`` on the flow paths of ``residual``,
-        walked from ``s`` along the forward arcs that carry a unit."""
+    def cut_nodes(self, residual: bytearray, s: str, t: str) -> set[str]:
+        """The nodes whose removal lowers the cut of non-adjacent ``s`` and ``t``,
+        off the ``residual`` of a maximum flow: node x of a flow path is in some
+        minimum cut iff the residual reach of s and x_in misses x_out and t.
+        Along a path from s that reach only grows (x_in reaches back along
+        it), so each path costs one search, cut short once it meets t."""
         nodes, head, arcs = self.graph.nodes, self._head, self._arcs
-        dst = 2 * self._index[t]
+        src, dst = 2 * self._index[s] + 1, 2 * self._index[t]
+        order = self._toward.get(t) or self._order_toward(t)
 
-        def sent(x: int) -> list[int]:  # the heads of the units leaving node x
+        def sent(x: int) -> list[int]:  # the heads of the units leaving out-node x
             return [head[e] for e in arcs[x] if not e & 1 and residual[e ^ 1]]
 
+        def reaches_t(x: int) -> bool:  # mark the unseen x's residual reach until it meets t
+            seen[x], stack = 1, [x]
+            while stack:
+                for e in reversed(order[stack.pop()]):  # the arc toward t last, so searched first
+                    if residual[e] and not seen[y := head[e]]:
+                        if y == dst:
+                            return True
+                        seen[y] = 1
+                        stack.append(y)
+            return False
+
+        seen = bytearray(len(arcs))
+        reaches_t(src)
+        base = bytes(seen)  # the reach of s alone, where each path's search starts
         out: set[str] = set()
-        for x in sent(2 * self._index[s] + 1):
-            while x != dst:  # in-node x passes its unit to its out-node, x + 1
-                out.add(nodes[x >> 1])
+        for x in sent(src):
+            seen = bytearray(base)
+            while x != dst and (seen[x] or not reaches_t(x)):  # in-node x passes its unit to x + 1
+                if not seen[x + 1]:
+                    out.add(nodes[x >> 1])
                 (x,) = sent(x + 1)
         return out
 
@@ -218,11 +237,9 @@ def min_vertex_cut_size(g: Graph, s: str, t: str) -> CutQueryResult:
 
 
 def _blocks(adj: Mapping[str, Sequence[str]], root: str, disc: dict[str, int]) -> Iterator[list[str]]:
-    # Articulation-point DFS (iterative) over root's connected component, for
-    # biconnected_components. Yields each biconnected component as a node
-    # list whose last entry is the component's top node (the articulation
-    # point it hangs from, or root). ``disc`` carries the discovery times
-    # across calls.
+    # Articulation-point DFS (iterative) over root's connected component,
+    # yielding the nodes of each biconnected component. ``disc`` carries the
+    # discovery times across calls.
     disc[root] = len(disc)
     low = {root: disc[root]}
     nodes = [root]
@@ -247,10 +264,8 @@ def _blocks(adj: Mapping[str, Sequence[str]], root: str, disc: dict[str, int]) -
                 if low[v] < low[u]:
                     low[u] = low[v]
                 if low[v] >= disc[u]:
-                    block = nodes[start:]
+                    yield nodes[start:] + [u]
                     del nodes[start:]
-                    block.append(u)
-                    yield block
 
 
 def biconnected_components(g: Graph) -> list[frozenset[str]]:

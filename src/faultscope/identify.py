@@ -48,7 +48,6 @@ from .topology import (
     VIRTUAL_MONITOR,
     Topology,
     build_extended,
-    build_extended_minus,
     build_star,
     check_k,
     check_members,
@@ -334,31 +333,23 @@ def _csp_single_failure_nodes(t: Topology | Analysis) -> dict[str, TriState]:
     # w stays two-connected with v removed (otherwise {v} and {w} can disrupt
     # identical path sets: the first such w is the witness). A 3-bounded flow
     # per node sorts them: below 2 fails (a), 3 survives any single removal
-    # and passes (b). A node of cut 2 keeps the nodes of its two flow paths:
-    # by Menger only those can cut it, so a pair can fail (b) only if each
-    # lies on the other's paths. Each candidate w gets one extended-minus
-    # network, whose 2-bounded flows confirm its pairs.
+    # and passes (b). For a node of cut 2 the flow's residual names the nodes
+    # whose removal cuts it (those in some minimum cut), so (b) fails exactly
+    # for the w in v's set with v in w's.
     a = _analysis(t)
-    vm = VIRTUAL_MONITOR
     net = CutNetwork(build_extended(a.t))
     cut: dict[str, int] = {}
-    paths: dict[str, set[str]] = {}
+    cutters: dict[str, set[str]] = {}
     for v in a.t.non_monitors:
-        cut[v], residual = net.max_flow(v, vm, 3)
+        cut[v], residual = net.max_flow(v, VIRTUAL_MONITOR, 3)
         if cut[v] == 2:
-            paths[v] = net.path_nodes(residual, v, vm)
-    near = {v: [w for w in paths if w in on and v in paths[w]] for v, on in paths.items()}
-    drops: dict[str, set[str]] = {}  # w -> the nodes of near[w] that removing w cuts
-    for w, vs in near.items():
-        if vs:
-            minus = CutNetwork(build_extended_minus(a.t, w))
-            drops[w] = {v for v in vs if minus.cut_size(v, vm, 2) < 2}
+            cutters[v] = net.cut_nodes(residual, v, VIRTUAL_MONITOR)
     table: dict[str, TriState] = {}
     for v in a.t.non_monitors:
         if cut[v] < 2:
             table[v] = _not_single(f"not-two-connected:{v}")
             continue
-        w = next((w for w in near.get(v, ()) if v in drops[w] and w in drops[v]), None)
+        w = next((w for w in cutters if w in cutters.get(v, ()) and v in cutters[w]), None)
         table[v] = _SINGLE_FAILURE if w is None else _not_single(f"confusable-pair:{v}~{w}")
     return table
 
@@ -444,12 +435,11 @@ def one_identifiable(
     """Exact 1-identifiability of ``group`` under the given mechanism.
 
     Never undetermined. Under CAP any connected monitored topology
-    qualifies; under CSP the answer comes from flow cuts of the extended
-    graph and of the extended graphs minus one node; under UP it is a direct
-    comparison of path incidence over :attr:`Analysis.paths`. Each member's
-    verdict is read off :meth:`Analysis.single`; the first failing one
-    decides, but one not two-connected to the monitors decides before any
-    confusable pair.
+    qualifies; under CSP the answer comes from flows in the extended graph
+    and the minimum cuts their residuals hold; under UP it compares path
+    incidence over :attr:`Analysis.paths`. Each member's verdict is read off
+    :meth:`Analysis.single`; the first failing one decides, but one not
+    two-connected to the monitors decides before any confusable pair.
     """
     a = _analysis(t)
     members = check_members(a.t.non_monitor_set, group)

@@ -241,8 +241,8 @@ def verify_cut_engine(
     a limit cycling through 0..|V|-1, against min(brute, limit). The queries
     interleave on the one network, so residual flow leaking from one query
     into the next, or a bounded query stopping at a wrong value, fails a
-    check. ``two_connected``, a 2-bounded query of the same engine on a
-    network of its own, must agree with brute cut >= 2.
+    check. ``two_connected`` (a 2-bounded query on a network of its own)
+    must agree with brute cut >= 2.
     """
     rng = random.Random(seed)
     failures: list[CheckFailure] = []

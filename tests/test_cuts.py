@@ -121,27 +121,27 @@ def test_brute_cut_matches_flow():
 THETA = graph("s x", "x t", "s y1", "y1 y2", "y2 t", "s z1", "z1 z2", "z2 z3", "z3 t")
 
 
-class TestPathNodes:
+class TestCutNodes:
     def test_cycle_both_sides(self):
         net = fs.CutNetwork(CYCLE4)
-        assert net.path_nodes(net.max_flow("a", "c")[1], "a", "c") == {"b", "d"}
-        # one unit: the nodes of one side
-        assert net.path_nodes(net.max_flow("a", "c", 1)[1], "a", "c") in ({"b"}, {"d"})
+        assert net.cut_nodes(net.max_flow("a", "c")[1], "a", "c") == {"b", "d"}
 
-    def test_theta_whole_paths(self):
+    def test_theta_every_path_node(self):
+        # three paths of one, two and three nodes: any one node of each is a cut
         net = fs.CutNetwork(THETA)
-        sides = [{"x"}, {"y1", "y2"}, {"z1", "z2", "z3"}]
         flow, residual = net.max_flow("s", "t")
-        assert flow == 3 and net.path_nodes(residual, "s", "t") == set().union(*sides)
-        two = net.path_nodes(net.max_flow("s", "t", 2)[1], "s", "t")
-        assert two in [a | b for a, b in combinations(sides, 2)]
-        # a warm start with x's link into t closed drops x's path
+        assert flow == 3 and net.cut_nodes(residual, "s", "t") == set(THETA.nodes) - {"s", "t"}
+        # a warm start with x's link into t closed leaves x on no path to t
         after = net.max_flow("s", "t", residual=residual, closed=["x"])[1]
-        assert net.path_nodes(after, "s", "t") == sides[1] | sides[2]
+        assert net.cut_nodes(after, "s", "t") == {"y1", "y2", "z1", "z2", "z3"}
 
-    def test_direct_link_carries_no_node(self):
-        net = fs.CutNetwork(TRIANGLE)
-        assert net.path_nodes(net.max_flow("s", "t")[1], "s", "t") == {"a"}
+    def test_bypassed_path_node_is_no_cut_node(self):
+        # b and y are two ways on from a, so only a and c cut s from t
+        g = graph("s a", "a b", "b t", "a y", "y t", "s c", "c t")
+        net = fs.CutNetwork(g)
+        for limit in (None, 3):
+            flow, residual = net.max_flow("s", "t", limit)
+            assert flow == 2 and net.cut_nodes(residual, "s", "t") == {"a", "c"}
 
 
 class TestMaxFlow:

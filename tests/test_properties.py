@@ -5,7 +5,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 
 import faultscope as fs
 from faultscope import VIRTUAL_MONITOR, Graph, Mechanism, Topology
@@ -50,7 +50,7 @@ def sparse_graphs(draw, min_nodes: int = 9, max_nodes: int = 40):
 
 
 @st.composite
-def sparse_topologies(draw):
+def chained_sparse_topologies(draw):
     """A sparse graph (see sparse_graphs) with its components chained by one
     link each, and one to four monitors."""
     g = draw(sparse_graphs())
@@ -332,6 +332,24 @@ def test_warm_flow_with_closed_links_matches_fresh_graph(g, data):
         assert fresh == fs.brute_vertex_cut(kept, s, t)
 
 
+@settings(max_examples=80, deadline=None)
+@given(graphs(), st.data())
+def test_cut_nodes_are_the_nodes_whose_removal_lowers_the_cut(g, data):
+    # Read off a maximum flow's residual, fresh or continued with some sink
+    # links closed, the cut nodes of a non-adjacent pair are the nodes whose
+    # removal lowers its brute-force cut.
+    names = sorted(g.nodes)
+    s = data.draw(st.sampled_from(names))
+    t = data.draw(st.sampled_from([n for n in names if n != s]))
+    closed, kept = _close_sink_links(g, t, data)
+    assume(not kept.has_edge(s, t))
+    net = fs.CutNetwork(g)
+    residual = net.max_flow(s, t, residual=net.max_flow(s, t)[1], closed=closed)[1]
+    cut = fs.brute_vertex_cut(kept, s, t)
+    lower = {w for w in names if w not in (s, t) and fs.brute_vertex_cut(_without(kept, w), s, t) < cut}
+    assert net.cut_nodes(residual, s, t) == lower
+
+
 @settings(max_examples=60, deadline=None)
 @given(sparse_graphs(), st.data())
 def test_cut_engine_matches_reference_past_brute_force(g, data):
@@ -383,7 +401,7 @@ def test_cut_grows_with_edges(g, data):
     assert after >= before
 
 
-# 21 non-monitors, 14 ordered pairs on each other's flow paths, 6 confusable verdicts
+# 21 non-monitors, 6 confusable verdicts
 SPARSE_ER24 = fs.place_monitors(fs.gen_er(24, 0.1, 1).topology, 3, 1)
 
 
@@ -393,9 +411,9 @@ SPARSE_ER24 = fs.place_monitors(fs.gen_er(24, 0.1, 1).topology, 3, 1)
 def test_analysis_tables_match_fresh_graphs(t):
     # Every table the context builds from one shared network equals a fresh
     # graph per query: min_vertex_cut_size on the star and each minus-monitor
-    # graph. The Menger filter of the single-failure table holds: each pair
-    # the plain definition calls confusable lies on each other's flow paths
-    # to the virtual monitor in the extended graph.
+    # graph. The cut nodes the single-failure table reads off each 3-bounded
+    # flow of cut 2 on the extended network are the nodes whose removal (a
+    # fresh extended-minus graph) cuts that node from the virtual monitor.
     a = fs.Analysis(t)
     m = VIRTUAL_MONITOR
     star = fs.build_star(t)
@@ -405,13 +423,13 @@ def test_analysis_tables_match_fresh_graphs(t):
         delta_min = min(fs.min_vertex_cut_size(g, v, m).cut_size for g in minus)
         assert a.cap[v] == delta_star
         assert a.csp[v] == fs.CspInternals(delta_star, delta_min)
-    anchored, without = _plain_reach(t)
-    net = fs.CutNetwork(fs.build_extended(t))
-    on = {v: net.path_nodes(net.max_flow(v, m)[1], v, m) for v in anchored}
-    for v in anchored:
-        for w in t.non_monitors:
-            if w != v and v not in without[w] and w not in without[v]:
-                assert w in on[v] and v in on.get(w, ())
+    ext = fs.build_extended(t)
+    net = fs.CutNetwork(ext)
+    for v in t.non_monitors:
+        cut, residual = net.max_flow(v, m, 3)
+        if cut == 2:
+            drops = {w for w in t.nodes if w != v and fs.min_vertex_cut_size(_without(ext, w), v, m).cut_size < 2}
+            assert net.cut_nodes(residual, v, m) == drops
 
 
 @settings(max_examples=80, deadline=None)
@@ -461,6 +479,10 @@ def sole_monitor_topologies(draw, max_nodes: int = 9):
     return Topology(frozenset(t.nodes) | {"x"}, frozenset(edges), frozenset(t.monitors))
 
 
+def _without(g: Graph, w: str) -> Graph:
+    return Graph(frozenset(g.nodes) - {w}, frozenset(e for e in g.edges if w not in e))
+
+
 def _plain_reach(t: Topology) -> tuple[set[str], dict[str, set[str]]]:
     # Full reach sets: the non-monitors two-connected (flow cut >= 2) to the
     # virtual monitor in the extended graph, and in each fresh extended-minus
@@ -502,41 +524,53 @@ def test_csp_tables_match_plain_definitions(t):
 
 
 @settings(max_examples=40, deadline=None)
-@given(sparse_topologies())
+@given(chained_sparse_topologies())
 @example(SPARSE_ER24)
 def test_csp_single_table_matches_plain_definition_past_the_oracle(t):
     # Past the oracle's universe (9 to 40 nodes), the verdicts and witnesses
-    # read off the flow paths are those of full reach sets on fresh graphs.
+    # read off the flow residuals are those of full reach sets on fresh graphs.
     rules = {v: r.rule for v, r in fs.Analysis(t).single(Mechanism.CSP).items()}
     assert rules == _plain_csp_single(t)
 
 
+def _ladder(columns: int) -> Topology:
+    # two rows of nodes joined by a rung per column, monitored at opposite corners
+    edges = {(f"a{i}", f"b{i}") for i in range(columns)}
+    edges |= {(f"{row}{i}", f"{row}{i + 1}") for row in "ab" for i in range(columns - 1)}
+    nodes = frozenset(v for e in edges for v in e)
+    return Topology(nodes, frozenset(edges), frozenset({"a0", f"b{columns - 1}"}))
+
+
 @pytest.mark.parametrize(
-    ("doc", "candidates"),
+    "t",
     [
-        (read_fixture("reports/er30.edges"), []),
-        (read_fixture("golden/net.edges"), []),
-        (read_fixture("chain4.edges"), ["v1", "v2"]),
-        # a, b and c share one monitor-to-monitor path: six candidate pairs
-        ("# monitors: m1 m2\nm1 a\na b\nb c\nc m2\nm1 d\nd m2\n", ["a", "b", "c"]),
+        fs.load_topology(read_fixture("reports/er30.edges")),
+        fs.load_topology(read_fixture("golden/net.edges")),
+        fs.load_topology(read_fixture("chain4.edges")),
+        _ring(24, 2),
+        _ladder(12),
     ],
+    ids=["er30", "golden", "chain4", "ring24", "ladder12"],
 )
-def test_csp_single_table_builds_one_network_per_candidate(doc, candidates, monkeypatch):
-    # The single-failure table builds the extended network once, then one
-    # extended-minus network for each node that lies on the flow paths of a
-    # node on its own (a candidate), however many pairs it is in.
-    t = fs.load_topology(doc)
-    built = []
-    init = fs.CutNetwork.__init__
+def test_csp_single_table_builds_one_network_and_one_flow_per_node(t, monkeypatch):
+    # However many pairs are confusable (on the ring nearly all of them), the
+    # single-failure table builds the extended network once and runs one flow
+    # per non-monitor on it: no network or flow per pair.
+    built, flows = [], []
+    init, max_flow = fs.CutNetwork.__init__, fs.CutNetwork.max_flow
 
     def build(self, g):
-        missing = set(t.nodes) - set(g.nodes)
-        built.append(("minus", *missing) if missing else "extended")
+        built.append(g)
         init(self, g)
 
+    def spy(self, s, sink, limit=None, **kwargs):
+        flows.append(s)
+        return max_flow(self, s, sink, limit, **kwargs)
+
     monkeypatch.setattr(fs.CutNetwork, "__init__", build)
+    monkeypatch.setattr(fs.CutNetwork, "max_flow", spy)
     table = fs.Analysis(t).single(Mechanism.CSP)
-    assert built == ["extended"] + [("minus", w) for w in candidates]
+    assert built == [fs.build_extended(t)] and flows == list(t.non_monitors)
     monkeypatch.undo()
     assert {v: r.rule for v, r in table.items()} == _plain_csp_single(t)
 
@@ -545,7 +579,7 @@ def test_csp_table_skips_and_warm_starts(monkeypatch):
     # On er30 some minus-monitor questions are settled by the star flow alone
     # (no path enters through the dropped links) and some continue from it:
     # both branches run on the one star network, and the table still
-    # matches fresh graphs.
+    # matches fresh graphs. The single-failure table builds one network.
     t = fs.load_topology(read_fixture("reports/er30.edges"))
     warm, built = [], []
     max_flow, init = fs.CutNetwork.max_flow, fs.CutNetwork.__init__
@@ -563,6 +597,8 @@ def test_csp_table_skips_and_warm_starts(monkeypatch):
     monkeypatch.setattr(fs.CutNetwork, "__init__", build)
     table = fs.csp_internals_all(t)
     assert built == ["star"]
+    fs.Analysis(t).single(Mechanism.CSP)
+    assert built == ["star", "extended"]
     only = {
         w: ms
         for w in t.monitor_neighbors
