@@ -8,7 +8,6 @@ failure. All reports are deterministic for fixed flags and seeds.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -155,7 +154,7 @@ def _report(args: argparse.Namespace, build, **options) -> int:
 
 
 def _write_report(report, args: argparse.Namespace) -> int:
-    report = dataclasses.replace(report, meta=_meta(args))
+    report = report._replace(meta=_meta(args))
     _write_output(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return EXIT_OK
 

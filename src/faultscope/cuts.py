@@ -37,14 +37,12 @@ in some minimum cut, those whose removal lowers it: one search per flow path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .topology import Graph, hops
 
 
-@dataclass(frozen=True)
-class CutQueryResult:
+class CutQueryResult(NamedTuple):
     """Outcome of one minimum vertex-cut query."""
 
     source: str
@@ -182,7 +180,9 @@ class CutNetwork:
         capacity[e], capacity[e ^ 1] = 1, 0
         x = head[e ^ 1]
         while x != src:
-            a = next(a for a in arcs[x] if a & 1 and capacity[a])
+            for a in arcs[x]:  # the first reverse arc with residual capacity
+                if a & 1 and capacity[a]:
+                    break
             capacity[a], capacity[a ^ 1] = 0, 1
             x = head[a]
 

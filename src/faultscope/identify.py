@@ -36,16 +36,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import oracle as _oracle
 from .cuts import CutNetwork
 from .probing import PathSet, enumerate_cap, enumerate_csp, route_up
 from .topology import (
     VIRTUAL_MONITOR,
+    Record,
     Topology,
     build_extended,
     build_star,
@@ -68,8 +68,7 @@ class Status(enum.Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class TriState:
+class TriState(NamedTuple):
     """A yes/no/unknown verdict plus the rule that decided it."""
 
     status: Status
@@ -84,16 +83,15 @@ class TriState:
         return self.status is Status.UNDETERMINED
 
 
-@dataclass(frozen=True)
-class IntBounds:
+class IntBounds(Record):
     """An integer interval [lo, hi] around an identifiability index."""
 
-    lo: int
-    hi: int
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.lo <= self.hi):
-            raise ValueError(f"invalid bounds [{self.lo}, {self.hi}]")
+    def __init__(self, lo: int, hi: int) -> None:
+        if not (0 <= lo <= hi):
+            raise ValueError(f"invalid bounds [{lo}, {hi}]")
+        self.lo, self.hi = lo, hi
 
     @property
     def exact(self) -> bool:
@@ -107,8 +105,7 @@ class IntBounds:
         return cls(value, value)
 
 
-@dataclass(frozen=True)
-class CspInternals:
+class CspInternals(Record):
     """The two cut quantities the CSP results are stated in.
 
     ``delta_star``: cut to the virtual monitor in the star graph.
@@ -116,28 +113,25 @@ class CspInternals:
     ``pi``: the combined bound min(delta_min, delta_star - 1).
     """
 
-    delta_star: int
-    delta_min: int
+    __slots__ = _fields = ("delta_star", "delta_min")
 
-    def __post_init__(self) -> None:
-        if self.delta_min > self.delta_star:
+    def __init__(self, delta_star: int, delta_min: int) -> None:
+        if delta_min > delta_star:
             raise ValueError("delta_min can never exceed delta_star")
+        self.delta_star, self.delta_min = delta_star, delta_min
 
     @property
     def pi(self) -> int:
         return min(self.delta_min, self.delta_star - 1)
 
 
-@dataclass(frozen=True)
-class SetBounds:
+class SetBounds(Record):
     """Inner/outer approximations of a maximal k-identifiable set."""
 
-    inner: frozenset[str]
-    outer: frozenset[str]
+    __slots__ = _fields = ("inner", "outer")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inner", frozenset(self.inner))
-        object.__setattr__(self, "outer", frozenset(self.outer))
+    def __init__(self, inner: Iterable[str], outer: Iterable[str]) -> None:
+        self.inner, self.outer = frozenset(inner), frozenset(outer)
         if not self.inner <= self.outer:
             raise ValueError("inner approximation must be contained in the outer one")
 

@@ -25,19 +25,17 @@ than ``DEFAULT_MAX_ENUM_NODES`` (14) nodes before any allocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import EnumerationCapError, TopologyError
-from .topology import Topology, hops
+from .topology import Record, Topology, hops
 
 #: Node cap of the exponential CSP/CAP enumerators.
 DEFAULT_MAX_ENUM_NODES = 14
 
 
-@dataclass(frozen=True)
-class PathSet:
+class PathSet(Record):
     """An ordered collection of measurement paths over a fixed non-monitor universe.
 
     Each path is its trace, the frozenset of non-monitors it visits.
@@ -45,12 +43,11 @@ class PathSet:
     that no path visits still have a well-defined, empty incidence set.
     """
 
-    paths: tuple[frozenset[str], ...]
-    universe: tuple[str, ...]
+    _fields = ("paths", "universe")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "paths", tuple(frozenset(p) for p in self.paths))
-        object.__setattr__(self, "universe", tuple(self.universe))
+    def __init__(self, paths: Iterable[Iterable[str]], universe: Iterable[str]) -> None:
+        self.paths: tuple[frozenset[str], ...] = tuple(frozenset(p) for p in paths)
+        self.universe: tuple[str, ...] = tuple(universe)
         uni = set(self.universe)
         for p in self.paths:
             stray = p - uni

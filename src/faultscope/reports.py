@@ -14,7 +14,6 @@ import io
 import json
 import os
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .identify import (
@@ -52,16 +51,14 @@ ANALYSIS_COLUMNS = (
 CCDF_COLUMNS = ("k", "mechanism", "mu", "inner_fraction", "outer_fraction", "exact")
 
 
-@dataclass(frozen=True)
-class ReportMeta:
+class ReportMeta(NamedTuple):
     """Provenance stamped into every rendered report."""
 
     seed: int | None = None
     flags: str = ""
 
 
-@dataclass(frozen=True)
-class AnalysisRow:
+class AnalysisRow(NamedTuple):
     node: str
     degree: int
     monitor_degree: int
@@ -75,22 +72,19 @@ class AnalysisRow:
         raise KeyError(mechanism)
 
 
-@dataclass(frozen=True)
-class SetRow:
+class SetRow(NamedTuple):
     mechanism: Mechanism
     members: tuple[str, ...]
     bounds: IntBounds
 
 
-@dataclass(frozen=True)
-class MaxsetRow:
+class MaxsetRow(NamedTuple):
     mechanism: Mechanism
     k: int
     sets: SetBounds
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Per-node index table plus optional per-set and per-k sections."""
 
     meta: ReportMeta
@@ -179,8 +173,7 @@ class CcdfRow(NamedTuple):
     exact: bool
 
 
-@dataclass(frozen=True)
-class CcdfTable:
+class CcdfTable(NamedTuple):
     """Fractions |S*(k)|/sigma per k, as inner/outer (or exact) curves."""
 
     meta: ReportMeta

@@ -6,16 +6,15 @@ non-monitors (the nodes whose failures we try to localize). All analyses in
 this package run either on the topology itself or on one of four derived
 graphs that collapse monitor reachability into a single virtual monitor node.
 
-Everything here is immutable and canonically ordered (nodes sorted by name),
-so repeated runs are deterministic and instances are safely shareable across
-threads and hashable for caching.
+Everything here is canonically ordered (nodes sorted by name) and never
+changed after construction, so repeated runs are deterministic and instances
+are safely shareable across threads and hashable for caching.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Iterable, Mapping
 
@@ -40,23 +39,45 @@ def hops(adj: Mapping[str, Iterable[str]], source: str) -> dict[str, int]:
     return dist
 
 
-@dataclass(frozen=True)
-class Graph:
-    """An immutable simple undirected graph.
+class Record:
+    """A value record over the attributes named in ``_fields``: equal to, and
+    hashed as, a record of the same class with equal fields. A subclass sets
+    its fields once in ``__init__`` and never again."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Graph(Record):
+    """A simple undirected graph, never changed after construction.
 
     Construction canonicalizes: nodes are sorted, each edge is stored as an
     ordered (min, max) pair and the edge list is sorted. Self-loops and
     parallel edges are rejected.
     """
 
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    _fields = ("nodes", "edges")
 
-    def __post_init__(self) -> None:
-        nodes = tuple(sorted(set(self.nodes)))
-        node_set = set(nodes)
+    def __init__(self, nodes: Iterable[str], edges: Iterable[Iterable[str]]) -> None:
+        self.nodes: tuple[str, ...] = tuple(sorted(set(nodes)))
+        node_set = set(self.nodes)
         canon = []
-        for edge in self.edges:
+        for edge in edges:
             try:
                 u, v = edge
             except ValueError:
@@ -69,8 +90,7 @@ class Graph:
         dupes = [e for e, n in Counter(canon).items() if n > 1]
         if dupes:
             raise TopologyError(f"duplicate edge {dupes[0][0]!r}-{dupes[0][1]!r}")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        self.edges: tuple[tuple[str, str], ...] = tuple(sorted(canon))
 
     @cached_property
     def adjacency(self) -> dict[str, tuple[str, ...]]:
@@ -104,7 +124,6 @@ class Graph:
         return not self.nodes or len(hops(self.adjacency, self.nodes[0])) == len(self.nodes)
 
 
-@dataclass(frozen=True)
 class Topology(Graph):
     """A connected graph plus its monitor set.
 
@@ -113,11 +132,11 @@ class Topology(Graph):
     requires at least one monitor.
     """
 
-    monitors: frozenset[str] = frozenset()
+    _fields = ("nodes", "edges", "monitors")
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "monitors", frozenset(self.monitors))
+    def __init__(self, nodes: Iterable[str], edges: Iterable, monitors: Iterable[str] = ()) -> None:
+        super().__init__(nodes, edges)
+        self.monitors: frozenset[str] = frozenset(monitors)
         unknown = self.monitors - set(self.nodes)
         if unknown:
             raise TopologyError(f"unknown monitor name {sorted(unknown)[0]!r}")

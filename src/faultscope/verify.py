@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cuts import CutNetwork, two_connected
 from .identify import Analysis, Mechanism, threshold_sweep
@@ -85,15 +84,13 @@ _BATTERY_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(NamedTuple):
     instance: str
     check: str
     detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     instances: int
     checks: int
     failures: tuple[CheckFailure, ...]

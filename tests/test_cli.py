@@ -764,7 +764,9 @@ def test_header_stamps_the_report_flags(argv, flags, workspace, monkeypatch, cap
 
 
 def test_cli_import_loads_no_process_pool():
-    # only a parallel ccdf batch needs the pool; every other run skips its import
+    # only a parallel ccdf batch needs the pool; every other run skips its import.
+    # The records are built without code generation, so start-up loads neither
+    # dataclasses nor the inspect module it pulls in.
     code = "import json, sys, faultscope.cli; print(json.dumps(sorted(sys.modules)))"
     argv = [sys.executable, "-c", code]
     proc = subprocess.run(argv, env=src_env(), capture_output=True, text=True)
@@ -772,3 +774,4 @@ def test_cli_import_loads_no_process_pool():
     loaded = json.loads(proc.stdout)
     assert "faultscope.cli" in loaded
     assert [m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")] == []
+    assert [m for m in loaded if m in ("dataclasses", "inspect")] == []

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from collections import Counter
 
@@ -64,7 +63,7 @@ class TestCsvRendering:
     def test_header_lines(self, golden, up_paths):
         meta = ReportMeta(seed=42, flags="mechanism=up seed=42")
         report = fs.analyze(fs.Analysis(golden, up_paths), [Mechanism.UP])
-        text = dataclasses.replace(report, meta=meta).to_csv()
+        text = report._replace(meta=meta).to_csv()
         lines = text.splitlines()
         assert lines[0] == "# schema: faultscope/analysis v1"
         assert lines[1].startswith("# version: ")
