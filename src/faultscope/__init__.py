@@ -25,12 +25,11 @@ _EXPORTS = {
         "omega_up", "one_identifiable", "per_node_bounds",
     ),
     "oracle": (
-        "brute_vertex_cut", "oracle_k_identifiable", "oracle_max_identifiable_set",
-        "oracle_msc", "oracle_omega", "oracle_omega_all",
+        "brute_vertex_cut", "oracle_k_identifiable", "oracle_msc", "oracle_omega",
+        "oracle_omega_all",
     ),
     "probing": (
-        "PathSet", "affected", "enumerate_cap", "enumerate_csp", "parse_paths", "route_up",
-        "simulate",
+        "PathSet", "enumerate_cap", "enumerate_csp", "parse_paths", "route_up",
     ),
     "randomnet": ("GenResult", "gen_er", "place_monitors", "random_graph"),
     "reports": (

@@ -94,12 +94,6 @@ def oracle_omega_all(ps: PathSet) -> dict[str, int]:
     return dict(zip(ps.universe, omega))
 
 
-def oracle_max_identifiable_set(ps: PathSet, k: int) -> frozenset[str]:
-    """Exact maximal k-identifiable set: the nodes whose index reaches k."""
-    check_k(k, len(ps.universe))
-    return frozenset(v for v, omega in oracle_omega_all(ps).items() if omega >= k)
-
-
 def oracle_msc(ps: PathSet, v: str) -> int:
     """Exact minimum set cover of v's paths by the other nodes' path sets.
 

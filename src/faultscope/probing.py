@@ -26,7 +26,7 @@ than ``DEFAULT_MAX_ENUM_NODES`` (14) nodes before any allocation.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import EnumerationCapError, TopologyError
 from .topology import Record, Topology, hops
@@ -206,29 +206,6 @@ def enumerate_csp(t: Topology) -> PathSet:
 def enumerate_cap(t: Topology) -> PathSet:
     """:func:`cap_traces` as a path set, in (size, sorted names) order."""
     return _trace_set(t, cap_traces(t))
-
-
-def affected(ps: PathSet, failures: Iterable[str]) -> frozenset[int]:
-    """Indices of the paths disrupted when exactly ``failures`` fail."""
-    fset = frozenset(failures)
-    stray = fset - set(ps.universe)
-    if stray:
-        raise ValueError(f"failure set contains non-failable node {sorted(stray)[0]!r}")
-    mask = 0
-    for v in fset:
-        mask |= ps.incidence_masks[v]
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def simulate(ps: PathSet, states: Mapping[str, int]) -> tuple[int, ...]:
-    """Path outcomes for a full node-state assignment (1 = failed).
-
-    ``states`` must assign a state to exactly the non-monitor universe;
-    anything else is a dimension mismatch.
-    """
-    if set(states) != set(ps.universe):
-        raise ValueError("state vector must cover exactly the non-monitors")
-    return tuple(1 if any(states[v] for v in p) else 0 for p in ps.paths)
 
 
 def parse_paths(text: str, t: Topology) -> PathSet:

@@ -1,9 +1,9 @@
-"""Seeded random topologies for batteries and figure-style experiments."""
+"""Seeded random topologies for batteries and experiments, and the spec field checks."""
 
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import GenerationError
 from .topology import Graph, Topology
@@ -76,3 +76,40 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     nodes = _node_labels(n)
     rng = random.Random(seed)
     return Graph(nodes=nodes, edges=_sample_edges(nodes, p, rng))
+
+
+def read_fields(spec: Mapping, fields: Sequence[tuple[str, object, str, Callable]]) -> dict:
+    """Every field of a spec, by (name, default, what it must be, test) rows:
+    the test is the field's whole rule, and a default of None marks a field the
+    spec must set. A ValueError names the first field no row has, else the
+    first row missing or failing its test."""
+    names = [name for name, _, _, _ in fields]
+    for name in spec:
+        if name not in names:
+            raise ValueError(
+                f"batch spec has an unknown field {name!r}; the fields are {', '.join(names)}"
+            )
+    out = {}
+    for name, default, what, ok in fields:
+        if name not in spec and default is None:
+            raise ValueError(f"batch spec is missing the {name!r} field")
+        out[name] = spec.get(name, default)
+        if not ok(out[name]):
+            raise ValueError(f"batch spec field {name!r} must be {what}, got {out[name]!r}")
+    return out
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_edge_probability(value) -> bool:
+    return _is_number(value) and 0 < value <= 1
+
+
+def _is_list_of(value, ok: Callable[[object], bool]) -> bool:
+    return isinstance(value, (list, tuple)) and all(ok(v) for v in value)

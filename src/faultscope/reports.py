@@ -14,7 +14,7 @@ import io
 import json
 import os
 import random
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .identify import (
     Analysis,
@@ -25,7 +25,9 @@ from .identify import (
     fold_bounds,
     threshold_sweep,
 )
-from .randomnet import DEFAULT_MAX_NODES, gen_er
+from .randomnet import (
+    DEFAULT_MAX_NODES, _is_edge_probability, _is_int, _is_list_of, gen_er, read_fields,
+)
 from .topology import Topology, check_k, check_members
 
 VERSION = "0.1.0"
@@ -385,61 +387,34 @@ class BatchSpec(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: dict) -> "BatchSpec":
-        """Parse a JSON batch spec; a missing, unknown or mistyped field raises
-        a ValueError that names it. ``ccdf_batch`` checks the ranges."""
+        """Parse a JSON batch spec; a missing or unknown field, or one of the
+        wrong type or out of range, raises a ValueError that names it."""
         d = read_fields(d, _BATCH_FIELDS)
         d.update(p=float(d["p"]), mus=tuple(d["mus"]), mechanisms=normalize_mechanisms(d["mechanisms"]))
         return cls(**d)
 
 
-def read_fields(spec: Mapping, fields: Sequence[tuple[str, object, str, Callable]]) -> dict:
-    """Every field of a spec, by (name, default, what it must be, test) rows, a
-    default of None marking a field the spec must set. A ValueError names the
-    first field no row has, else the first row missing or failing its test."""
-    names = [name for name, _, _, _ in fields]
-    for name in spec:
-        if name not in names:
-            raise ValueError(
-                f"batch spec has an unknown field {name!r}; the fields are {', '.join(names)}"
-            )
-    out = {}
-    for name, default, what, ok in fields:
-        if name not in spec and default is None:
-            raise ValueError(f"batch spec is missing the {name!r} field")
-        out[name] = spec.get(name, default)
-        if not ok(out[name]):
-            raise ValueError(f"batch spec field {name!r} must be {what}, got {out[name]!r}")
-    return out
+#: Every mechanism name, in the order a spec that names none runs them.
+_MECHANISM_NAMES = tuple(sorted(m.value for m in Mechanism))
 
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _is_edge_probability(value) -> bool:
-    return _is_number(value) and 0 < value <= 1
-
-
-def _is_list_of(value, ok: Callable[[object], bool]) -> bool:
-    return isinstance(value, (list, tuple)) and all(ok(v) for v in value)
-
-
-#: (field, default, what it must be, test) for every BatchSpec field, in field order.
+#: (field, default, what it must be, test) for every BatchSpec field, in field
+#: order. ``ccdf_batch`` checks ``mus`` against ``n`` once the rows pass.
 _BATCH_FIELDS = (
-    ("count", None, "an integer", _is_int),
-    ("n", None, "an integer", _is_int),
+    ("count", None, "an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    (
+        "n",
+        None,
+        f"an integer in 2..{DEFAULT_MAX_NODES}",
+        lambda v: _is_int(v) and 2 <= v <= DEFAULT_MAX_NODES,
+    ),
     ("p", None, "a number in (0, 1]", _is_edge_probability),
     ("mus", None, "a list of integers", lambda v: _is_list_of(v, _is_int)),
     ("seed", None, "an integer", _is_int),
     (
         "mechanisms",
-        ("cap", "csp", "up"),
-        "a list of names",
-        lambda v: _is_list_of(v, lambda m: isinstance(m, str)),
+        _MECHANISM_NAMES,
+        f"a non-empty list of names from {', '.join(_MECHANISM_NAMES)}",
+        lambda v: _is_list_of(v, lambda m: m in _MECHANISM_NAMES) and len(v) > 0,
     ),
 )
 
@@ -471,12 +446,7 @@ def ccdf_batch(spec: BatchSpec, *, jobs: int = 1) -> CcdfTable:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if spec.count < 1:
-        raise ValueError(f"batch spec field 'count' must be an integer >= 1, got {spec.count!r}")
-    if not 2 <= spec.n <= DEFAULT_MAX_NODES:
-        raise ValueError(
-            f"batch spec field 'n' must be an integer in 2..{DEFAULT_MAX_NODES}, got {spec.n!r}"
-        )
+    spec = BatchSpec.from_dict(spec._asdict())  # a spec built in code passes the same rows
     # a repeated mu would print its curve twice
     mus = list(spec.mus)
     if not mus or len(set(mus)) < len(mus) or not all(1 <= mu < spec.n for mu in mus):
@@ -484,7 +454,6 @@ def ccdf_batch(spec: BatchSpec, *, jobs: int = 1) -> CcdfTable:
             "batch spec field 'mus' must be a non-empty list of distinct integers"
             f" in 1..{spec.n - 1}, got {mus}"
         )
-    spec = spec._replace(mechanisms=normalize_mechanisms(spec.mechanisms))
     tasks = [(spec, i) for i in range(spec.count)]
     workers = min(jobs, spec.count, os.cpu_count() or 1)
     if workers > 1:

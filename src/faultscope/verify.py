@@ -17,15 +17,11 @@ from .cuts import CutNetwork, two_connected
 from .identify import Analysis, Mechanism, threshold_sweep
 from .oracle import DEFAULT_MAX_CUT_NODES, brute_vertex_cut, check_universe_size, oracle_msc
 from .probing import DEFAULT_MAX_ENUM_NODES
-from .randomnet import gen_er, place_monitors, random_graph
-from .reports import (
-    _is_edge_probability,
-    _is_int,
-    _is_list_of,
-    _is_number,
-    json_document,
-    read_fields,
+from .randomnet import (
+    _is_edge_probability, _is_int, _is_list_of, _is_number, gen_er, place_monitors,
+    random_graph, read_fields,
 )
+from .reports import json_document
 from .topology import Topology
 
 SCHEMA_VERIFY = "faultscope/verify v1"
@@ -77,8 +73,8 @@ _BATTERY_FIELDS = {
         (
             "checks",
             ALL_CHECKS,
-            "a non-empty list of check names",
-            lambda v: _is_list_of(v, lambda c: isinstance(c, str)) and len(v) > 0,
+            f"a non-empty list of check names from {', '.join(ALL_CHECKS)}",
+            lambda v: _is_list_of(v, lambda c: c in ALL_CHECKS) and len(v) > 0,
         ),
     ),
 }

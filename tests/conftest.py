@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import faultscope as fs
+from faultscope.topology import check_k
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,13 +99,42 @@ def reference_connectivity(g: fs.Graph, s: str, t: str) -> int:
         flow += 1
 
 
+def affected(ps: fs.PathSet, failures) -> frozenset[int]:
+    """Indices of the paths disrupted when exactly ``failures`` fail."""
+    fset = frozenset(failures)
+    stray = fset - set(ps.universe)
+    if stray:
+        raise ValueError(f"failure set contains non-failable node {sorted(stray)[0]!r}")
+    mask = 0
+    for v in fset:
+        mask |= ps.incidence_masks[v]
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def simulate(ps: fs.PathSet, states: dict[str, int]) -> tuple[int, ...]:
+    """Path outcomes for a full node-state assignment (1 = failed).
+
+    ``states`` must assign a state to exactly the non-monitor universe;
+    anything else is a dimension mismatch.
+    """
+    if set(states) != set(ps.universe):
+        raise ValueError("state vector must cover exactly the non-monitors")
+    return tuple(1 if any(states[v] for v in p) else 0 for p in ps.paths)
+
+
+def oracle_max_identifiable_set(ps: fs.PathSet, k: int) -> frozenset[str]:
+    """Exact maximal k-identifiable set: the nodes whose oracle index reaches k."""
+    check_k(k, len(ps.universe))
+    return frozenset(v for v, omega in fs.oracle_omega_all(ps).items() if omega >= k)
+
+
 def literal_k_identifiable(ps: fs.PathSet, group, k: int) -> bool:
     """Whether ``group`` is k-identifiable, read literally off the definition:
     false when two failure sets of size <= k disrupt the same paths but differ
     inside the group, true otherwise. Every pair of failure sets is compared."""
     members = frozenset(group)
     scenarios = [
-        (frozenset(combo), fs.affected(ps, combo))
+        (frozenset(combo), affected(ps, combo))
         for size in range(k + 1)
         for combo in combinations(ps.universe, size)
     ]

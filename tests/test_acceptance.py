@@ -14,6 +14,8 @@ import pytest
 import faultscope as fs
 from faultscope import IntBounds, Mechanism
 
+from conftest import oracle_max_identifiable_set
+
 BATTERY_SEED = 20260816
 
 
@@ -57,7 +59,7 @@ def test_criterion_01_golden_up(golden, up_paths, capsys):
         sb = fs.max_identifiable_set(fs.Analysis(golden, up_paths), k, Mechanism.UP)
         assert sb.exact, f"S*({k}) must be exact"
         assert sb.inner == frozenset(members), f"S*({k}) mismatch"
-        assert fs.oracle_max_identifiable_set(up_paths, k) == frozenset(members)
+        assert oracle_max_identifiable_set(up_paths, k) == frozenset(members)
     assert fs.oracle_omega(up_paths, ["v1"]) == 4
     assert fs.oracle_omega(up_paths, ["v4"]) == 4
     assert fs.oracle_omega(up_paths, ["v2"]) == 1
@@ -71,8 +73,8 @@ def test_criterion_02_golden_csp(golden, csp_paths, capsys):
     t0 = time.perf_counter()
     everyone = frozenset(golden.non_monitors)
     for k in (1, 2, 3):
-        assert fs.oracle_max_identifiable_set(csp_paths, k) == everyone
-    assert fs.oracle_max_identifiable_set(csp_paths, 4) == frozenset({"v1", "v3", "v4"})
+        assert oracle_max_identifiable_set(csp_paths, k) == everyone
+    assert oracle_max_identifiable_set(csp_paths, 4) == frozenset({"v1", "v3", "v4"})
     assert fs.oracle_omega(csp_paths, ["v1", "v2", "v4"]) == 3
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

@@ -382,6 +382,14 @@ class TestCcdf:
             ("p", {"count": 1, "n": 5, "p": 2, "mus": [1], "seed": 1}),
             ("mus", {"count": 1, "n": 5, "p": 0.5, "mus": [1, 1], "seed": 1}),
             ("n", {"count": 1, "n": 10001, "p": 0.5, "mus": [1], "seed": 1}),
+            (
+                "mechanisms",
+                {"count": 1, "n": 5, "p": 0.5, "mus": [1], "seed": 1, "mechanisms": ["bogus"]},
+            ),
+            (
+                "mechanisms",
+                {"count": 1, "n": 5, "p": 0.5, "mus": [1], "seed": 1, "mechanisms": []},
+            ),
         ],
     )
     def test_batch_field_of_wrong_type(self, field, spec, capsys):

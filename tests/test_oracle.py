@@ -5,19 +5,19 @@ import pytest
 import faultscope as fs
 from faultscope import Graph, OracleCapError
 
-from conftest import literal_k_identifiable
+from conftest import affected, literal_k_identifiable, oracle_max_identifiable_set
 
 
 class TestDistinguishable:
     # two failure sets are told apart iff they disrupt different paths
     def test_distinct_affected_sets(self, up_paths):
-        assert fs.affected(up_paths, ["v2"]) != fs.affected(up_paths, ["v4"])
+        assert affected(up_paths, ["v2"]) != affected(up_paths, ["v4"])
 
     def test_nested_failures_confused(self, up_paths):
-        assert fs.affected(up_paths, ["v4"]) == fs.affected(up_paths, ["v2", "v4"])
+        assert affected(up_paths, ["v4"]) == affected(up_paths, ["v2", "v4"])
 
     def test_equal_sets_confused(self, up_paths):
-        assert fs.affected(up_paths, ["v2"]) == fs.affected(up_paths, ["v2"])
+        assert affected(up_paths, ["v2"]) == affected(up_paths, ["v2"])
 
 
 class TestOracleKIdentifiable:
@@ -88,7 +88,7 @@ class TestOracleMaxSet:
         [(1, {"v1", "v2", "v4"}), (2, {"v1", "v4"}), (3, {"v1", "v4"}), (4, {"v1", "v4"})],
     )
     def test_routing_paths(self, up_paths, k, expected):
-        assert fs.oracle_max_identifiable_set(up_paths, k) == frozenset(expected)
+        assert oracle_max_identifiable_set(up_paths, k) == frozenset(expected)
 
     @pytest.mark.parametrize(
         "k,expected",
@@ -99,7 +99,7 @@ class TestOracleMaxSet:
         ],
     )
     def test_simple_paths(self, csp_paths, k, expected):
-        assert fs.oracle_max_identifiable_set(csp_paths, k) == frozenset(expected)
+        assert oracle_max_identifiable_set(csp_paths, k) == frozenset(expected)
 
 
 class TestOracleMsc:

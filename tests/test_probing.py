@@ -3,7 +3,7 @@ import pytest
 import faultscope as fs
 from faultscope import EnumerationCapError, TopologyError
 
-from conftest import all_simple_paths
+from conftest import affected, all_simple_paths, simulate
 
 
 def traces(ps: fs.PathSet) -> set[frozenset[str]]:
@@ -94,35 +94,35 @@ def test_mechanism_trace_containment(golden):
 
 class TestAffected:
     def test_single_failure(self, up_paths):
-        assert fs.affected(up_paths, ["v4"]) == frozenset({1, 2})
+        assert affected(up_paths, ["v4"]) == frozenset({1, 2})
 
     def test_nothing_failed(self, up_paths):
-        assert fs.affected(up_paths, []) == frozenset()
+        assert affected(up_paths, []) == frozenset()
 
     def test_pair(self, csp_paths):
-        assert fs.affected(csp_paths, ["v2", "v4"]) == frozenset({1, 2, 4, 5})
+        assert affected(csp_paths, ["v2", "v4"]) == frozenset({1, 2, 4, 5})
 
     def test_unknown_node(self, up_paths):
         with pytest.raises(ValueError):
-            fs.affected(up_paths, ["zz"])
+            affected(up_paths, ["zz"])
 
 
 class TestSimulate:
     def test_all_healthy(self, up_paths, golden):
         states = {v: 0 for v in golden.non_monitors}
-        assert fs.simulate(up_paths, states) == (0, 0, 0)
+        assert simulate(up_paths, states) == (0, 0, 0)
 
     def test_one_failure(self, up_paths, golden):
         states = {v: 0 for v in golden.non_monitors}
-        assert fs.simulate(up_paths, {**states, "v1": 1}) == (1, 0, 0)
+        assert simulate(up_paths, {**states, "v1": 1}) == (1, 0, 0)
 
     def test_pair_on_walks(self, cap_paths, golden):
         states = {v: 0 for v in golden.non_monitors}
-        assert fs.simulate(cap_paths, {**states, "v2": 1, "v3": 1}) == (0, 1, 1, 0)
+        assert simulate(cap_paths, {**states, "v2": 1, "v3": 1}) == (0, 1, 1, 0)
 
     def test_partial_state_rejected(self, up_paths):
         with pytest.raises(ValueError):
-            fs.simulate(up_paths, {"v1": 1})
+            simulate(up_paths, {"v1": 1})
 
 
 def test_measurement_system(up_paths):
@@ -130,7 +130,7 @@ def test_measurement_system(up_paths):
     rows = tuple(tuple(int(v in p) for v in up_paths.universe) for p in up_paths.paths)
     assert rows == ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1))
     states = {"v1": 0, "v2": 0, "v3": 0, "v4": 1}
-    assert fs.simulate(up_paths, states) == (0, 1, 1)
+    assert simulate(up_paths, states) == (0, 1, 1)
 
 
 class TestParsePaths:

@@ -13,11 +13,13 @@ from faultscope.topology import hops
 from faultscope.verify import er_battery
 
 from conftest import (
+    affected,
     all_simple_paths,
     all_walk_traces,
     literal_k_identifiable,
     read_fixture,
     reference_connectivity,
+    simulate,
 )
 
 
@@ -287,8 +289,8 @@ def test_affected_matches_simulation(t, data):
     ps = fs.enumerate_csp(t)
     failed = data.draw(st.sets(st.sampled_from(t.non_monitors)))
     states = {v: int(v in failed) for v in t.non_monitors}
-    outcomes = fs.simulate(ps, states)
-    assert fs.affected(ps, failed) == frozenset(
+    outcomes = simulate(ps, states)
+    assert affected(ps, failed) == frozenset(
         i for i, bad in enumerate(outcomes) if bad
     )
 

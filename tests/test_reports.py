@@ -220,6 +220,16 @@ class TestCcdfBatch:
         with pytest.raises(ValueError, match=self.MUS_REFUSED + r"\[2, 3, 2\]$"):
             fs.ccdf_batch(self.SPEC._replace(mus=(2, 3, 2)))
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("count", "3"), ("n", 5.5), ("p", "x"), ("mus", (2.5,)), ("mechanisms", ("bogus",))],
+    )
+    def test_spec_built_in_code_refused_by_field(self, field, value):
+        # the rows that check a JSON spec check one built in code, so a wrong
+        # value is named, never a TypeError from the arithmetic on it
+        with pytest.raises(ValueError, match=f"field '{field}' must be"):
+            fs.ccdf_batch(self.SPEC._replace(**{field: value}))
+
     def test_from_dict(self):
         spec = BatchSpec.from_dict(
             {"count": 3, "n": 10, "p": 0.35, "mus": [2, 3], "seed": 5}

@@ -3,6 +3,8 @@ import pytest
 import faultscope as fs
 from faultscope import IntBounds, Mechanism
 
+from conftest import oracle_max_identifiable_set
+
 
 @pytest.fixture(scope="module")
 def chain5() -> fs.Topology:
@@ -131,7 +133,7 @@ class TestMaxIdentifiableSet:
             a = fs.Analysis(golden, ps)
             for k in range(1, golden.sigma + 1):
                 sb = fs.max_identifiable_set(a, k, Mechanism.UP)
-                exact = fs.oracle_max_identifiable_set(ps, k)
+                exact = oracle_max_identifiable_set(ps, k)
                 assert sb.inner <= exact <= sb.outer
 
     def test_k_range(self, golden):

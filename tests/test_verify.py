@@ -103,6 +103,14 @@ class TestVerifyBatchSpec:
         with pytest.raises(fs.OracleCapError, match="universe size 13 exceeds the oracle cap 10"):
             fs.verify_batch_spec(spec)
 
+    def test_unknown_check_refused_before_any_draw(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("instances drawn for a spec with an unknown check")
+
+        monkeypatch.setattr("faultscope.verify.er_battery", never)
+        with pytest.raises(ValueError, match="'checks'"):
+            fs.verify_batch_spec({"count": 10**6, "checks": ["bogus"]})
+
 
 class TestVerificationReport:
     def test_json(self):
