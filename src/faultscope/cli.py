@@ -21,7 +21,7 @@ from .errors import (
 from .identify import Analysis, Mechanism
 from .oracle import oracle_k_identifiable, oracle_omega
 from .probing import PathSet, parse_paths
-from .randomnet import gen_er, place_monitors
+from .randomnet import check_field, gen_er, place_monitors
 from .reports import (
     VERSION,
     BatchSpec,
@@ -35,7 +35,7 @@ from .reports import (
     set_report,
 )
 from .topology import Topology, format_topology, load_topology, parse_monitor_names
-from .verify import _COMMON_FIELDS, ALL_CHECKS, verify_batch_spec, verify_topologies
+from .verify import _CHECKS_ROW, _COMMON_FIELDS, ALL_CHECKS, verify_batch_spec, verify_topologies
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,7 +51,7 @@ SCHEMA_ORACLE = "faultscope/oracle v1"
 _UNSTAMPED = frozenset({"command", "func", "out", "format", "seed", "monitors", "jobs"})
 
 #: Every mechanism, the parser's default: a --mechanism given is a new tuple.
-_ALL_MECHANISMS = (Mechanism.CAP, Mechanism.CSP, Mechanism.UP)
+_ALL_MECHANISMS = tuple(Mechanism)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,28 +62,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _split(value: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in value.split(",") if v.strip())
+
+
 def _mechanism_list(value: str) -> tuple[Mechanism, ...]:
     try:
-        return normalize_mechanisms(v.strip() for v in value.split(",") if v.strip())
+        return normalize_mechanisms(_split(value))
     except ValueError as exc:  # argparse would print this function's name instead
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _name_list(value: str) -> tuple[str, ...]:
-    names = tuple(v.strip() for v in value.split(",") if v.strip())
+    names = _split(value)
     if not names:
         raise argparse.ArgumentTypeError("empty node list")
     return names
-
-
-def _check_list(value: str) -> tuple[str, ...]:
-    checks = tuple(v.strip() for v in value.split(",") if v.strip())
-    unknown = set(checks) - set(ALL_CHECKS)
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown checks: {sorted(unknown)}")
-    if not checks:
-        raise argparse.ArgumentTypeError("empty check list")
-    return checks
 
 
 def _read_text(path: str) -> str:
@@ -207,25 +201,26 @@ def _cmd_ccdf(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # The battery is a topology, a spec, or the spec the given flags spell;
-    # a flag that does not apply to the battery is refused, not dropped.
+    # The battery is a topology, a spec, or the spec the given flags spell. A
+    # flag that does not apply to the battery is refused, not dropped; then
+    # each flag given must pass the battery spec row of its name.
     if args.topology is not None:
         _refuse(args, ("batch", "kind", "count", "seed"), "with --topology")
-        t = _load_cli_topology(args)
-        report = verify_topologies([t], args.checks or ALL_CHECKS, corrupt=args.corrupt)
     else:
         _refuse(args, ("monitors",), "without --topology")
-        if args.batch is not None:
-            _refuse(args, ("kind", "count", "seed", "checks"), "with --batch")
-            spec = _load_batch_dict(args.batch)
-        else:
-            flags = {"kind": args.kind, "count": args.count, "seed": args.seed, "checks": args.checks}
-            spec = {name: value for name, value in flags.items() if value is not None}
-            for name, _, what, ok in _COMMON_FIELDS:
-                if name in spec and not ok(spec[name]):
-                    raise ValueError(f"--{name} must be {what}, got {spec[name]}")
-        if spec.get("kind") == "cuts":
-            _refuse(args, ("checks", "corrupt"), "to a cuts battery")
+    given = [row for row in _COMMON_FIELDS + (_CHECKS_ROW,) if getattr(args, row[0]) is not None]
+    flags = {row[0]: getattr(args, row[0]) for row in given}
+    if args.batch is not None:
+        _refuse(args, ("kind", "count", "seed", "checks"), "with --batch")
+    spec = flags if args.batch is None else _load_batch_dict(args.batch)
+    if spec.get("kind") == "cuts":
+        _refuse(args, ("checks", "corrupt"), "to a cuts battery")
+    for row in given:
+        check_field(row, flags[row[0]], f"--{row[0]}")
+    if args.topology is not None:
+        t = _load_cli_topology(args)
+        report = verify_topologies([t], flags.get("checks", ALL_CHECKS), corrupt=args.corrupt)
+    else:
         report = verify_batch_spec(spec, corrupt=args.corrupt)
     _write_output(report.to_json(), args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY
@@ -333,17 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     vf = subs.add_parser("verify", help="closed-form results vs brute-force oracle")
     _add_topology_args(vf, required=False)
     vf.add_argument("--batch", help="JSON battery spec (inline or @FILE)")
-    vf.add_argument(
-        "--kind",
-        choices=("er", "cuts"),
-        help="battery kind when no topology/batch is given (default er)",
-    )
+    vf.add_argument("--kind", help="battery kind, er or cuts, without topology/batch (default er)")
     vf.add_argument("--count", type=int, help="battery instance count (default 50)")
     vf.add_argument("--seed", type=int, help="battery seed (default 0)")
     vf.add_argument(
-        "--checks",
-        type=_check_list,
-        help="comma separated subset of cap,csp,up,sets (default all)",
+        "--checks", type=_split, help="comma separated subset of cap,csp,up,sets (default all)"
     )
     vf.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     vf.add_argument("--out", help="write the JSON report here instead of stdout")

@@ -55,11 +55,11 @@ from .topology import (
 
 
 class Mechanism(str, enum.Enum):
-    """The three probing regimes, ordered weakest to strongest."""
+    """The three probing regimes, ordered most to least capable."""
 
-    UP = "up"
-    CSP = "csp"
     CAP = "cap"
+    CSP = "csp"
+    UP = "up"
 
 
 class Status(enum.Enum):

@@ -90,13 +90,20 @@ def read_fields(spec: Mapping, fields: Sequence[tuple[str, object, str, Callable
                 f"batch spec has an unknown field {name!r}; the fields are {', '.join(names)}"
             )
     out = {}
-    for name, default, what, ok in fields:
+    for row in fields:
+        name, default = row[:2]
         if name not in spec and default is None:
             raise ValueError(f"batch spec is missing the {name!r} field")
-        out[name] = spec.get(name, default)
-        if not ok(out[name]):
-            raise ValueError(f"batch spec field {name!r} must be {what}, got {out[name]!r}")
+        out[name] = check_field(row, spec.get(name, default), f"batch spec field {name!r}")
     return out
+
+
+def check_field(row: tuple[str, object, str, Callable], value, label: str):
+    """``value`` if it passes the test of its (name, default, what, test) row,
+    else a ValueError that says ``label`` must be what the row says."""
+    if not row[3](value):
+        raise ValueError(f"{label} must be {row[2]}, got {value!r}")
+    return value
 
 
 def _is_int(value) -> bool:

@@ -395,7 +395,7 @@ class BatchSpec(NamedTuple):
 
 
 #: Every mechanism name, in the order a spec that names none runs them.
-_MECHANISM_NAMES = tuple(sorted(m.value for m in Mechanism))
+_MECHANISM_NAMES = tuple(m.value for m in Mechanism)
 
 #: (field, default, what it must be, test) for every BatchSpec field, in field
 #: order. ``ccdf_batch`` checks ``mus`` against ``n`` once the rows pass.
@@ -444,8 +444,8 @@ def ccdf_batch(spec: BatchSpec, *, jobs: int = 1) -> CcdfTable:
     order regardless of ``jobs``, so parallel runs are byte-identical to
     serial ones.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if not _is_int(jobs) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     spec = BatchSpec.from_dict(spec._asdict())  # a spec built in code passes the same rows
     # a repeated mu would print its curve twice
     mus = list(spec.mus)

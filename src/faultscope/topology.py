@@ -8,7 +8,7 @@ graphs that collapse monitor reachability into a single virtual monitor node.
 
 Everything here is canonically ordered (nodes sorted by name) and never
 changed after construction, so repeated runs are deterministic and instances
-are safely shareable across threads and hashable for caching.
+are safely shareable across threads.
 """
 
 from __future__ import annotations

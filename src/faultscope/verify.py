@@ -18,8 +18,8 @@ from .identify import Analysis, Mechanism, threshold_sweep
 from .oracle import DEFAULT_MAX_CUT_NODES, brute_vertex_cut, check_universe_size, oracle_msc
 from .probing import DEFAULT_MAX_ENUM_NODES
 from .randomnet import (
-    _is_edge_probability, _is_int, _is_list_of, _is_number, gen_er, place_monitors,
-    random_graph, read_fields,
+    _is_edge_probability, _is_int, _is_list_of, _is_number, check_field, gen_er,
+    place_monitors, random_graph, read_fields,
 )
 from .reports import json_document
 from .topology import Topology
@@ -44,12 +44,18 @@ def _n_range_row(default: tuple[int, int], least: int, most: int) -> tuple:
 
 
 #: (field, default, what it must be, test) for every field a battery spec of
-#: each kind may set, in field order. ``kind`` is checked before it selects
-#: the table; its row only makes it a known field.
+#: each kind may set, in field order. ``kind`` is read first: it selects the
+#: table. The ``verify`` flags of the same names are judged by these rows too.
 _COMMON_FIELDS = (
-    ("kind", "er", "a battery kind", lambda v: True),
+    ("kind", "er", "one of er, cuts", lambda v: v in ("er", "cuts")),
     ("count", 50, "an integer >= 0", lambda v: _is_int(v) and v >= 0),
     ("seed", 0, "an integer", _is_int),
+)
+_CHECKS_ROW = (
+    "checks",
+    ALL_CHECKS,
+    f"a non-empty list of check names from {', '.join(ALL_CHECKS)}",
+    lambda v: _is_list_of(v, lambda c: c in ALL_CHECKS) and len(v) > 0,
 )
 _BATTERY_FIELDS = {
     "cuts": _COMMON_FIELDS + (
@@ -70,12 +76,7 @@ _BATTERY_FIELDS = {
             "a non-empty list of integers >= 1",
             lambda v: _is_list_of(v, lambda m: _is_int(m) and m >= 1) and len(v) > 0,
         ),
-        (
-            "checks",
-            ALL_CHECKS,
-            f"a non-empty list of check names from {', '.join(ALL_CHECKS)}",
-            lambda v: _is_list_of(v, lambda c: c in ALL_CHECKS) and len(v) > 0,
-        ),
+        _CHECKS_ROW,
     ),
 }
 
@@ -150,10 +151,9 @@ def verify_topologies(
 
     ``corrupt`` deliberately breaks the first CAP value; a battery that
     does not report that as a failure is itself broken (self-test hook).
+    ``checks`` must pass the battery spec's ``checks`` row.
     """
-    unknown = set(checks) - set(ALL_CHECKS)
-    if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
+    check_field(_CHECKS_ROW, checks, "checks")
     failures: list[CheckFailure] = []
     nchecks = 0
     ninstances = 0
@@ -206,7 +206,7 @@ def verify_topologies(
                         )
 
         if "sets" in checks:
-            for mech in (Mechanism.CAP, Mechanism.CSP, Mechanism.UP):
+            for mech in Mechanism:
                 omega = a.oracle(mech)
                 for k, bounds in enumerate(threshold_sweep(a.table(mech), t.sigma), start=1):
                     nchecks += 1
@@ -270,16 +270,14 @@ def verify_batch_spec(spec: dict, *, corrupt: bool = False) -> VerificationRepor
 
     ``kind`` selects the battery: ``er`` (default) draws monitored connected
     instances and runs the closed-form-vs-oracle checks; ``cuts`` exercises
-    the cut engine alone. Its ``_BATTERY_FIELDS`` rows give the other fields.
+    the cut engine alone. Its ``_BATTERY_FIELDS`` rows give every field.
     An unknown field, or one of the wrong JSON type or out of range, raises
     a ValueError that names it, as does ``corrupt`` (the self-test hook that
     breaks a CAP value) for a ``cuts`` battery. An ``er`` spec whose largest
     universe would pass the oracle's cap raises OracleCapError before any
     instance is drawn.
     """
-    kind = spec.get("kind", "er")
-    if not isinstance(kind, str) or kind not in _BATTERY_FIELDS:
-        raise ValueError(f"unknown battery kind {kind!r}")
+    kind = check_field(_COMMON_FIELDS[0], spec.get("kind", "er"), "batch spec field 'kind'")
     f = read_fields(spec, _BATTERY_FIELDS[kind])
     p_range = (float(f["p_range"][0]), float(f["p_range"][1]))
     if kind == "cuts":

@@ -18,6 +18,17 @@ def workspace(tmp_path):
     return tmp_path
 
 
+@pytest.fixture()
+def no_instance(monkeypatch):
+    """Fail the test if a verify battery draws or loads an instance."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("an instance was drawn or loaded")
+
+    for target in ("verify.gen_er", "verify.random_graph", "cli.load_topology"):
+        monkeypatch.setattr(f"faultscope.{target}", never)
+
+
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     rc = main(list(argv))
     captured = capsys.readouterr()
@@ -270,7 +281,6 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         ("argv", "reason"),
         [
-            (["verify", "--checks", "foo"], "argument --checks: unknown checks: ['foo']"),
             (
                 ["analyze", "--mechanism", "zz"],
                 "argument --mechanism: 'zz' is not a valid Mechanism",
@@ -500,9 +510,11 @@ class TestVerify:
             ("monitor_counts", ">= 1", {"kind": "er", "count": 2, "monitor_counts": [0]}),
             ("p_range", "low to high", {"kind": "er", "count": 1, "p_range": [0.9, 0.1]}),
             ("p_range", "low to high", {"kind": "cuts", "count": 1, "p_range": [0.9, 0.1]}),
+            ("kind", "one of er, cuts", {"kind": "zz"}),
+            ("kind", "one of er, cuts", {"kind": ["er"], "count": 2}),
         ],
     )
-    def test_batch_field_of_wrong_type(self, field, what, spec, capsys):
+    def test_batch_field_of_wrong_type(self, field, what, spec, no_instance, capsys):
         rc, out, err = run(capsys, "verify", "--batch", json.dumps(spec))
         assert rc == EXIT_VALIDATION
         assert out == ""
@@ -584,14 +596,29 @@ class TestVerify:
         [
             ("--count", ["--count", "-1"]),
             ("--count", ["--kind", "cuts", "--count", "-2", "--seed", "3"]),
+            ("--checks", ["--checks", "foo"]),
+            ("--checks", ["--checks", ","]),
+            ("--checks", ["--count", "2", "--checks", "cap,bogus"]),
+            ("--kind", ["--kind", "bogus"]),
+            ("--checks", ["--topology", "net.edges", "--checks", "foo"]),
         ],
     )
-    def test_bad_flag_value_refused_in_flag_words(self, flag, argv, capsys):
+    def test_bad_flag_value_refused_in_flag_words(
+        self, flag, argv, workspace, monkeypatch, no_instance, capsys
+    ):
+        # each value is judged by the battery spec row of its flag's name,
+        # before any instance is drawn or loaded
+        monkeypatch.chdir(workspace)
         rc, out, err = run(capsys, "verify", *argv)
         assert rc == EXIT_VALIDATION
         assert out == ""
         (line,) = err.splitlines()
-        assert line.startswith(f"error: {flag} must be an integer >= 0, got -")
+        what = {
+            "--count": "an integer >= 0, got -",
+            "--checks": "a non-empty list of check names from cap, csp, up, sets, got (",
+            "--kind": "one of er, cuts, got 'bogus'",
+        }[flag]
+        assert line.startswith(f"error: {flag} must be {what}")
         assert "batch spec" not in line
 
     def test_corruption_exits_nonzero(self, capsys):

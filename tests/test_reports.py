@@ -230,6 +230,17 @@ class TestCcdfBatch:
         with pytest.raises(ValueError, match=f"field '{field}' must be"):
             fs.ccdf_batch(self.SPEC._replace(**{field: value}))
 
+    @pytest.mark.parametrize("jobs", ["2", 1.5, True, 0])
+    def test_jobs_refused_before_any_draw(self, jobs, monkeypatch):
+        # jobs is an integer >= 1; bool is not one, and the count is large
+        # enough that a fractional jobs would reach the process pool
+        def never(*args, **kwargs):
+            raise AssertionError("an instance was drawn for a batch with a bad jobs")
+
+        monkeypatch.setattr("faultscope.reports.gen_er", never)
+        with pytest.raises(ValueError, match=rf"^jobs must be an integer >= 1, got {jobs!r}$"):
+            fs.ccdf_batch(self.SPEC, jobs=jobs)
+
     def test_from_dict(self):
         spec = BatchSpec.from_dict(
             {"count": 3, "n": 10, "p": 0.35, "mus": [2, 3], "seed": 5}

@@ -43,8 +43,11 @@ class TestVerifyTopologies:
         assert rep.checks < full.checks
 
     def test_unknown_check_rejected(self):
-        with pytest.raises(ValueError):
-            fs.verify_topologies(fs.er_battery(1, seed=1), checks=("zz",))
+        # judged by the spec's checks row: an empty selection, which would
+        # pass after 0 checks, and a bare string are refused too
+        for checks in (("zz",), ("cap", "zz"), (), [], "cap"):
+            with pytest.raises(ValueError, match=r"^checks must be a non-empty list of check names"):
+                fs.verify_topologies(fs.er_battery(2, seed=1), checks=checks)
 
 
 def test_verify_cut_engine():
