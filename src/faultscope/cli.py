@@ -84,11 +84,13 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(render, out: str | None) -> None:
+    """Call ``render`` with stdout, or with ``out`` opened now that the report is built."""
     if out is None:
-        sys.stdout.write(text)
+        render(sys.stdout)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as stream:
+            render(stream)
 
 
 def _load_cli_topology(args: argparse.Namespace) -> Topology:
@@ -149,7 +151,7 @@ def _report(args: argparse.Namespace, build, **options) -> int:
 
 def _write_report(report, args: argparse.Namespace) -> int:
     report = report._replace(meta=_meta(args))
-    _write_output(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
+    _write_output(report.to_csv if args.format == "csv" else report.to_json, args.out)
     return EXIT_OK
 
 
@@ -162,7 +164,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     t = result.topology
     if args.mu is not None:
         t = place_monitors(t, args.mu, args.seed)
-    _write_output(format_topology(t), args.out)
+    _write_output(lambda stream: stream.write(format_topology(t)), args.out)
     if result.retries:
         print(f"note: {result.retries} disconnected draws rejected", file=sys.stderr)
     return EXIT_OK
@@ -222,7 +224,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = verify_topologies([t], flags.get("checks", ALL_CHECKS), corrupt=args.corrupt)
     else:
         report = verify_batch_spec(spec, corrupt=args.corrupt)
-    _write_output(report.to_json(), args.out)
+    _write_output(report.to_json, args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -234,7 +236,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         answer = {"k": args.k, "identifiable": oracle_k_identifiable(ps, members, args.k)}
     else:
         answer = {"omega": oracle_omega(ps, members)}
-    _write_output(json_document(SCHEMA_ORACLE, set=sorted(set(members)), **answer), args.out)
+    answer["set"] = sorted(set(members))
+    _write_output(lambda stream: json_document(SCHEMA_ORACLE, stream=stream, **answer), args.out)
     return EXIT_OK
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
+import itertools
 import json
 import os
 import random
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .identify import (
     Analysis,
@@ -96,36 +97,35 @@ class AnalysisReport(NamedTuple):
     set_rows: tuple[SetRow, ...] = ()
     maxset_rows: tuple[MaxsetRow, ...] = ()
 
-    def to_csv(self) -> str:
+    def to_csv(self, stream: TextIO | None = None) -> str | None:
         join = functools.cache(lambda s: "+".join(sorted(s)))  # max sets repeat across k
-        buf = io.StringIO()
-        _write_comments(buf, SCHEMA_ANALYSIS, self.meta)
         # Positional rows in ANALYSIS_COLUMNS order; a section leaves the
         # columns it does not name empty.
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(ANALYSIS_COLUMNS)
-        writer.writerows(
-            ("node", m.value, row.node, "", row.degree, row.monitor_degree, row.nonmonitor_degree)
-            + (b.lo, b.hi, _bool(b.exact), "", "")
-            for row in self.rows
-            for m, b in row.bounds
+        rows = itertools.chain(
+            (
+                ("node", m.value, row.node, "", row.degree, row.monitor_degree, row.nonmonitor_degree)
+                + (b.lo, b.hi, _bool(b.exact), "", "")
+                for row in self.rows
+                for m, b in row.bounds
+            ),
+            (
+                ("set", r.mechanism.value, "+".join(r.members), "", "", "", "")
+                + (r.bounds.lo, r.bounds.hi, _bool(r.bounds.exact), "", "")
+                for r in self.set_rows
+            ),
+            (
+                ("maxset", r.mechanism.value, "", r.k, "", "", "", "", "", _bool(r.sets.exact))
+                + (join(r.sets.inner), join(r.sets.outer))
+                for r in self.maxset_rows
+            ),
         )
-        writer.writerows(
-            ("set", r.mechanism.value, "+".join(r.members), "", "", "", "")
-            + (r.bounds.lo, r.bounds.hi, _bool(r.bounds.exact), "", "")
-            for r in self.set_rows
-        )
-        writer.writerows(
-            ("maxset", r.mechanism.value, "", r.k, "", "", "", "", "", _bool(r.sets.exact))
-            + (join(r.sets.inner), join(r.sets.outer))
-            for r in self.maxset_rows
-        )
-        return buf.getvalue()
+        return _emit(_csv_lines(SCHEMA_ANALYSIS, self.meta, ANALYSIS_COLUMNS, rows), stream)
 
-    def to_json(self) -> str:
+    def to_json(self, stream: TextIO | None = None) -> str | None:
         members = functools.cache(sorted)  # max sets repeat across k
         return json_document(
             SCHEMA_ANALYSIS,
+            stream=stream,
             seed=self.meta.seed,
             flags=self.meta.flags,
             sigma=self.sigma,
@@ -181,27 +181,18 @@ class CcdfTable(NamedTuple):
     meta: ReportMeta
     rows: tuple[CcdfRow, ...]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        _write_comments(buf, SCHEMA_CCDF, self.meta)
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CCDF_COLUMNS)
-        for row in self.rows:
-            writer.writerow(
-                (
-                    row.k,
-                    row.mechanism.value,
-                    row.mu,
-                    repr(row.inner_fraction),
-                    repr(row.outer_fraction),
-                    _bool(row.exact),
-                )
-            )
-        return buf.getvalue()
+    def to_csv(self, stream: TextIO | None = None) -> str | None:
+        rows = (
+            (r.k, r.mechanism.value, r.mu, repr(r.inner_fraction), repr(r.outer_fraction))
+            + (_bool(r.exact),)
+            for r in self.rows
+        )
+        return _emit(_csv_lines(SCHEMA_CCDF, self.meta, CCDF_COLUMNS, rows), stream)
 
-    def to_json(self) -> str:
+    def to_json(self, stream: TextIO | None = None) -> str | None:
         return json_document(
             SCHEMA_CCDF,
+            stream=stream,
             seed=self.meta.seed,
             flags=self.meta.flags,
             rows=[
@@ -222,17 +213,40 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def json_document(schema: str, **body) -> str:
+def json_document(schema: str, *, stream: TextIO | None = None, **body) -> str | None:
     """A JSON report: its schema, the package version and ``body``, keys sorted."""
     doc = {"schema": schema, "version": VERSION, **body}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)  # json.dumps' chunks
+    # joined 64 at a time, as each is short; none is empty, so "" is the end
+    groups = iter(lambda: "".join(itertools.islice(chunks, 64)), "")
+    return _emit(itertools.chain(groups, "\n"), stream)
 
 
-def _write_comments(buf: io.StringIO, schema: str, meta: ReportMeta) -> None:
-    buf.write(f"# schema: {schema}\n")
-    buf.write(f"# version: {VERSION}\n")
-    buf.write(f"# seed: {meta.seed if meta.seed is not None else '-'}\n")
-    buf.write(f"# flags: {meta.flags or '-'}\n")
+def _csv_lines(schema: str, meta: ReportMeta, columns: Sequence[str], rows: Iterable) -> Iterator[str]:
+    """The comment lines, then the header row and each of ``rows``, one CSV line a chunk."""
+    seed = meta.seed if meta.seed is not None else "-"
+    yield f"# schema: {schema}\n# version: {VERSION}\n# seed: {seed}\n# flags: {meta.flags or '-'}\n"
+    line: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=line.append), lineterminator="\n")
+    for row in itertools.chain((columns,), rows):
+        writer.writerow(row)
+        yield line.pop()
+
+
+def _emit(chunks: Iterable[str], stream: TextIO | None) -> str | None:
+    """``chunks`` joined; or, given a ``stream``, written to it in blocks of about
+    8 KB: on unbuffered stdout each write is a system call, and each block is held whole."""
+    if stream is None:
+        return "".join(chunks)
+    block, size = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        size += len(chunk)
+        if size >= 8192:
+            stream.write("".join(block))
+            block, size = [], 0
+    stream.write("".join(block))
+    return None
 
 
 def normalize_mechanisms(mechanisms: Iterable[Mechanism | str]) -> tuple[Mechanism, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import permutations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .cuts import CutNetwork, two_connected
 from .identify import Analysis, Mechanism, threshold_sweep
@@ -96,9 +96,10 @@ class VerificationReport(NamedTuple):
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> str:
+    def to_json(self, stream: TextIO | None = None) -> str | None:
         return json_document(
             SCHEMA_VERIFY,
+            stream=stream,
             instances=self.instances,
             checks=self.checks,
             ok=self.ok,
@@ -118,15 +119,18 @@ def er_battery(
     monitor_counts: Sequence[int] = (2, 3),
 ) -> list[Topology]:
     """Seeded list of small connected monitored ER instances."""
+    return list(_er_instances(count, seed, n_range, p_range, monitor_counts))
+
+
+def _er_instances(count: int, seed: int, n_range, p_range, monitor_counts) -> Iterator[Topology]:
+    """The instances of ``er_battery``, each drawn when the one before it is done with."""
     rng = random.Random(seed)
-    tops: list[Topology] = []
     for i in range(count):
         n = rng.randint(*n_range)
         p = rng.uniform(*p_range)
         mu = rng.choice(list(monitor_counts))
         base = gen_er(n, p, seed * 31 + i).topology
-        tops.append(place_monitors(base, min(mu, n - 1), seed * 37 + i))
-    return tops
+        yield place_monitors(base, min(mu, n - 1), seed * 37 + i)
 
 
 def _instance_name(index: int, t: Topology) -> str:
@@ -288,11 +292,5 @@ def verify_batch_spec(spec: dict, *, corrupt: bool = False) -> VerificationRepor
     # fewest monitors give the largest universe, refused before any draw
     hi = f["n_range"][1]
     check_universe_size(hi - min(min(f["monitor_counts"]), hi - 1))
-    tops = er_battery(
-        f["count"],
-        f["seed"],
-        n_range=f["n_range"],
-        p_range=p_range,
-        monitor_counts=tuple(f["monitor_counts"]),
-    )
+    tops = _er_instances(f["count"], f["seed"], f["n_range"], p_range, tuple(f["monitor_counts"]))
     return verify_topologies(tops, tuple(f["checks"]), corrupt=corrupt)

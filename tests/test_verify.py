@@ -101,7 +101,7 @@ class TestVerifyBatchSpec:
         def never(*args, **kwargs):
             raise AssertionError("instances drawn for a spec the oracle refuses")
 
-        monkeypatch.setattr("faultscope.verify.er_battery", never)
+        monkeypatch.setattr("faultscope.verify.gen_er", never)
         spec = {"count": 100000, "n_range": [13, 14], "monitor_counts": [1], "seed": 1}
         with pytest.raises(fs.OracleCapError, match="universe size 13 exceeds the oracle cap 10"):
             fs.verify_batch_spec(spec)
@@ -110,9 +110,30 @@ class TestVerifyBatchSpec:
         def never(*args, **kwargs):
             raise AssertionError("instances drawn for a spec with an unknown check")
 
-        monkeypatch.setattr("faultscope.verify.er_battery", never)
+        monkeypatch.setattr("faultscope.verify.gen_er", never)
         with pytest.raises(ValueError, match="'checks'"):
             fs.verify_batch_spec({"count": 10**6, "checks": ["bogus"]})
+
+
+    def test_battery_drawn_one_instance_at_a_time(self, monkeypatch):
+        # instance i + 1 is drawn only once instance i has been checked: the
+        # sets check, the last of each instance, sweeps each mechanism once
+        log: list[str] = []
+        for name, entry in (("gen_er", "draw"), ("threshold_sweep", "check")):
+            original = getattr(fs.verify, name)
+
+            def spy(*args, _entry=entry, _original=original, **kwargs):
+                log.append(_entry)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(fs.verify, name, spy)
+        assert fs.verify_batch_spec({"count": 4, "seed": 2}).ok
+        assert log == ["draw", "check", "check", "check"] * 4
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_streamed_battery_reports_as_the_listed_one(self, seed):
+        listed = fs.verify_topologies(fs.er_battery(200, seed))
+        assert fs.verify_batch_spec({"count": 200, "seed": seed}).to_json() == listed.to_json()
 
 
 class TestVerificationReport:
