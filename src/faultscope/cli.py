@@ -144,6 +144,8 @@ def _refuse(args: argparse.Namespace, flags: tuple[str, ...], context: str) -> N
 
 def _report(args: argparse.Namespace, build, **options) -> int:
     """Load the topology and paths, build the report, stamp its header and write it."""
+    if Mechanism.UP not in args.mechanism:
+        _refuse(args, ("paths",), "without the up mechanism")
     t = _load_cli_topology(args)
     a = Analysis(t, _load_cli_paths(args, t))
     return _write_report(build(a, args.mechanism, exact=args.exact, **options), args)
@@ -230,6 +232,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     t = _load_cli_topology(args)
+    if args.set is None and not t.non_monitors:
+        raise ValueError("--set defaults to all non-monitors, but the topology has no non-monitors")
     ps = parse_paths(_read_text(args.paths), t)
     members = tuple(args.set) if args.set is not None else t.non_monitors
     if args.k is not None:

@@ -242,8 +242,8 @@ class Analysis:
     def oracle(self, mechanism: Mechanism) -> Mapping[str, int]:
         """Per-node exact indices from the brute-force oracle, over the paths
         the mechanism is judged on: the UP path set, or every achievable CSP
-        or CAP trace. The oracle's universe cap is checked before any path
-        is enumerated."""
+        or CAP trace, kept as bitmasks (no name set is made). The oracle's
+        universe cap is checked before any path is enumerated."""
         mechanism = Mechanism(mechanism)
         if mechanism not in self._oracle:
             _oracle.check_universe_size(self.t.sigma)
@@ -456,7 +456,7 @@ def gsc(ps: PathSet, v: str) -> int:
     Each round picks the node covering the most still-uncovered paths, ties
     broken by name. By convention the result is sigma when some path sees
     only v (covering infeasible) and 0 when no path sees v. Only a node on
-    one of v's paths can cover any, so only those are scanned.
+    one of v's paths can cover any, so only those are scanned, one per path set.
     """
     masks = ps.incidence_masks
     check_members(masks, [v])
@@ -467,11 +467,14 @@ def gsc(ps: PathSet, v: str) -> int:
         return len(ps.universe)
     uncovered = mask
     count = 0
-    sharing: set[str] = set()
+    sharing = 0
     while mask:
-        sharing.update(ps.paths[(mask & -mask).bit_length() - 1])
+        sharing |= ps.trace_masks[(mask & -mask).bit_length() - 1]
         mask &= mask - 1
-    candidates = [masks[w] for w in sorted(sharing - {v})]
+    found = ps.names(sharing)
+    found.remove(v)
+    # nodes with one path set score alike, and max keeps the first maximal
+    candidates = dict.fromkeys(map(masks.__getitem__, found))
     while uncovered:
         best = max(candidates, key=lambda w_mask: (w_mask & uncovered).bit_count())
         assert best & uncovered, "every remaining path must carry another node"

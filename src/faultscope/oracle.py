@@ -57,7 +57,7 @@ def oracle_omega(ps: PathSet, group: Iterable[str]) -> int:
 
 
 def oracle_omega_all(ps: PathSet) -> dict[str, int]:
-    """Exact per-node indices, from one walk over the failure sets.
+    """Exact per-node indices from the path masks alone, in one walk over the failure sets.
 
     Two same-fingerprint failure sets rule out every k >= the larger size
     for the nodes where they differ. Walking the failure sets in

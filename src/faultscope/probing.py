@@ -2,9 +2,9 @@
 
 A probe fails iff some non-monitor on its path failed (monitors are assumed
 reliable), so an analysis reads a path only as its trace: the set of
-non-monitors it visits. A :class:`PathSet` is a tuple of traces; node
-sequences exist only while a path file is parsed or a route is walked. The
-three mechanisms differ only in which paths are available:
+non-monitors it visits. A :class:`PathSet` holds each trace as a bitmask;
+node sequences exist only while a path file is parsed or a route is walked.
+The three mechanisms differ only in which paths are available:
 
 * UP: probing along routing-determined paths; modeled as the hop-count
   shortest path per monitor pair with deterministic lexicographic
@@ -17,7 +17,7 @@ three mechanisms differ only in which paths are available:
 
 Paths with one trace fail together, so two failure sets are told apart by
 the traces they hit. The CSP and CAP enumerators give each achievable trace
-once, as a bitmask over the node indices, never every path (whose count
+once, as the bitmask the path set keeps, never every path (whose count
 blows up factorially): CSP by a DP over the 2^n visited sets, CAP by one
 flood fill for each of the 2^sigma sets of non-monitors. Both refuse more
 than ``DEFAULT_MAX_ENUM_NODES`` (14) nodes before any allocation.
@@ -26,6 +26,7 @@ than ``DEFAULT_MAX_ENUM_NODES`` (14) nodes before any allocation.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
 from .errors import EnumerationCapError, TopologyError
@@ -34,40 +35,53 @@ from .topology import Record, Topology, hops
 #: Node cap of the exponential CSP/CAP enumerators.
 DEFAULT_MAX_ENUM_NODES = 14
 
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
 
 class PathSet(Record):
     """An ordered collection of measurement paths over a fixed non-monitor universe.
 
-    Each path is its trace, the frozenset of non-monitors it visits.
+    Each path is its trace, the set of non-monitors it visits, held once as
+    a bitmask in ``trace_masks``: bit j stands for ``universe[-1 - j]``.
     ``universe`` lists every non-monitor of the topology (sorted), so nodes
     that no path visits still have a well-defined, empty incidence set.
+    ``paths`` are the traces as frozensets, made when first read if not given.
     """
 
     _fields = ("paths", "universe")
 
     def __init__(self, paths: Iterable[Iterable[str]], universe: Iterable[str]) -> None:
-        self.paths: tuple[frozenset[str], ...] = tuple(frozenset(p) for p in paths)
+        self.paths = tuple(frozenset(p) for p in paths)
         self.universe: tuple[str, ...] = tuple(universe)
-        uni = set(self.universe)
+        bit = {v: 1 << j for j, v in enumerate(reversed(self.universe))}
         for p in self.paths:
-            stray = p - uni
-            if stray:
-                raise ValueError(f"path trace node {sorted(stray)[0]!r} outside the universe")
+            if not p <= bit.keys():
+                raise ValueError(f"path trace node {min(p - bit.keys())!r} outside the universe")
+        self.trace_masks = tuple(sum(map(bit.__getitem__, p)) for p in self.paths)
+
+    @cached_property
+    def paths(self) -> tuple[frozenset[str], ...]:
+        return tuple(frozenset(self.names(m)) for m in self.trace_masks)
+
+    def names(self, mask: int) -> list[str]:
+        """The nodes of a trace bitmask, in universe order."""
+        # digit i of the sigma-digit binary text is bit sigma - 1 - i: universe[i]
+        return list(compress(self.universe, f"{mask:0{len(self.universe)}b}".encode().translate(_DIGITS)))
 
     @property
     def gamma(self) -> int:
         """Number of measurement paths."""
-        return len(self.paths)
+        return len(self.trace_masks)
 
     @cached_property
     def incidence_masks(self) -> dict[str, int]:
         """Incidence sets as bitmasks over path indices (fast set algebra)."""
-        masks: dict[str, int] = {v: 0 for v in self.universe}
-        for i, p in enumerate(self.paths):
-            bit = 1 << i
-            for v in p:
-                masks[v] |= bit
-        return masks
+        masks = [0] * len(self.universe)
+        for i, trace in enumerate(self.trace_masks):
+            while trace:
+                masks[-(trace & -trace).bit_length()] |= 1 << i
+                trace &= trace - 1
+        return dict(zip(self.universe, masks))
 
     @cached_property
     def directly_measured(self) -> frozenset[str]:
@@ -77,33 +91,29 @@ class PathSet(Record):
         (the 2-hop monitor-node-monitor situation, generalized to any path
         whose interior monitors cannot fail).
         """
-        return frozenset(next(iter(p)) for p in self.paths if len(p) == 1)
+        return frozenset(self.universe[-m.bit_length()] for m in self.trace_masks if m.bit_count() == 1)
 
 
-def _trace_set(t: Topology, masks: Iterable[int]) -> PathSet:
-    """Traces given as bitmasks over ``t.nodes``, in (size, sorted names) order."""
-    nodes = t.nodes
-    traces = []
-    for mask in masks:
-        names = []
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            names.append(nodes[low.bit_length() - 1])
-        traces.append(names)
-    traces.sort(key=lambda names: (len(names), names))
-    return PathSet(tuple(frozenset(names) for names in traces), t.non_monitors)
+def _trace_set(t: Topology, masks: list[int]) -> PathSet:
+    """Trace bitmasks as a path set in (size, sorted names) order: the lower
+    name holds the higher bit, so equal-size traces sort as descending integers."""
+    masks.sort(reverse=True)
+    masks.sort(key=int.bit_count)
+    ps = PathSet.__new__(PathSet)
+    ps.trace_masks, ps.universe = tuple(masks), t.non_monitors
+    return ps
 
 
 def _index_graph(t: Topology, what: str) -> tuple[list[int], int]:
-    """Neighbour and monitor bitmasks over ``t.nodes``, past the enumerators' checks."""
+    """Neighbour and monitor bitmasks, past the enumerators' checks: the
+    non-monitors in :class:`PathSet`'s bit order, then the monitors by name."""
     t.require_monitored()
     if len(t.nodes) > DEFAULT_MAX_ENUM_NODES:
         raise EnumerationCapError(
             f"{what}: {len(t.nodes)} nodes exceeds the cap of {DEFAULT_MAX_ENUM_NODES}; "
             "only the cut-based bounds run at this size"
         )
-    index = {v: i for i, v in enumerate(t.nodes)}
+    index = {v: i for i, v in enumerate(t.non_monitors[::-1] + tuple(sorted(t.monitors)))}
     adj = [0] * len(t.nodes)
     for u, v in t.edges:
         adj[index[u]] |= 1 << index[v]
@@ -139,7 +149,7 @@ def route_up(t: Topology) -> PathSet:
 
 def csp_traces(t: Topology) -> list[int]:
     """Every trace of a simple path between two distinct monitors, as a
-    bitmask over ``t.nodes``; interior nodes may be monitors.
+    bitmask in :class:`PathSet`'s bit order; interior nodes may be monitors.
 
     ``ends[used]`` holds the nodes where a simple path from a monitor other
     than the largest can end having visited exactly ``used``. Walked in
@@ -149,7 +159,7 @@ def csp_traces(t: Topology) -> list[int]:
     """
     adj, monitors = _index_graph(t, "simple-path enumeration")
     ends = [0] * (1 << len(adj))
-    for a in [i for i in range(len(adj)) if monitors >> i & 1][:-1]:
+    for a in range(t.sigma, len(adj) - 1):
         ends[1 << a] = 1 << a
     traces: set[int] = set()
     for used, tails in enumerate(ends):
@@ -172,7 +182,7 @@ def csp_traces(t: Topology) -> list[int]:
 
 def cap_traces(t: Topology) -> list[int]:
     """Every trace of a monitor-to-monitor walk that uses each link at most
-    once per direction, as a bitmask over ``t.nodes``.
+    once per direction, as a bitmask in :class:`PathSet`'s bit order.
 
     The traces are the sets C minus the monitors for connected node sets C
     of two or more nodes holding a monitor: a walk visits such a set, and a
@@ -182,10 +192,8 @@ def cap_traces(t: Topology) -> list[int]:
     inside T and the monitors covers T and reaches a monitor.
     """
     adj, monitors = _index_graph(t, "walk enumeration")
-    others = (1 << len(adj)) - 1 & ~monitors
-    traces = [0] if any(a & monitors for i, a in enumerate(adj) if monitors >> i & 1) else []
-    subset = 0
-    while subset := (subset - others) & others:
+    traces = [0] if any(a & monitors for a in adj[t.sigma :]) else []
+    for subset in range(1, 1 << t.sigma):
         reached = frontier = subset & -subset
         while frontier:
             low = frontier & -frontier

@@ -122,6 +122,24 @@ def simulate(ps: fs.PathSet, states: dict[str, int]) -> tuple[int, ...]:
     return tuple(1 if any(states[v] for v in p) else 0 for p in ps.paths)
 
 
+def plain_gsc(ps: fs.PathSet, v: str) -> int:
+    """Greedy cover size of v's paths with every other non-monitor a candidate
+    in every round: the one on the most still-uncovered paths wins, the first
+    by name among ties. sigma when some path sees only v, 0 when none sees v."""
+    todo = {i for i, p in enumerate(ps.paths) if v in p}
+    if not todo:
+        return 0
+    if frozenset({v}) in ps.paths:
+        return len(ps.universe)
+    others = sorted(set(ps.universe) - {v})
+    count = 0
+    while todo:
+        best = max(others, key=lambda w: sum(w in ps.paths[i] for i in todo))
+        todo = {i for i in todo if best not in ps.paths[i]}
+        count += 1
+    return count
+
+
 def oracle_max_identifiable_set(ps: fs.PathSet, k: int) -> frozenset[str]:
     """Exact maximal k-identifiable set: the nodes whose oracle index reaches k."""
     check_k(k, len(ps.universe))

@@ -653,6 +653,15 @@ class TestOracle:
         doc = json.loads(out)
         assert doc["identifiable"] is False
 
+    def test_default_set_without_non_monitors_names_the_cause(self, tmp_path, capsys):
+        # refused before the path file is read
+        (tmp_path / "pair.edges").write_text("# monitors: a b\na b\n")
+        argv = ["--topology", str(tmp_path / "pair.edges"), "--paths", str(tmp_path / "absent")]
+        rc, out, err = run(capsys, "oracle", *argv)
+        assert rc == EXIT_VALIDATION and out == ""
+        cause = "--set defaults to all non-monitors, but the topology has no non-monitors"
+        assert err == f"error: {cause}\n"
+
     def test_defaults_to_all_nodes(self, workspace, capsys):
         rc, out, _ = run(
             capsys,
@@ -796,6 +805,20 @@ def test_header_stamps_the_report_flags(argv, flags, workspace, monkeypatch, cap
     assert rc == EXIT_OK
     header = (workspace / "report.csv").read_text().splitlines()[2:4]
     assert header == ["# seed: 7", f"# flags: {flags}"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "maxset", "ccdf"])
+@pytest.mark.parametrize("mechanism", ["cap", "csp", "cap,csp"])
+def test_paths_without_up_refused_before_any_file(
+    command, mechanism, tmp_path, monkeypatch, capsys
+):
+    # a path file is read by the up mechanism alone; neither file exists, so
+    # the refusal comes before either is read
+    monkeypatch.chdir(tmp_path)
+    argv = ["--topology", "absent.edges", "--paths", "absent.paths", "--mechanism", mechanism]
+    rc, out, err = run(capsys, command, *argv)
+    assert rc == EXIT_VALIDATION and out == ""
+    assert err == "error: --paths does not apply without the up mechanism\n"
 
 
 def test_cli_import_loads_no_process_pool():

@@ -3,6 +3,8 @@ import pytest
 import faultscope as fs
 from faultscope import CspInternals, IntBounds, Mechanism, SetBounds, Status
 
+from conftest import plain_gsc
+
 
 @pytest.fixture(scope="module")
 def chain5() -> fs.Topology:
@@ -268,6 +270,23 @@ class TestGsc:
     def test_monitor_rejected(self, up_paths):
         with pytest.raises(ValueError):
             fs.gsc(up_paths, "m1")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_all_candidates_greedy(self, seed):
+        # gsc scans one node per incidence mask; on battery instances, and on rings
+        # whose nodes between two monitors all share one incidence mask
+        instances = fs.er_battery(30, seed) + fs.er_battery(
+            10, seed, n_range=(20, 40), p_range=(0.15, 0.25), monitor_counts=(3, 6)
+        )
+        ring = "".join(f"r{i} r{(i + 1) % 40}\n" for i in range(40))
+        for monitors in (["r0", "r20"], ["r0", "r7", "r20", "r31"]):
+            instances.append(fs.load_topology(ring, monitors=monitors))
+        # a, b and c tie on v's paths at first; a first covers them in 2, c in 3
+        tie = fs.PathSet(["va", "vac", "vbc", "vb"], "abcv")
+        for ps in [fs.route_up(t) for t in instances] + [tie]:
+            for v in ps.universe:
+                assert fs.gsc(ps, v) == plain_gsc(ps, v), (ps, v)
+        assert fs.gsc(tie, "v") == 2
 
 
 class TestOmegaUp:

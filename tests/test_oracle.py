@@ -3,7 +3,7 @@ import random
 import pytest
 
 import faultscope as fs
-from faultscope import Graph, OracleCapError
+from faultscope import Graph, Mechanism, OracleCapError
 
 from conftest import affected, literal_k_identifiable, oracle_max_identifiable_set
 
@@ -160,3 +160,23 @@ class TestCaps:
         # the universe cap, not k, bounds the k-test
         with pytest.raises(OracleCapError, match="universe size 11"):
             fs.oracle_k_identifiable(wide, wide.universe[:1], 1)
+
+
+def test_analysis_oracle_makes_no_name_sets(golden, monkeypatch):
+    # the CSP and CAP tables read the enumerators' trace masks alone: no path
+    # set is built from names, and no name is made from a mask
+    def never(*args):
+        raise AssertionError("a path set's names were made")
+
+    class NoNames:
+        def __get__(self, ps, owner=None):
+            never()
+
+    monkeypatch.setattr(fs.PathSet, "__init__", never)
+    monkeypatch.setattr(fs.PathSet, "paths", NoNames(), raising=False)
+    dense = fs.place_monitors(fs.gen_er(14, 0.3, seed=1).topology, 4, seed=1)
+    assert (len(dense.nodes), dense.sigma) == (14, 10)
+    for t in [golden, dense] + fs.er_battery(30, 1):
+        a = fs.Analysis(t)
+        for m in (Mechanism.CSP, Mechanism.CAP):
+            assert len(a.oracle(m)) == t.sigma

@@ -255,6 +255,27 @@ def test_cap_traces_match_all_walks(t):
     assert set(ps.paths) == all_walk_traces(t)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(topologies(), sparse_topologies()))
+@example(fs.load_topology(read_fixture("golden/net.edges")))
+@example(_ring(10, 1))
+def test_mask_built_path_sets_match_name_built(t):
+    universe = t.non_monitors
+    for enumerate_traces in (fs.enumerate_csp, fs.enumerate_cap):
+        masked = enumerate_traces(t)
+        # read off the masks before any name is made
+        got = (masked.incidence_masks, masked.directly_measured, masked.gamma)
+        bits = [1 << (t.sigma - 1 - i) for i in range(t.sigma)]
+        traces = [[v for v, bit in zip(universe, bits) if m & bit] for m in masked.trace_masks]
+        named = fs.PathSet(traces, universe)
+        assert masked.paths == named.paths
+        assert got == (named.incidence_masks, named.directly_measured, named.gamma)
+        indexed = list(enumerate(named.paths))
+        assert got[0] == {v: sum(1 << i for i, p in indexed if v in p) for v in universe}
+        assert got[1] == {next(iter(p)) for p in named.paths if len(p) == 1}
+        assert masked == named and hash(masked) == hash(named)
+
+
 # Shrinking a failure here reruns the literal reading thousands of times and
 # takes minutes; a drawn topology has at most ten nodes, so it is reported as
 # drawn.
