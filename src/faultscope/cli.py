@@ -81,7 +81,7 @@ def _name_list(value: str) -> tuple[str, ...]:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _write_output(render, out: str | None) -> None:

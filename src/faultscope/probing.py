@@ -41,23 +41,30 @@ _DIGITS = bytes.maketrans(b"01", b"\0\1")
 class PathSet(Record):
     """An ordered collection of measurement paths over a fixed non-monitor universe.
 
-    Each path is its trace, the set of non-monitors it visits, held once as
+    Each path is its trace, the set of non-monitors it visits, held only as
     a bitmask in ``trace_masks``: bit j stands for ``universe[-1 - j]``.
     ``universe`` lists every non-monitor of the topology (sorted), so nodes
     that no path visits still have a well-defined, empty incidence set.
-    ``paths`` are the traces as frozensets, made when first read if not given.
+    ``paths``, the traces as frozensets, are made from the masks when first read.
     """
 
     _fields = ("paths", "universe")
 
     def __init__(self, paths: Iterable[Iterable[str]], universe: Iterable[str]) -> None:
-        self.paths = tuple(frozenset(p) for p in paths)
         self.universe: tuple[str, ...] = tuple(universe)
-        bit = {v: 1 << j for j, v in enumerate(reversed(self.universe))}
-        for p in self.paths:
+        bit = _bits(self.universe)
+        traces = [frozenset(p) for p in paths]
+        for p in traces:
             if not p <= bit.keys():
                 raise ValueError(f"path trace node {min(p - bit.keys())!r} outside the universe")
-        self.trace_masks = tuple(sum(map(bit.__getitem__, p)) for p in self.paths)
+        self.trace_masks = tuple(sum(map(bit.__getitem__, p)) for p in traces)
+
+    @classmethod
+    def _of_masks(cls, masks: Iterable[int], universe: tuple[str, ...]) -> PathSet:
+        """A path set over trace bitmasks already in this bit order."""
+        ps = cls.__new__(cls)
+        ps.trace_masks, ps.universe = tuple(masks), universe
+        return ps
 
     @cached_property
     def paths(self) -> tuple[frozenset[str], ...]:
@@ -94,14 +101,17 @@ class PathSet(Record):
         return frozenset(self.universe[-m.bit_length()] for m in self.trace_masks if m.bit_count() == 1)
 
 
+def _bits(universe: tuple[str, ...]) -> dict[str, int]:
+    """Each node's bit in :class:`PathSet`'s order: bit j for ``universe[-1 - j]``."""
+    return {v: 1 << j for j, v in enumerate(reversed(universe))}
+
+
 def _trace_set(t: Topology, masks: list[int]) -> PathSet:
     """Trace bitmasks as a path set in (size, sorted names) order: the lower
     name holds the higher bit, so equal-size traces sort as descending integers."""
     masks.sort(reverse=True)
     masks.sort(key=int.bit_count)
-    ps = PathSet.__new__(PathSet)
-    ps.trace_masks, ps.universe = tuple(masks), t.non_monitors
-    return ps
+    return PathSet._of_masks(masks, t.non_monitors)
 
 
 def _index_graph(t: Topology, what: str) -> tuple[list[int], int]:
@@ -125,26 +135,27 @@ def route_up(t: Topology) -> PathSet:
     """Hop-count shortest path for every unordered monitor pair.
 
     Deterministic tie-breaking: BFS runs from the lexicographically smaller
-    monitor of the pair, and the path is walked back from the far end by
-    always stepping to the lexicographically smallest neighbor that is one
-    hop closer to the source. Fewer than two monitors yield an empty set.
+    monitor of the pair, and the trace ORs the bits met walking back from the
+    far end, always to the lexicographically smallest neighbor one hop closer
+    to the source. Fewer than two monitors yield an empty set.
     """
     t.require_monitored()
     monitors = sorted(t.monitors)
     adj = t.adjacency
-    paths: list[frozenset[str]] = []
+    bit = _bits(t.non_monitors)
+    masks: list[int] = []
     for a in monitors:
         dist = hops(adj, a)
         for b in monitors:
             if b <= a:
                 continue
-            visited = set()
+            mask = 0
             node = b
             while node != a:
                 node = min(w for w in adj[node] if dist[w] == dist[node] - 1)
-                visited.add(node)
-            paths.append(frozenset(visited - t.monitors))
-    return PathSet(tuple(paths), t.non_monitors)
+                mask |= bit.get(node, 0)
+            masks.append(mask)
+    return PathSet._of_masks(masks, t.non_monitors)
 
 
 def csp_traces(t: Topology) -> list[int]:
@@ -221,14 +232,14 @@ def parse_paths(text: str, t: Topology) -> PathSet:
     ``#`` comments allowed.
 
     Each path must start and end at a monitor, use only known nodes, and
-    step along existing links. Repeated nodes are allowed (walks); exact
-    duplicate lines are dropped, but lines that differ and share a trace
-    each stay a path. Path order follows the file, so externally
-    documented path numbering is preserved.
+    step along existing links; its trace ORs its non-monitors' bits.
+    Repeated nodes are allowed (walks); exact duplicate lines are dropped,
+    but lines that differ and share a trace each stay a path. Path order
+    follows the file, so externally documented path numbering is preserved.
     """
     t.require_monitored()
-    paths: list[frozenset[str]] = []
-    seen: set[tuple[str, ...]] = set()
+    bit = _bits(t.non_monitors)
+    kept: dict[tuple[str, ...], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -244,7 +255,6 @@ def parse_paths(text: str, t: Topology) -> PathSet:
         for u, v in zip(seq, seq[1:]):
             if not t.has_edge(u, v):
                 raise TopologyError(f"line {lineno}: no link {u!r}-{v!r}")
-        if seq not in seen:
-            seen.add(seq)
-            paths.append(frozenset(seq) - t.monitors)
-    return PathSet(tuple(paths), t.non_monitors)
+        # a repeated line keeps the place of its first copy
+        kept[seq] = sum({bit.get(v, 0) for v in seq})
+    return PathSet._of_masks(kept.values(), t.non_monitors)

@@ -140,6 +140,29 @@ def plain_gsc(ps: fs.PathSet, v: str) -> int:
     return count
 
 
+def up_routes(t: fs.Topology) -> list[tuple[str, ...]]:
+    """The routes of ``route_up`` as node sequences, walked on names: for each
+    monitor pair a < b, a plain BFS from a, then from b back to a, always to
+    the first-named neighbour one hop closer."""
+    adj = t.adjacency
+    monitors = sorted(t.monitors)
+    routes = []
+    for i, a in enumerate(monitors):
+        dist, queue = {a: 0}, [a]
+        for u in queue:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        for b in monitors[i + 1 :]:
+            route = [b]
+            while route[-1] != a:
+                u = route[-1]
+                route.append(min(w for w in adj[u] if dist[w] == dist[u] - 1))
+            routes.append(tuple(route))
+    return routes
+
+
 def oracle_max_identifiable_set(ps: fs.PathSet, k: int) -> frozenset[str]:
     """Exact maximal k-identifiable set: the nodes whose oracle index reaches k."""
     check_k(k, len(ps.universe))

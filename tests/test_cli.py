@@ -521,6 +521,19 @@ class TestVerify:
         (line,) = err.splitlines()
         assert f"{field!r}" in line and what in line
 
+    def test_draw_that_never_connects_refused_naming_instance_and_field(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("an instance was checked before the refusal")
+
+        monkeypatch.setattr("faultscope.verify.Analysis", never)
+        spec = '{"count": 3, "seed": 5, "p_range": [0.0001, 0.0001]}'
+        rc, out, err = run(capsys, "verify", "--batch", spec)
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        (line,) = err.splitlines()
+        assert "er[0]" in line and "'p_range'" in line
+        assert "seed=" not in line and "155" not in line
+
     def test_oversized_battery_refused_before_enumeration(self, monkeypatch, capsys):
         def never(*args, **kwargs):
             raise AssertionError("paths enumerated for an instance the oracle refuses")
@@ -819,6 +832,46 @@ def test_paths_without_up_refused_before_any_file(
     rc, out, err = run(capsys, command, *argv)
     assert rc == EXIT_VALIDATION and out == ""
     assert err == "error: --paths does not apply without the up mechanism\n"
+
+
+@pytest.mark.parametrize(
+    ("files", "argv"),
+    [
+        # the monitors header first, and a path file
+        (
+            {"net.edges": read_fixture("golden/net.edges"), "up.paths": read_fixture("golden/up.paths")},
+            ["analyze", "--topology", "net.edges", "--paths", "up.paths", "--mechanism", "up"],
+        ),
+        # a link first: its first node is a monitor named in the last line
+        ({"t.edges": "a b\nb c\n# monitors: a c\n"}, ["analyze", "--topology", "t.edges"]),
+        # a link first, monitors given inline: the first node is analysed
+        ({"t.edges": "a b\nb c\nc d\n"}, ["analyze", "--topology", "t.edges", "--monitors", "b,d"]),
+        (
+            {"t.edges": "b a\nb c\nc d\n", "mon.txt": "a d\n"},
+            ["maxset", "--topology", "t.edges", "--monitors", "@mon.txt"],
+        ),
+        ({"spec.json": '{"count": 3, "seed": 2}'}, ["verify", "--batch", "@spec.json"]),
+        (
+            {"spec.json": '{"count": 2, "n": 8, "p": 0.4, "mus": [2], "seed": 1}'},
+            ["ccdf", "--batch", "@spec.json", "--format", "json"],
+        ),
+    ],
+    ids=["topology-and-paths", "topology", "inline-monitors", "monitor-file", "verify-batch", "ccdf-batch"],
+)
+def test_byte_order_mark_is_not_part_of_the_text(files, argv, tmp_path, monkeypatch, capsys):
+    # a file saved with a UTF-8 byte-order mark reads as the same text without it
+    outputs = []
+    for mark in ("", "\ufeff"):
+        folder = tmp_path / f"mark{len(mark)}"
+        folder.mkdir()
+        for name, text in files.items():
+            (folder / name).write_text(mark + text, encoding="utf-8")
+        monkeypatch.chdir(folder)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (EXIT_OK, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert "\ufeff" not in outputs[1]
 
 
 def test_cli_import_loads_no_process_pool():

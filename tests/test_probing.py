@@ -3,7 +3,7 @@ import pytest
 import faultscope as fs
 from faultscope import EnumerationCapError, TopologyError
 
-from conftest import affected, all_simple_paths, simulate
+from conftest import affected, all_simple_paths, read_fixture, simulate
 
 
 def traces(ps: fs.PathSet) -> set[frozenset[str]]:
@@ -148,6 +148,10 @@ class TestParsePaths:
         ps = fs.parse_paths("m1 v1 m2\nm2 v1 m1\n", golden)
         assert ps.paths == (frozenset({"v1"}), frozenset({"v1"}))
 
+    def test_repeated_line_keeps_its_first_place(self, golden):
+        ps = fs.parse_paths("m1 v1 m2\nm2 v4 m3\nm1 v1 m2\n", golden)
+        assert ps.paths == (frozenset({"v1"}), frozenset({"v4"}))
+
     def test_endpoint_must_be_monitor(self, golden):
         with pytest.raises(TopologyError):
             fs.parse_paths("v1 v2 v4\n", golden)
@@ -163,3 +167,21 @@ class TestParsePaths:
     def test_too_short(self, golden):
         with pytest.raises(TopologyError):
             fs.parse_paths("m1\n", golden)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        fs.route_up,
+        lambda t: fs.parse_paths(read_fixture("golden/up.paths"), t),
+        lambda t: fs.PathSet([["v1"], ["v2", "v4"], []], t.non_monitors),
+        fs.enumerate_csp,
+        fs.enumerate_cap,
+    ],
+    ids=["route_up", "parse_paths", "constructor", "enumerate_csp", "enumerate_cap"],
+)
+def test_path_set_holds_masks_alone(build, golden):
+    # every path source writes trace masks; names are made only when read
+    ps = build(golden)
+    assert "paths" not in vars(ps)
+    assert len(ps.paths) == ps.gamma and "paths" in vars(ps)

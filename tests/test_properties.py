@@ -20,6 +20,7 @@ from conftest import (
     read_fixture,
     reference_connectivity,
     simulate,
+    up_routes,
 )
 
 
@@ -274,6 +275,25 @@ def test_mask_built_path_sets_match_name_built(t):
         assert got[0] == {v: sum(1 << i for i, p in indexed if v in p) for v in universe}
         assert got[1] == {next(iter(p)) for p in named.paths if len(p) == 1}
         assert masked == named and hash(masked) == hash(named)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(topologies(), sparse_topologies(), chained_sparse_topologies()))
+@example(fs.load_topology(read_fixture("golden/net.edges")))
+@example(_ring(10, 1))
+@example(_ring(12, 3))
+def test_route_up_matches_the_walk_on_names(t):
+    routes = up_routes(t)
+    named = fs.PathSet([frozenset(r) - t.monitors for r in routes], t.non_monitors)
+    ps = fs.route_up(t)
+    assert ps.trace_masks == named.trace_masks
+    assert ps.paths == named.paths
+    assert ps.incidence_masks == named.incidence_masks
+    assert ps.directly_measured == named.directly_measured
+    assert ps == named and hash(ps) == hash(named)
+    # the same routes as a path file, one per line, give the same traces
+    text = "".join(" ".join(r) + "\n" for r in routes)
+    assert fs.parse_paths(text, t).trace_masks == ps.trace_masks
 
 
 # Shrinking a failure here reruns the literal reading thousands of times and
