@@ -181,11 +181,11 @@ def _verdict(bounds: IntBounds, k: int, rules: str | tuple[str, str, str]) -> Tr
 
 
 class Analysis:
-    """The per-node tables of one (topology, UP path set), each built once on
-    first use: the CAP and CSP cut tables, the single-failure verdicts, the
-    raw and refined bounds per mechanism and, only when asked for, the
-    oracle's exact indices per mechanism. Pass it wherever a function takes a
-    topology; every reader shares the tables, which it hands out read-only.
+    """The per-node tables of one (topology, UP path set), each built once in
+    any query order: the CAP and CSP cut tables, the single-failure verdicts,
+    the raw bounds per mechanism (refined too for CSP and UP) and, only when
+    asked for, the oracle's exact indices. Pass it wherever a function takes
+    a topology; every reader shares the tables, which it hands out read-only.
     """
 
     def __init__(self, t: Topology, ps: PathSet | None = None) -> None:
@@ -233,11 +233,23 @@ class Analysis:
         return MappingProxyType(self._single[mechanism])
 
     def table(self, mechanism: Mechanism, *, refine_single: bool = True) -> Mapping[str, IntBounds]:
-        """The per-node bounds table, built by :func:`per_node_bounds` on first use."""
-        key = (Mechanism(mechanism), refine_single)
+        """The per-node bounds table, built by :func:`per_node_bounds` on first
+        use. CAP has one table: no single-failure test refines it."""
+        mechanism = Mechanism(mechanism)
+        key = (mechanism, refine_single and mechanism is not Mechanism.CAP)
         if key not in self._tables:
-            self._tables[key] = per_node_bounds(self, key[0], refine_single=refine_single)
+            self._tables[key] = per_node_bounds(self, mechanism, refine_single=key[1])
         return MappingProxyType(self._tables[key])
+
+    def tables(
+        self, mechanisms: Iterable[Mechanism], *, refine_single: bool = True
+    ) -> dict[Mechanism, Mapping[str, IntBounds]]:
+        """Each mechanism's :meth:`table`, in the order given. CSP's is built
+        before CAP's: the CSP star pass gives the CAP cuts too."""
+        mechs = tuple(map(Mechanism, mechanisms))
+        for m in sorted(mechs, key=Mechanism.CAP.__eq__):
+            self.table(m, refine_single=refine_single)
+        return {m: self.table(m, refine_single=refine_single) for m in mechs}
 
     def oracle(self, mechanism: Mechanism) -> Mapping[str, int]:
         """Per-node exact indices from the brute-force oracle, over the paths
@@ -543,28 +555,22 @@ def per_node_bounds(
     the form [0, hi>=1] is settled by the exact single-failure test: the
     node either is 1-identifiable (lower bound lifts to 1) or is not (the
     index is exactly 0). Per-node report rows use ``refine_single=False`` to
-    show the raw theorem bounds. Given an :class:`Analysis`, the refined
-    table starts from the raw one when that is already built. The result is
-    always a fresh dict.
+    show the raw theorem bounds. The result is always a fresh dict.
     """
     a = _analysis(t)
     mechanism = Mechanism(mechanism)
-    raw = a._tables.get((mechanism, False))
-    if raw is None:
-        if mechanism is Mechanism.CAP:
-            raw = {v: IntBounds.exactly(value) for v, value in a.cap.items()}
-        elif mechanism is Mechanism.CSP:
-            raw = {v: omega_csp(a, v) for v in a.t.non_monitors}
-        else:
-            up_paths = a.paths
-            raw = {v: omega_up(up_paths, v) for v in up_paths.universe}
-    out = dict(raw)
     if refine_single and mechanism is not Mechanism.CAP:
+        out = dict(a.table(mechanism, refine_single=False))
         single = a.single(mechanism)
-        for v, b in raw.items():
+        for v, b in out.items():
             if b.lo == 0 and b.hi >= 1:
                 out[v] = IntBounds(1, b.hi) if single[v].is_identifiable else IntBounds.exactly(0)
-    return out
+        return out
+    if mechanism is Mechanism.CAP:
+        return {v: IntBounds.exactly(value) for v, value in a.cap.items()}
+    if mechanism is Mechanism.CSP:
+        return {v: omega_csp(a, v) for v in a.t.non_monitors}
+    return {v: omega_up(a.paths, v) for v in a.t.non_monitors}
 
 
 def omega_set(t: Topology | Analysis, group: Iterable[str], mechanism: Mechanism) -> IntBounds:

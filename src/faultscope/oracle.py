@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import OracleCapError
 from .probing import PathSet
-from .topology import Graph, check_k, check_members
+from .topology import Graph, check_k, check_members, hops
 
 DEFAULT_MAX_SIGMA = 10
 DEFAULT_MAX_CUT_NODES = 8
@@ -134,24 +134,10 @@ def brute_vertex_cut(g: Graph, s: str, t: str) -> int:
     if g.has_edge(s, t):
         return len(g.nodes) - 1
 
-    def reachable(removed: frozenset[str]) -> bool:
-        if s in removed or t in removed:
-            return False
-        seen = {s}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in g.adjacency[u]:
-                    if w not in seen and w not in removed:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return t in seen
-
     others = [n for n in g.nodes if n != s and n != t]
     for size in range(len(others) + 1):
         for combo in combinations(others, size):
-            if not reachable(frozenset(combo)):
+            # a removed node may be reached but leads nowhere
+            if t not in hops({**g.adjacency, **dict.fromkeys(combo, ())}, s):
                 return size
     raise AssertionError("removing every other node must separate a non-adjacent pair")

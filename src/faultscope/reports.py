@@ -17,6 +17,7 @@ import random
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
+from .errors import GenerationError
 from .identify import (
     Analysis,
     IntBounds,
@@ -268,11 +269,9 @@ def _tables(
     refine_single: bool,
     exact: bool,
 ) -> dict[Mechanism, Mapping[str, IntBounds]]:
-    """Per mechanism, the context's bound table, or oracle values if ``exact``.
-    CAP goes last: when CSP is asked for too, the CSP star pass gives its cuts."""
+    """Per mechanism, the context's bound table, or oracle values if ``exact``."""
     if not exact:
-        order = sorted(mechs, key=Mechanism.CAP.__eq__)
-        return {m: a.table(m, refine_single=refine_single) for m in order}
+        return a.tables(mechs, refine_single=refine_single)
     return {m: {v: IntBounds.exactly(w) for v, w in a.oracle(m).items()} for m in mechs}
 
 
@@ -442,7 +441,11 @@ def _ccdf_instance(task: tuple[BatchSpec, int]) -> list[CcdfRow]:
     """
     spec, index = task
     seed = spec.seed + index
-    base = gen_er(spec.n, spec.p, seed).topology
+    try:
+        base = gen_er(spec.n, spec.p, seed).topology
+    except GenerationError:
+        what = f"no connected graph on {spec.n} nodes at p={spec.p}, set by batch spec field 'p'"
+        raise GenerationError(f"ccdf[{index}]: {what}") from None
     rng = random.Random(seed * 1_000_003 + 17)
     order = rng.sample(sorted(base.nodes), len(base.nodes))
     rows: list[CcdfRow] = []

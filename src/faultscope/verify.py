@@ -19,8 +19,8 @@ from .identify import Analysis, Mechanism, threshold_sweep
 from .oracle import DEFAULT_MAX_CUT_NODES, brute_vertex_cut, check_universe_size, oracle_msc
 from .probing import DEFAULT_MAX_ENUM_NODES
 from .randomnet import (
-    _is_edge_probability, _is_int, _is_list_of, _is_number, check_field, gen_er,
-    place_monitors, random_graph, read_fields,
+    DEFAULT_MAX_NODES, _is_edge_probability, _is_int, _is_list_of, _is_number, check_field,
+    gen_er, place_monitors, random_graph, read_fields,
 )
 from .reports import json_document
 from .topology import Topology
@@ -119,7 +119,12 @@ def er_battery(
     p_range: tuple[float, float] = (0.3, 0.55),
     monitor_counts: Sequence[int] = (2, 3),
 ) -> list[Topology]:
-    """Seeded list of small connected monitored ER instances."""
+    """Seeded list of small connected monitored ER instances. Each argument
+    must pass its ``er`` spec row, but n may reach ``gen_er``'s cap."""
+    rows = list(_BATTERY_FIELDS["er"][1:6])
+    rows[2] = _n_range_row((5, 10), 2, DEFAULT_MAX_NODES)
+    for row, value in zip(rows, (count, seed, n_range, p_range, monitor_counts), strict=True):
+        check_field(row, value, row[0])
     return list(_er_instances(count, seed, n_range, p_range, monitor_counts))
 
 
@@ -174,12 +179,9 @@ def verify_topologies(
         def fail(check: str, detail: str) -> None:
             failures.append(CheckFailure(name, check, detail))
 
-        # CSP before CAP: the CSP star pass gives the CAP table too
-        for mech in (Mechanism.CSP, Mechanism.CAP, Mechanism.UP):
-            if mech.value not in checks:
-                continue
+        wanted = [m for m in Mechanism if m.value in checks]
+        for mech, table in a.tables(wanted, refine_single=False).items():
             target = a.oracle(mech)
-            table = a.cap if mech is Mechanism.CAP else a.table(mech, refine_single=False)
             for v in t.non_monitors:
                 nchecks += 1
                 omega, got = target[v], table[v]
@@ -192,10 +194,11 @@ def verify_topologies(
                             f"{v}: general-case interval [{got.lo}, {got.hi}] wider than one",
                         )
                 elif mech is Mechanism.CAP:
+                    cut = got.lo
                     if corrupt and index == 0 and v == t.non_monitors[0]:
-                        got += 1
-                    if got != omega:
-                        fail("cap-exact", f"{v}: closed form {got} != oracle {omega}")
+                        cut += 1
+                    if cut != omega:
+                        fail("cap-exact", f"{v}: closed form {cut} != oracle {omega}")
                 else:
                     # omega_up's upper bound is the greedy cover size
                     ps, greedy = a.paths, got.hi
@@ -244,8 +247,10 @@ def verify_cut_engine(
     interleave on the one network, so residual flow leaking from one query
     into the next, or a bounded query stopping at a wrong value, fails a
     check. ``two_connected`` (a 2-bounded query on a network of its own)
-    must agree with brute cut >= 2.
+    must agree with brute cut >= 2. Each argument must pass its ``cuts`` spec row.
     """
+    for row, value in zip(_BATTERY_FIELDS["cuts"][1:], (count, seed, n_range, p_range)):
+        check_field(row, value, row[0])
     rng = random.Random(seed)
     failures: list[CheckFailure] = []
     nchecks = 0

@@ -458,6 +458,18 @@ class TestCcdf:
         # a repeated mechanism runs once
         assert lines[5:] == [f"{k},cap,1,{f},{f},true" for k, f in enumerate((1.0, 1.0, 0.5, 0.5), 1)]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_draw_that_never_connects_refused_naming_instance_and_field(self, jobs, capsys):
+        # instance 2 draws at seed 1 + 2, a seed the spec never gave
+        spec = '{"count": 40, "n": 30, "p": 0.05, "mus": [1], "seed": 1}'
+        rc, out, err = run(capsys, "ccdf", "--batch", spec, "--jobs", jobs)
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line == (
+            "error: ccdf[2]: no connected graph on 30 nodes at p=0.05, set by batch spec field 'p'"
+        )
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, jobs, capsys):
         spec = '{"count": 2, "n": 8, "p": 0.4, "mus": [2], "seed": 5, "mechanisms": ["cap"]}'

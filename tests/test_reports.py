@@ -345,8 +345,37 @@ class TestTablesBuiltOnce:
         for v in t.non_monitors:
             fs.omega_csp(a, v)
             fs.omega_cap(a, v)
-        # CSP is queried before CAP, so the CAP table is its delta_star column
+        # CSP is queried before CAP, so the CAP table is its delta_star column;
+        # CSP and UP keep a raw table under the refined one, CAP has one table
         cut_tables = ("csp_internals_all", "_csp_single_failure_nodes")
         assert Counter(table_builds) == Counter(
-            [(name, None) for name in cut_tables] + [("per_node_bounds", m) for m in ALL]
+            [(name, None) for name in cut_tables]
+            + [("per_node_bounds", m) for m in (Mechanism.CSP, Mechanism.UP)] * 2
+            + [("per_node_bounds", Mechanism.CAP)]
         )
+
+    def test_refined_query_first_keeps_the_raw_table(self, instance, monkeypatch):
+        t, ps = instance
+        calls: Counter = Counter()
+        for name in ("gsc", "omega_csp"):
+            original = getattr(fs.identify, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(fs.identify, name, spy)
+        a = fs.Analysis(t, ps)
+        fs.maxset_report(a, ALL)
+        fs.analyze(a, ALL)
+        assert calls == {"gsc": t.sigma, "omega_csp": t.sigma}
+
+    def test_tables_keep_the_given_order_and_build_csp_first(self, instance, table_builds):
+        t, ps = instance
+        a = fs.Analysis(t, ps)
+        tables = a.tables([Mechanism.CAP, Mechanism.CSP])
+        assert list(tables) == [Mechanism.CAP, Mechanism.CSP]
+        assert tables[Mechanism.CAP] == a.table(Mechanism.CAP)
+        built = Counter(name for name, _ in table_builds)
+        assert built["csp_internals_all"] == 1
+        assert built["cap_values"] == 0

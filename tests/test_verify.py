@@ -23,6 +23,28 @@ class TestErBattery:
             assert t.mu == 2
 
 
+@pytest.mark.parametrize(
+    "battery, argument",
+    [
+        (lambda: fs.verify_cut_engine(-3, 1), "count"),
+        (lambda: fs.er_battery(3, 1, monitor_counts=()), "monitor_counts"),
+        (lambda: fs.er_battery(3, 1, n_range=(9, 5)), "n_range"),
+        (lambda: fs.er_battery(-1, 1), "count"),
+        (lambda: fs.er_battery(1, 1, n_range=(2, 10_001)), "n_range"),
+    ],
+    ids=["cut-engine-count", "er-monitor-counts", "er-n-range", "er-count", "er-n-past-gen-cap"],
+)
+def test_battery_argument_refused_before_any_draw(battery, argument, monkeypatch):
+    # the library batteries judge their arguments by the battery spec rows
+    def never(*args, **kwargs):
+        raise AssertionError("an instance was drawn for a refused argument")
+
+    monkeypatch.setattr("faultscope.verify.gen_er", never)
+    monkeypatch.setattr("faultscope.verify.random_graph", never)
+    with pytest.raises(ValueError, match=rf"^{argument} must be "):
+        battery()
+
+
 class TestVerifyTopologies:
     def test_random_battery_passes(self):
         rep = fs.verify_topologies(fs.er_battery(6, seed=4))
@@ -166,8 +188,8 @@ def test_battery_builds_one_table_per_instance_and_mechanism(table_builds, monke
     assert table_builds.count(("cap_values", None)) == 0
     assert table_builds.count(("csp_internals_all", None)) == len(tops)
     assert table_builds.count(("_csp_single_failure_nodes", None)) == len(tops)
-    # CAP: the refined table the sets read; CSP and UP: the raw table the
-    # per-node checks read too
+    # CAP: one table, read by the per-node checks and the sets; CSP and UP:
+    # a raw table for the per-node checks and a refined one for the sets
     assert table_builds.count(("per_node_bounds", fs.Mechanism.CAP)) == len(tops)
     for m in (fs.Mechanism.CSP, fs.Mechanism.UP):
         assert table_builds.count(("per_node_bounds", m)) == 2 * len(tops)
