@@ -53,6 +53,10 @@ _UNSTAMPED = frozenset({"command", "func", "out", "format", "seed", "monitors", 
 #: Every mechanism, the parser's default: a --mechanism given is a new tuple.
 _ALL_MECHANISMS = tuple(Mechanism)
 
+#: Each flag that names a file, and the value that names none: an empty name,
+#: or a bare "@" for a flag that takes inline text or @FILE.
+_NO_FILE = {"topology": "", "monitors": "@", "paths": "", "batch": "@", "out": ""}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the documented usage exit code (1, not argparse's 2)."""
@@ -360,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, no_file in _NO_FILE.items():  # refused before any file is read or written
+            if getattr(args, flag, None) == no_file:
+                raise ValueError(f"--{flag}: empty file name")
         return args.func(args)
     except (
         TopologyError,

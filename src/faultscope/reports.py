@@ -52,8 +52,6 @@ ANALYSIS_COLUMNS = (
     "outer",
 )
 
-CCDF_COLUMNS = ("k", "mechanism", "mu", "inner_fraction", "outer_fraction", "exact")
-
 
 class ReportMeta(NamedTuple):
     """Provenance stamped into every rendered report."""
@@ -127,36 +125,20 @@ class AnalysisReport(NamedTuple):
         return json_document(
             SCHEMA_ANALYSIS,
             stream=stream,
-            seed=self.meta.seed,
-            flags=self.meta.flags,
+            **self.meta._asdict(),
             sigma=self.sigma,
-            mechanisms=[m.value for m in self.mechanisms],
+            mechanisms=self.mechanisms,
             nodes=[
-                {
-                    "node": row.node,
-                    "degree": row.degree,
-                    "monitor_degree": row.monitor_degree,
-                    "nonmonitor_degree": row.nonmonitor_degree,
-                    "bounds": {
-                        m.value: {"lo": b.lo, "hi": b.hi, "exact": b.exact}
-                        for m, b in row.bounds
-                    },
-                }
+                {**row._asdict(), "bounds": {m: _bounds(b) for m, b in row.bounds}}
                 for row in self.rows
             ],
             sets=[
-                {
-                    "mechanism": srow.mechanism.value,
-                    "members": list(srow.members),
-                    "lo": srow.bounds.lo,
-                    "hi": srow.bounds.hi,
-                    "exact": srow.bounds.exact,
-                }
+                {"mechanism": srow.mechanism, "members": srow.members, **_bounds(srow.bounds)}
                 for srow in self.set_rows
             ],
             maxsets=[
                 {
-                    "mechanism": mrow.mechanism.value,
+                    "mechanism": mrow.mechanism,
                     "k": mrow.k,
                     "inner": members(mrow.sets.inner),
                     "outer": members(mrow.sets.outer),
@@ -183,39 +165,26 @@ class CcdfTable(NamedTuple):
     rows: tuple[CcdfRow, ...]
 
     def to_csv(self, stream: TextIO | None = None) -> str | None:
-        rows = (
-            (r.k, r.mechanism.value, r.mu, repr(r.inner_fraction), repr(r.outer_fraction))
-            + (_bool(r.exact),)
-            for r in self.rows
-        )
-        return _emit(_csv_lines(SCHEMA_CCDF, self.meta, CCDF_COLUMNS, rows), stream)
+        rows = (r._replace(mechanism=r.mechanism.value, exact=_bool(r.exact)) for r in self.rows)
+        return _emit(_csv_lines(SCHEMA_CCDF, self.meta, CcdfRow._fields, rows), stream)
 
     def to_json(self, stream: TextIO | None = None) -> str | None:
-        return json_document(
-            SCHEMA_CCDF,
-            stream=stream,
-            seed=self.meta.seed,
-            flags=self.meta.flags,
-            rows=[
-                {
-                    "k": row.k,
-                    "mechanism": row.mechanism.value,
-                    "mu": row.mu,
-                    "inner_fraction": row.inner_fraction,
-                    "outer_fraction": row.outer_fraction,
-                    "exact": row.exact,
-                }
-                for row in self.rows
-            ],
-        )
+        rows = [row._asdict() for row in self.rows]
+        return json_document(SCHEMA_CCDF, stream=stream, **self.meta._asdict(), rows=rows)
 
 
 def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _bounds(b: IntBounds) -> dict:
+    """The JSON object of an ``IntBounds``."""
+    return {"lo": b.lo, "hi": b.hi, "exact": b.exact}
+
+
 def json_document(schema: str, *, stream: TextIO | None = None, **body) -> str | None:
-    """A JSON report: its schema, the package version and ``body``, keys sorted."""
+    """A JSON report: its schema, the package version and ``body``, keys sorted.
+    A ``Mechanism`` is a ``str``, so it is written as its value."""
     doc = {"schema": schema, "version": VERSION, **body}
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)  # json.dumps' chunks
     # joined 64 at a time, as each is short; none is empty, so "" is the end

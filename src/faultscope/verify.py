@@ -104,10 +104,7 @@ class VerificationReport(NamedTuple):
             instances=self.instances,
             checks=self.checks,
             ok=self.ok,
-            failures=[
-                {"instance": f.instance, "check": f.check, "detail": f.detail}
-                for f in self.failures
-            ],
+            failures=[f._asdict() for f in self.failures],
         )
 
 

@@ -847,6 +847,33 @@ def test_paths_without_up_refused_before_any_file(
 
 
 @pytest.mark.parametrize(
+    ("flag", "argv"),
+    [
+        ("topology", ["analyze", "--topology", ""]),
+        ("paths", ["analyze", "--topology", "net.edges", "--paths", ""]),
+        ("monitors", ["analyze", "--topology", "net.edges", "--monitors", "@"]),
+        ("batch", ["ccdf", "--batch", "@"]),
+        ("batch", ["verify", "--batch", "@"]),
+        ("paths", ["oracle", "--topology", "net.edges", "--paths", ""]),
+        ("out", ["verify", "--count", "100000", "--out", ""]),
+        ("out", ["gen", "--n", "8", "--p", "0.4", "--seed", "7", "--out", ""]),
+    ],
+    ids=["analyze-topology", "analyze-paths", "analyze-monitors", "ccdf-batch", "verify-batch",
+         "oracle-paths", "verify-out", "gen-out"],
+)
+def test_empty_file_name_refused_at_its_flag(flag, argv, workspace, no_instance, monkeypatch, capsys):
+    # an empty name would read as the working folder, or fail only once the
+    # report is built; it is refused before any file is read or work is done
+    monkeypatch.chdir(workspace)
+    ran = []
+    for target in ("_read_text", "gen_er", "verify_batch_spec", "ccdf_batch"):
+        monkeypatch.setattr(f"faultscope.cli.{target}", lambda *a, _t=target, **k: ran.append(_t))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (EXIT_VALIDATION, "", f"error: --{flag}: empty file name\n")
+    assert ran == []
+
+
+@pytest.mark.parametrize(
     ("files", "argv"),
     [
         # the monitors header first, and a path file

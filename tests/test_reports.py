@@ -109,6 +109,26 @@ class TestJsonRendering:
         assert fs.analyze(fs.Analysis(golden, up_paths), [Mechanism.UP]).to_json().endswith("\n")
 
 
+class TestRowsAreTheirRecords:
+    """Each JSON row, and the CCDF CSV header, is its record's fields."""
+
+    def test_node_rows(self, golden, up_paths):
+        doc = json.loads(fs.analyze(fs.Analysis(golden, up_paths), ALL).to_json())
+        assert [set(row) for row in doc["nodes"]] == [set(fs.reports.AnalysisRow._fields)] * 4
+
+    def test_ccdf_rows(self, golden, up_paths):
+        table = fs.ccdf(fs.Analysis(golden, up_paths), ALL)
+        doc = json.loads(table.to_json())
+        assert [set(row) for row in doc["rows"]] == [set(fs.reports.CcdfRow._fields)] * 12
+        assert table.to_csv().splitlines()[4].split(",") == list(fs.reports.CcdfRow._fields)
+
+    def test_verify_failures(self):
+        failures = (fs.CheckFailure("er[0]", "cap", "v: closed form 1 != oracle 2"),) * 2
+        doc = json.loads(fs.VerificationReport(1, 2, failures).to_json())
+        assert [set(f) for f in doc["failures"]] == [set(fs.CheckFailure._fields)] * 2
+        assert doc["failures"][0] == failures[0]._asdict()
+
+
 class TestMaxsetAndSetReports:
     def test_maxset_single_k(self, golden):
         rep = fs.maxset_report(golden, [Mechanism.CSP], ks=[4])
