@@ -367,6 +367,8 @@ def main(argv: list[str] | None = None) -> int:
         for flag, no_file in _NO_FILE.items():  # refused before any file is read or written
             if getattr(args, flag, None) == no_file:
                 raise ValueError(f"--{flag}: empty file name")
+        if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+            raise ValueError(f"--out: not a file in an existing directory: {args.out}")
         return args.func(args)
     except (
         TopologyError,

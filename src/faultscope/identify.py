@@ -9,9 +9,9 @@ probing mechanism without enumerating failure sets:
 * CAP: exact. The per-node index equals the minimum vertex cut between the
   node and the virtual monitor in the star graph (build_star).
 * CSP: cut conditions on the star graph and on each minus-monitor graph give
-  a sufficient and a necessary bound one apart, with four special situations
-  resolved exactly (two monitor neighbors; no two-connected escape; and the
-  two near-full-failure regimes).
+  a sufficient and a necessary bound one apart, with the two near-full-failure
+  regimes resolved exactly (see :func:`omega_csp` for why the paper's other
+  special cases need no rule of their own).
 * UP: set-cover bounds. The minimum cover of a node's paths by the other
   nodes' paths brackets the index within one; the greedy cover size with the
   standard logarithmic guarantee gives computable bounds at any scale.
@@ -395,39 +395,26 @@ def csp_internals(t: Topology | Analysis, v: str) -> CspInternals:
     return _node(t, v).csp[v]
 
 
-def _near_complete(t: Topology, v: str) -> bool:
-    # v touches a monitor and every other non-monitor, and every other
-    # non-monitor has two monitor neighbors of its own: the one shape where
-    # (sigma-1)-identifiability survives a single monitor neighbor.
-    others = [w for w in t.non_monitors if w != v]
-    return (
-        t.monitor_degree(v) >= 1
-        and all(t.monitor_degree(w) >= 2 for w in others)
-        and all(t.has_edge(v, w) for w in others)
-    )
-
-
 def omega_csp(t: Topology | Analysis, v: str) -> IntBounds:
-    """Per-node index under simple-path probing.
+    """Per-node index under simple-path probing, in three cases: (1) two
+    monitor neighbors give sigma; (2) delta_min == sigma - 1 and delta_star
+    == sigma give sigma - 1 if every other non-monitor has two monitor
+    neighbors (the near-complete neighborhood), else sigma - 2; (3)
+    otherwise the index is pinned to [pi - 1, pi].
 
-    Resolution order: (1) two monitor neighbors give the full index sigma;
-    (2) a single two-connected escape (delta_star == 1) means no simple
-    monitor-to-monitor path crosses v at all, index 0; (3)/(4) the two
-    regimes the general bound cannot reach (pi > sigma - 2) are decided
-    exactly, the second via the near-complete-neighborhood condition;
-    (5) otherwise the index is pinned to [pi - 1, pi].
+    A monitor neighbor's star cut is |V| - 1 = sigma, any other node's at
+    most its sigma - 1 non-monitor neighbors. So the paper's other two cases
+    add nothing: delta_min == sigma only with two monitor neighbors, (1);
+    a star cut of 1 makes pi = 0, so (3) gives [0, 0]. And (2) needs a
+    monitor neighbor and, that link closed, a link to every other non-monitor.
     """
     a = _node(t, v)
-    ints, t = a.csp[v], a.t
-    sigma = t.sigma
+    ints, t, sigma = a.csp[v], a.t, a.t.sigma
     if t.monitor_degree(v) >= 2:
         return IntBounds.exactly(sigma)
-    if ints.delta_star == 1:
-        return IntBounds.exactly(0)
-    if ints.delta_min == sigma:
-        return IntBounds.exactly(sigma)
     if ints.delta_min == sigma - 1 and ints.delta_star == sigma:
-        return IntBounds.exactly(sigma - 1 if _near_complete(t, v) else sigma - 2)
+        near = all(t.monitor_degree(w) >= 2 for w in t.non_monitors if w != v)
+        return IntBounds.exactly(sigma - 1 if near else sigma - 2)
     return IntBounds(max(ints.pi - 1, 0), ints.pi)
 
 

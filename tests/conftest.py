@@ -163,6 +163,33 @@ def up_routes(t: fs.Topology) -> list[tuple[str, ...]]:
     return routes
 
 
+def five_case_omega_csp(a: fs.Analysis, v: str) -> tuple[int, fs.IntBounds]:
+    """The CSP per-node index by the paper's five cases, tried in order, and
+    the number of the case that decided it: (1) two monitor neighbors give
+    sigma; (2) a single two-connected escape (delta_star == 1) gives 0; (3)
+    delta_min == sigma gives sigma; (4) delta_min == sigma - 1 and delta_star
+    == sigma give sigma - 1 on a near-complete neighborhood (v touches a
+    monitor and every other non-monitor, each of which has two monitor
+    neighbors), else sigma - 2; (5) otherwise [pi - 1, pi]."""
+    t, ints = a.t, a.csp[v]
+    sigma = t.sigma
+    others = [w for w in t.non_monitors if w != v]
+    if t.monitor_degree(v) >= 2:
+        return 1, fs.IntBounds.exactly(sigma)
+    if ints.delta_star == 1:
+        return 2, fs.IntBounds.exactly(0)
+    if ints.delta_min == sigma:
+        return 3, fs.IntBounds.exactly(sigma)
+    if ints.delta_min == sigma - 1 and ints.delta_star == sigma:
+        near_complete = (
+            t.monitor_degree(v) >= 1
+            and all(t.monitor_degree(w) >= 2 for w in others)
+            and all(t.has_edge(v, w) for w in others)
+        )
+        return 4, fs.IntBounds.exactly(sigma - 1 if near_complete else sigma - 2)
+    return 5, fs.IntBounds(max(ints.pi - 1, 0), ints.pi)
+
+
 def oracle_max_identifiable_set(ps: fs.PathSet, k: int) -> frozenset[str]:
     """Exact maximal k-identifiable set: the nodes whose oracle index reaches k."""
     check_k(k, len(ps.universe))

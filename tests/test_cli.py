@@ -873,6 +873,35 @@ def test_empty_file_name_refused_at_its_flag(flag, argv, workspace, no_instance,
     assert ran == []
 
 
+@pytest.mark.parametrize("target", [".", "missing/report.out"], ids=["directory", "missing-directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "8", "--p", "0.4", "--seed", "7"],
+        ["analyze", "--topology", "net.edges"],
+        ["maxset", "--topology", "net.edges"],
+        ["ccdf", "--batch", '{"count":1,"n":5,"p":0.5,"mus":[1],"seed":1}'],
+        ["verify", "--count", "100000"],
+        ["oracle", "--topology", "net.edges", "--paths", "up.paths"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unusable_out_refused_before_any_work(argv, target, workspace, no_instance, monkeypatch, capsys):
+    # a directory, or a file in a directory that does not exist, would fail
+    # only once the report is built; it is refused before any input is read
+    # or any instance drawn, and no file is made
+    monkeypatch.chdir(workspace)
+    before = sorted(workspace.iterdir())
+    ran = []
+    for name in ("_read_text", "gen_er", "analyze", "maxset_report", "ccdf_batch",
+                 "verify_batch_spec", "oracle_omega"):
+        monkeypatch.setattr(f"faultscope.cli.{name}", lambda *a, _n=name, **k: ran.append(_n))
+    rc, out, err = run(capsys, *argv, "--out", target)
+    line = f"error: --out: not a file in an existing directory: {target}\n"
+    assert (rc, out, err) == (EXIT_VALIDATION, "", line)
+    assert ran == [] and sorted(workspace.iterdir()) == before
+
+
 @pytest.mark.parametrize(
     ("files", "argv"),
     [

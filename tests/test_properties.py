@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
     affected,
     all_simple_paths,
     all_walk_traces,
+    five_case_omega_csp,
     literal_k_identifiable,
     read_fixture,
     reference_connectivity,
@@ -656,6 +658,47 @@ def test_csp_table_skips_and_warm_starts(monkeypatch):
     for v in t.non_monitors:
         cuts = [fs.min_vertex_cut_size(g, v, VIRTUAL_MONITOR).cut_size for g in minus]
         assert table[v].delta_min == min(cuts + [table[v].delta_star])
+
+
+def _complete_with_monitor_links_dropped(seed: int) -> Topology:
+    # A complete graph with some monitor-to-non-monitor links dropped at
+    # random, one kept if all were: the near-complete shapes, both ways.
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    nodes = [f"n{i}" for i in range(n)]
+    monitors = set(rng.sample(nodes, rng.randint(1, n - 1)))
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
+    cross = [(a, b) for a, b in pairs if (a in monitors) != (b in monitors)]
+    dropped = {e for e in cross if rng.random() < 0.4}
+    if dropped == set(cross):
+        dropped.discard(cross[0])
+    edges = frozenset(e for e in pairs if e not in dropped)
+    return Topology(frozenset(nodes), edges, frozenset(monitors))
+
+
+def test_three_csp_cases_give_the_papers_five():
+    # omega_csp states three of the paper's five cases: under the cut
+    # convention delta_min == sigma means two monitor neighbors (case 1
+    # returns first), and delta_star == 1 makes the general interval [0, 0].
+    rng = random.Random(32)
+    instances = []
+    for i in range(1000):
+        n = rng.randint(2, 14)
+        t = fs.gen_er(n, rng.uniform(0.3, 0.9), 5000 + i).topology
+        instances.append(fs.place_monitors(t, rng.randint(1, n - 1), 5000 + i))
+    instances += [_complete_with_monitor_links_dropped(seed) for seed in range(200)]
+    fired: Counter[int] = Counter()
+    for t in instances:
+        a = fs.Analysis(t)
+        for v in t.non_monitors:
+            case, bounds = five_case_omega_csp(a, v)
+            fired[case] += 1
+            assert fs.omega_csp(a, v) == bounds, (t, v, case)
+            assert (a.csp[v].delta_min == t.sigma) == (t.monitor_degree(v) >= 2)
+            if case == 4:  # the sigma - 1 cuts alone give a near-complete neighborhood
+                assert t.monitor_degree(v) >= 1
+                assert all(t.has_edge(v, w) for w in t.non_monitors if w != v)
+    assert fired[3] == 0 and all(fired[case] for case in (1, 2, 4, 5)), fired
 
 
 def test_cut_engine_matches_networkx():
