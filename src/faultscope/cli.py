@@ -66,19 +66,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _split(value: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in value.split(",") if v.strip())
-
-
 def _mechanism_list(value: str) -> tuple[Mechanism, ...]:
     try:
-        return normalize_mechanisms(_split(value))
+        return normalize_mechanisms(parse_monitor_names(value))
     except ValueError as exc:  # argparse would print this function's name instead
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _name_list(value: str) -> tuple[str, ...]:
-    names = _split(value)
+    names = parse_monitor_names(value)
     if not names:
         raise argparse.ArgumentTypeError("empty node list")
     return names
@@ -108,15 +104,19 @@ def _load_cli_topology(args: argparse.Namespace) -> Topology:
     return load_topology(text, monitors=monitors)
 
 
-def _load_cli_paths(args: argparse.Namespace, t: Topology) -> PathSet | None:
-    if getattr(args, "paths", None) is None:
-        return None
-    return parse_paths(_read_text(args.paths), t)
+def _load_cli_paths(path: str | None, t: Topology) -> PathSet | None:
+    try:
+        return None if path is None else parse_paths(_read_text(path), t)
+    except TopologyError as exc:  # the topology's own line errors name no flag
+        raise TopologyError(f"--paths: {exc}") from None
 
 
 def _load_batch_dict(raw: str) -> dict:
     text = _read_text(raw[1:]) if raw.startswith("@") else raw
-    spec = json.loads(text)
+    try:
+        spec = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--batch: {exc}") from None
     if not isinstance(spec, dict):
         raise ValueError("batch spec must be a JSON object")
     return spec
@@ -151,7 +151,7 @@ def _report(args: argparse.Namespace, build, **options) -> int:
     if Mechanism.UP not in args.mechanism:
         _refuse(args, ("paths",), "without the up mechanism")
     t = _load_cli_topology(args)
-    a = Analysis(t, _load_cli_paths(args, t))
+    a = Analysis(t, _load_cli_paths(args.paths, t))
     return _write_report(build(a, args.mechanism, exact=args.exact, **options), args)
 
 
@@ -238,7 +238,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     t = _load_cli_topology(args)
     if args.set is None and not t.non_monitors:
         raise ValueError("--set defaults to all non-monitors, but the topology has no non-monitors")
-    ps = parse_paths(_read_text(args.paths), t)
+    ps = _load_cli_paths(args.paths, t)
     members = tuple(args.set) if args.set is not None else t.non_monitors
     if args.k is not None:
         answer = {"k": args.k, "identifiable": oracle_k_identifiable(ps, members, args.k)}
@@ -281,7 +281,7 @@ def _add_probing_args(sub: argparse.ArgumentParser) -> None:
         "--mechanism",
         type=_mechanism_list,
         default=_ALL_MECHANISMS,
-        help="comma separated subset of cap,csp,up (default all)",
+        help="comma or space separated subset of cap,csp,up (default all)",
     )
 
 
@@ -295,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"faultscope {VERSION}")
     subs = parser.add_subparsers(dest="command", required=True)
+    listed = "comma or space separated"
 
     gen = subs.add_parser("gen", help="generate a seeded connected random topology")
     gen.add_argument("--n", type=int, required=True, help="node count")
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     an = subs.add_parser("analyze", help="per-node identifiability report")
     _add_topology_args(an)
     _add_probing_args(an)
-    an.add_argument("--set", type=_name_list, help="also report bounds for this node set")
+    an.add_argument("--set", type=_name_list, help=f"also bound this set, {listed}")
     an.add_argument("--exact", action="store_true", help="oracle-exact values (small instances)")
     an.add_argument("--seed", type=int, help="stamped into the report header")
     _add_common_output(an)
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_topology_args(mx)
     _add_probing_args(mx)
     mx.add_argument("--k", type=int, help="single k (default: every k in 1..sigma)")
-    mx.add_argument("--set", type=_name_list, help="report the index bounds of this set instead")
+    mx.add_argument("--set", type=_name_list, help=f"bound this set instead, {listed}")
     mx.add_argument("--exact", action="store_true", help="oracle-exact sets (small instances)")
     mx.add_argument("--seed", type=int, help="stamped into the report header")
     _add_common_output(mx)
@@ -342,9 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--kind", help="battery kind, er or cuts, without topology/batch (default er)")
     vf.add_argument("--count", type=int, help="battery instance count (default 50)")
     vf.add_argument("--seed", type=int, help="battery seed (default 0)")
-    vf.add_argument(
-        "--checks", type=_split, help="comma separated subset of cap,csp,up,sets (default all)"
-    )
+    checks = f"{listed} subset of cap,csp,up,sets (default all)"
+    vf.add_argument("--checks", type=parse_monitor_names, help=checks)
     vf.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     vf.add_argument("--out", help="write the JSON report here instead of stdout")
     vf.set_defaults(func=_cmd_verify)
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc = subs.add_parser("oracle", help="definitional brute-force answers on a path file")
     _add_topology_args(orc)
     orc.add_argument("--paths", required=True, help="measurement path file")
-    orc.add_argument("--set", type=_name_list, help="node set (default: all non-monitors)")
+    orc.add_argument("--set", type=_name_list, help=f"node set, {listed} (default: all non-monitors)")
     orc.add_argument("--k", type=int, help="test k-identifiability instead of computing omega")
     orc.add_argument("--out", help="write the JSON answer here instead of stdout")
     orc.set_defaults(func=_cmd_oracle)

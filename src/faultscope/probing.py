@@ -30,7 +30,7 @@ from itertools import compress
 from typing import Iterable
 
 from .errors import EnumerationCapError, TopologyError
-from .topology import Record, Topology, hops
+from .topology import Record, Topology, _lines, hops
 
 #: Node cap of the exponential CSP/CAP enumerators.
 DEFAULT_MAX_ENUM_NODES = 14
@@ -240,10 +240,7 @@ def parse_paths(text: str, t: Topology) -> PathSet:
     t.require_monitored()
     bit = _bits(t.non_monitors)
     kept: dict[tuple[str, ...], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         seq = tuple(line.split())
         if len(seq) < 2:
             raise TopologyError(f"line {lineno}: a path needs at least two nodes")

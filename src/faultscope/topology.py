@@ -16,14 +16,14 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import cached_property
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from .errors import TopologyError
 
 #: Reserved name of the virtual monitor added by the derived-graph builders.
 VIRTUAL_MONITOR = "__m'"
 
-_MONITOR_HEADER = re.compile(r"^#\s*monitors\s*:\s*(.*)$", re.IGNORECASE)
+_MONITOR_HEADER = re.compile(r"\s*#\s*monitors\s*:(.*)", re.IGNORECASE)
 
 
 def hops(adj: Mapping[str, Iterable[str]], source: str) -> dict[str, int]:
@@ -263,36 +263,37 @@ def build_extended_minus(t: Topology, w: str) -> Graph:
     return _with_virtual_monitor(t, (w,), t.monitors)
 
 
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each line's number and its text with any ``#`` comment dropped, stripped;
+    lines left empty are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def load_topology(text: str, monitors: Iterable[str] | None = None) -> Topology:
     """Parse an edge-list document into a :class:`Topology`.
 
     Format: UTF-8 text, one ``u v`` pair per line, ``#`` starts a comment.
     The monitor set comes either from a ``# monitors: m1 m2 ...`` header line
-    or from the ``monitors`` argument (one name per entry); an explicit
-    argument wins over the header.
+    (a name list, read before the links) or from the ``monitors`` argument
+    (one name per entry); an explicit argument wins over the header.
     """
-    header_monitors: list[str] | None = None
+    lines = enumerate(text.splitlines(), start=1)
+    headers = [(n, h[1]) for n, raw in lines if (h := _MONITOR_HEADER.match(raw))]
+    if len(headers) > 1:
+        raise TopologyError(f"line {headers[1][0]}: repeated monitors header")
     edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        header = _MONITOR_HEADER.match(line)
-        if header:
-            if header_monitors is not None:
-                raise TopologyError(f"line {lineno}: repeated monitors header")
-            header_monitors = header.group(1).replace(",", " ").split()
-            continue
-        if line.startswith("#"):
-            continue
-        body = line.split("#", 1)[0]
-        parts = body.split()
+    for lineno, line in _lines(text):
+        parts = line.split()
         if len(parts) != 2:
-            raise TopologyError(f"line {lineno}: expected 'u v', got {body.strip()!r}")
+            raise TopologyError(f"line {lineno}: expected 'u v', got {line!r}")
         edges.append((parts[0], parts[1]))
     if not edges:
         raise TopologyError("no edges found")
-    chosen = list(monitors) if monitors is not None else (header_monitors or [])
+    header = parse_monitor_names(headers[0][1]) if headers else ()
+    chosen = list(monitors) if monitors is not None else header
     if not chosen:
         raise TopologyError("zero monitors: supply a '# monitors:' header or a monitor list")
     nodes = {n for e in edges for n in e}
@@ -300,14 +301,9 @@ def load_topology(text: str, monitors: Iterable[str] | None = None) -> Topology:
 
 
 def parse_monitor_names(text: str) -> tuple[str, ...]:
-    """Parse a monitor list document: names separated by whitespace or commas,
-    ``#`` comments allowed."""
-    names: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            names.extend(line.replace(",", " ").split())
-    return tuple(names)
+    """Parse a name list (a monitor list, the ``# monitors:`` header, a CLI list
+    flag): names separated by commas or whitespace, ``#`` comments allowed."""
+    return tuple(name for _, line in _lines(text) for name in line.replace(",", " ").split())
 
 
 def format_topology(t: Topology) -> str:

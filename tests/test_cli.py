@@ -954,3 +954,47 @@ def test_cli_import_loads_no_process_pool():
     assert "faultscope.cli" in loaded
     assert [m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")] == []
     assert [m for m in loaded if m in ("dataclasses", "inspect")] == []
+
+
+@pytest.mark.parametrize(
+    ("flag", "argv"),
+    [
+        ("--set", ["analyze", "--topology", "net.edges", "--set"]),
+        ("--mechanism", ["analyze", "--topology", "net.edges", "--mechanism"]),
+        ("--checks", ["verify", "--topology", "net.edges", "--checks"]),
+    ],
+    ids=["set", "mechanism", "checks"],
+)
+def test_list_flags_split_at_whitespace_as_at_commas(flag, argv, workspace, monkeypatch, capsys):
+    # every name list reads as a monitor list does: commas and whitespace alike
+    monkeypatch.chdir(workspace)
+    names = {"--set": ("v1", "v2"), "--mechanism": ("cap", "up"), "--checks": ("cap", "sets")}[flag]
+    outputs = []
+    for value in (",".join(names), " ".join(names), f" {names[0]},\t{names[1]} "):
+        rc, out, err = run(capsys, *argv, value)
+        assert (rc, err) == (EXIT_OK, "")
+        outputs.append(out)
+    assert outputs[1] == outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("command", ["analyze", "maxset", "ccdf", "oracle"])
+def test_path_file_refusal_names_its_flag(command, workspace, monkeypatch, capsys):
+    # a line error of the path file names its flag; one of the topology
+    # file keeps its own text, so the two cannot be confused
+    monkeypatch.chdir(workspace)
+    (workspace / "bad.paths").write_text("# probes\nm1 zz m2\n")
+    (workspace / "bad.edges").write_text("m1 v1\nv1 v2 m2\n")
+    rc, out, err = run(capsys, command, "--topology", "net.edges", "--paths", "bad.paths")
+    assert (rc, out, err) == (EXIT_VALIDATION, "", "error: --paths: line 2: unknown node 'zz'\n")
+    rc, out, err = run(capsys, command, "--topology", "bad.edges", "--paths", "up.paths")
+    assert (rc, out, err) == (EXIT_VALIDATION, "", "error: line 2: expected 'u v', got 'v1 v2 m2'\n")
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+@pytest.mark.parametrize("command", ["ccdf", "verify"])
+def test_batch_json_refusal_names_its_flag(command, inline, workspace, monkeypatch, capsys):
+    monkeypatch.chdir(workspace)
+    (workspace / "bad.json").write_text("{bad")
+    rc, out, err = run(capsys, command, "--batch", "{bad" if inline else "@bad.json")
+    reason = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    assert (rc, out, err) == (EXIT_VALIDATION, "", f"error: --batch: {reason}\n")

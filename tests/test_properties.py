@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -730,6 +731,38 @@ def test_single_failure_tables_agree_with_oracle():
             omega = a.oracle(m)
             for v, verdict in a.single(m).items():
                 assert verdict.is_identifiable == (omega[v] >= 1), (t, m, v, verdict)
+
+
+#: Comment text: one line, and not itself a ``monitors:`` header once behind a ``#``.
+_COMMENTS = st.text(max_size=12).filter(
+    lambda c: "".join(c.splitlines()) == c and not re.match(r"\s*monitors\s*:", c, re.IGNORECASE)
+)
+
+
+@st.composite
+def commented(draw, text: str) -> str:
+    """``text`` with ``' # <comment>'`` appended to some of its lines and
+    whole comment lines inserted anywhere."""
+    out = []
+    for line in text.splitlines() + [None]:
+        out += ["#" + draw(_COMMENTS) for _ in range(draw(st.integers(0, 1)))]
+        if line is not None:
+            out.append(line + (" # " + draw(_COMMENTS) if draw(st.booleans()) else ""))
+    return "\n".join(out) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(topologies(), st.data())
+def test_comments_leave_every_parse_equal(t, data):
+    # the edge list (its monitors header too), the path file and a monitor
+    # list all drop a '#' comment, and a whole comment line, the same way
+    edges = fs.format_topology(t)
+    assert fs.load_topology(data.draw(commented(edges))) == fs.load_topology(edges)
+    paths = "".join(" ".join(r) + "\n" for r in up_routes(t))
+    assert fs.parse_paths(data.draw(commented(paths)), t) == fs.parse_paths(paths, t)
+    gaps = data.draw(st.lists(st.sampled_from([",", " ", "\n", " ,\t"]), min_size=t.mu, max_size=t.mu))
+    names = "".join(m + gap for m, gap in zip(sorted(t.monitors), gaps))
+    assert fs.parse_monitor_names(data.draw(commented(names))) == tuple(sorted(t.monitors))
 
 
 def test_k_tests_agree_with_oracle():

@@ -65,6 +65,15 @@ class TestLoadTopology:
         t = fs.load_topology("# a note\n\nm1 v1\n", monitors=["m1"])
         assert t.xi == 1
 
+    def test_header_takes_a_trailing_comment(self):
+        t = fs.load_topology("# monitors: m1, m2  # gateways\nm1 v1\nv1 m2\n")
+        assert t.monitors == frozenset({"m1", "m2"})
+
+    def test_repeated_header_refused_before_the_links(self):
+        text = "# monitors: m1\nm1 v1 v2\n# Monitors: m2\n"
+        with pytest.raises(TopologyError, match="^line 3: repeated monitors header$"):
+            fs.load_topology(text)
+
 
 def test_format_roundtrip(golden):
     again = fs.load_topology(fs.format_topology(golden))
@@ -75,6 +84,7 @@ def test_parse_monitor_names():
     assert fs.parse_monitor_names("m1 m2") == ("m1", "m2")
     assert fs.parse_monitor_names("m1, m2,m3") == ("m1", "m2", "m3")
     assert fs.parse_monitor_names("# note\nm1\nm2\n") == ("m1", "m2")
+    assert fs.parse_monitor_names("m1\tm2 # m3\n\n m4,,m5 ") == ("m1", "m2", "m4", "m5")
 
 
 def test_with_monitors(chain4):
