@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: gen, analyze, maxset, ccdf, verify, oracle. Exit codes:
-0 success, 1 usage error, 2 validation or input error, 3 verification
-failure. All reports are deterministic for fixed flags and seeds.
+0 success, 1 usage error (argparse syntax), 2 validation or input error
+(any flag's value, file or name list), 3 verification failure. All reports
+are deterministic for fixed flags and seeds.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from .errors import (
     EnumerationCapError,
     GenerationError,
     OracleCapError,
-    TopologyError,
 )
 from .identify import Analysis, Mechanism
 from .oracle import oracle_k_identifiable, oracle_omega
-from .probing import PathSet, parse_paths
+from .probing import parse_paths
 from .randomnet import check_field, gen_er, place_monitors
 from .reports import (
     VERSION,
@@ -66,57 +66,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _mechanism_list(value: str) -> tuple[Mechanism, ...]:
-    try:
-        return normalize_mechanisms(parse_monitor_names(value))
-    except ValueError as exc:  # argparse would print this function's name instead
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _name_list(value: str) -> tuple[str, ...]:
-    names = parse_monitor_names(value)
+def _nodes(text: str) -> tuple[str, ...]:
+    names = parse_monitor_names(text)
     if not names:
-        raise argparse.ArgumentTypeError("empty node list")
+        raise ValueError("empty node list")
     return names
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8-sig")
+#: The inline name lists, parsed in ``main`` before any file is read.
+_LISTS = {
+    "set": _nodes,
+    "mechanism": lambda text: normalize_mechanisms(parse_monitor_names(text)),
+    "checks": parse_monitor_names,
+}
+
+
+def _read_text(flag: str, value: str, parse=str):
+    """``parse`` of the text ``--flag`` gives: the file ``--topology`` or
+    ``--paths`` names, the file after an ``@`` for ``--monitors`` or
+    ``--batch``, else ``value`` itself. A read or parse error names the flag."""
+    try:
+        at_file = flag in ("monitors", "batch") and value.startswith("@")
+        if at_file or flag in ("topology", "paths"):
+            value = Path(value[1:] if at_file else value).read_text(encoding="utf-8-sig")
+        return parse(value)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"--{flag}: {exc}") from None
 
 
 def _write_output(render, out: str | None) -> None:
     """Call ``render`` with stdout, or with ``out`` opened now that the report is built."""
     if out is None:
         render(sys.stdout)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as stream:
             render(stream)
+    except OSError as exc:
+        raise ValueError(f"--out: {exc}") from None
 
 
 def _load_cli_topology(args: argparse.Namespace) -> Topology:
-    text = _read_text(args.topology)
-    monitors = None
-    if args.monitors is not None:
-        spec = args.monitors
-        monitors = parse_monitor_names(_read_text(spec[1:]) if spec.startswith("@") else spec)
-        if not monitors:
-            raise ValueError("--monitors: empty node list")
+    text = _read_text("topology", args.topology)
+    monitors = None if args.monitors is None else _read_text("monitors", args.monitors, _nodes)
     return load_topology(text, monitors=monitors)
 
 
-def _load_cli_paths(path: str | None, t: Topology) -> PathSet | None:
-    try:
-        return None if path is None else parse_paths(_read_text(path), t)
-    except TopologyError as exc:  # the topology's own line errors name no flag
-        raise TopologyError(f"--paths: {exc}") from None
-
-
 def _load_batch_dict(raw: str) -> dict:
-    text = _read_text(raw[1:]) if raw.startswith("@") else raw
-    try:
-        spec = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"--batch: {exc}") from None
+    spec = _read_text("batch", raw, json.loads)
     if not isinstance(spec, dict):
         raise ValueError("batch spec must be a JSON object")
     return spec
@@ -151,7 +148,8 @@ def _report(args: argparse.Namespace, build, **options) -> int:
     if Mechanism.UP not in args.mechanism:
         _refuse(args, ("paths",), "without the up mechanism")
     t = _load_cli_topology(args)
-    a = Analysis(t, _load_cli_paths(args.paths, t))
+    ps = args.paths and _read_text("paths", args.paths, lambda text: parse_paths(text, t))
+    a = Analysis(t, ps)
     return _write_report(build(a, args.mechanism, exact=args.exact, **options), args)
 
 
@@ -238,7 +236,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     t = _load_cli_topology(args)
     if args.set is None and not t.non_monitors:
         raise ValueError("--set defaults to all non-monitors, but the topology has no non-monitors")
-    ps = _load_cli_paths(args.paths, t)
+    ps = _read_text("paths", args.paths, lambda text: parse_paths(text, t))
     members = tuple(args.set) if args.set is not None else t.non_monitors
     if args.k is not None:
         answer = {"k": args.k, "identifiable": oracle_k_identifiable(ps, members, args.k)}
@@ -279,7 +277,6 @@ def _add_probing_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--paths", help="measurement path file (used by the up mechanism)")
     sub.add_argument(
         "--mechanism",
-        type=_mechanism_list,
         default=_ALL_MECHANISMS,
         help="comma or space separated subset of cap,csp,up (default all)",
     )
@@ -308,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     an = subs.add_parser("analyze", help="per-node identifiability report")
     _add_topology_args(an)
     _add_probing_args(an)
-    an.add_argument("--set", type=_name_list, help=f"also bound this set, {listed}")
+    an.add_argument("--set", help=f"also bound this set, {listed}")
     an.add_argument("--exact", action="store_true", help="oracle-exact values (small instances)")
     an.add_argument("--seed", type=int, help="stamped into the report header")
     _add_common_output(an)
@@ -318,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_topology_args(mx)
     _add_probing_args(mx)
     mx.add_argument("--k", type=int, help="single k (default: every k in 1..sigma)")
-    mx.add_argument("--set", type=_name_list, help=f"bound this set instead, {listed}")
+    mx.add_argument("--set", help=f"bound this set instead, {listed}")
     mx.add_argument("--exact", action="store_true", help="oracle-exact sets (small instances)")
     mx.add_argument("--seed", type=int, help="stamped into the report header")
     _add_common_output(mx)
@@ -344,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--count", type=int, help="battery instance count (default 50)")
     vf.add_argument("--seed", type=int, help="battery seed (default 0)")
     checks = f"{listed} subset of cap,csp,up,sets (default all)"
-    vf.add_argument("--checks", type=parse_monitor_names, help=checks)
+    vf.add_argument("--checks", help=checks)
     vf.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     vf.add_argument("--out", help="write the JSON report here instead of stdout")
     vf.set_defaults(func=_cmd_verify)
@@ -352,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc = subs.add_parser("oracle", help="definitional brute-force answers on a path file")
     _add_topology_args(orc)
     orc.add_argument("--paths", required=True, help="measurement path file")
-    orc.add_argument("--set", type=_name_list, help=f"node set, {listed} (default: all non-monitors)")
+    orc.add_argument("--set", help=f"node set, {listed} (default: all non-monitors)")
     orc.add_argument("--k", type=int, help="test k-identifiability instead of computing omega")
     orc.add_argument("--out", help="write the JSON answer here instead of stdout")
     orc.set_defaults(func=_cmd_oracle)
@@ -369,9 +366,11 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"--{flag}: empty file name")
         if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
             raise ValueError(f"--out: not a file in an existing directory: {args.out}")
+        for flag, parse in _LISTS.items():  # a default is parsed already; given text is not
+            if isinstance(getattr(args, flag, None), str):
+                setattr(args, flag, _read_text(flag, getattr(args, flag), parse))
         return args.func(args)
     except (
-        TopologyError,
         GenerationError,
         EnumerationCapError,
         OracleCapError,

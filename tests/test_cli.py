@@ -202,16 +202,22 @@ class TestAnalyze:
         assert "node,cap,v3" not in out
         assert "node,cap,v2" in out
 
-    @pytest.mark.parametrize("monitors", ["", " , ", "@empty"])
+    @pytest.mark.parametrize("monitors", ["", " , ", "@empty", "@latin", "@absent"])
     def test_empty_monitor_list_refused(self, monitors, workspace, capsys):
+        # so is a monitor file that is not UTF-8, or that is missing
         (workspace / "empty").write_text("# no names\n")
+        (workspace / "latin").write_bytes(b"\xff\xfe")
+        reason = {
+            "@latin": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            "@absent": f"[Errno 2] No such file or directory: '{workspace}/absent'",
+        }.get(monitors, "empty node list")
         rc, out, err = run(
             capsys,
             "analyze", "--topology", str(workspace / "net.edges"),
             "--monitors", monitors.replace("@", f"@{workspace}/"),
         )
         assert rc == EXIT_VALIDATION and out == ""
-        assert err == "error: --monitors: empty node list\n"
+        assert err == f"error: --monitors: {reason}\n"
 
     def test_monitor_file(self, workspace, capsys):
         mons = workspace / "mons.txt"
@@ -274,26 +280,48 @@ class TestUsageErrors:
         assert "usage:" in capsys.readouterr().err
 
     def test_unknown_mechanism(self, workspace, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--topology", str(workspace / "net.edges"), "--mechanism", "zz"])
-        assert exc.value.code == EXIT_USAGE
+        # a flag's value is an input, not syntax: one line and exit 2
+        argv = ["maxset", "--topology", str(workspace / "net.edges"), "--mechanism", "cap,zz"]
+        line = "error: --mechanism: 'zz' is not a valid Mechanism\n"
+        assert run(capsys, *argv) == (EXIT_VALIDATION, "", line)
 
     @pytest.mark.parametrize(
-        ("argv", "reason"),
+        ("flag", "value", "reason"),
         [
-            (
-                ["analyze", "--mechanism", "zz"],
-                "argument --mechanism: 'zz' is not a valid Mechanism",
-            ),
-            (["analyze", "--set", ","], "argument --set: empty node list"),
+            ("mechanism", "zz", "'zz' is not a valid Mechanism"),
+            ("mechanism", " ", "at least one mechanism is required"),
+            ("set", " , ", "empty node list"),
         ],
+        ids=["mechanism", "empty-mechanism", "set"],
     )
-    def test_bad_flag_value_gives_its_reason(self, workspace, capsys, argv, reason):
-        topology = ["--topology", str(workspace / "net.edges")] if argv[0] == "analyze" else []
+    def test_bad_flag_value_gives_its_reason(self, flag, value, reason, workspace, monkeypatch, capsys):
+        # a bad name list is refused before any file is read: the reader runs
+        # for the list alone, though topology and path files are given
+        monkeypatch.chdir(workspace)
+        read, real = [], fs.cli._read_text
+        monkeypatch.setattr(fs.cli, "_read_text", lambda f, *a: read.append(f) or real(f, *a))
+        argv = ["analyze", "--topology", "net.edges", "--paths", "up.paths", f"--{flag}", value]
+        assert run(capsys, *argv) == (EXIT_VALIDATION, "", f"error: --{flag}: {reason}\n")
+        assert read == [flag]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "abc", "--p", "0.5", "--seed", "1"],
+            ["analyze", "--topology", "net.edges", "--format", "xml"],
+            ["analyze", "--topology", "net.edges", "--bogus"],
+            ["analyze"],
+        ],
+        ids=["not-an-integer", "not-a-choice", "unknown-flag", "missing-topology"],
+    )
+    def test_syntax_error_is_a_usage_error(self, argv, workspace, monkeypatch, capsys):
+        # argparse judges the command line's syntax alone: usage and exit 1
+        monkeypatch.chdir(workspace)
         with pytest.raises(SystemExit) as exc:
-            main(argv[:1] + topology + argv[1:])
+            main(argv)
         assert exc.value.code == EXIT_USAGE
-        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {reason}")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and ": error: " in err.splitlines()[-1]
 
 
 class TestMaxset:
@@ -919,12 +947,18 @@ def test_unusable_out_refused_before_any_work(argv, target, workspace, no_instan
             ["maxset", "--topology", "t.edges", "--monitors", "@mon.txt"],
         ),
         ({"spec.json": '{"count": 3, "seed": 2}'}, ["verify", "--batch", "@spec.json"]),
+        # a path file whose name starts with "@" is read under that name
+        (
+            {"net.edges": read_fixture("golden/net.edges"), "@up.paths": read_fixture("golden/up.paths")},
+            ["oracle", "--topology", "net.edges", "--paths", "@up.paths"],
+        ),
         (
             {"spec.json": '{"count": 2, "n": 8, "p": 0.4, "mus": [2], "seed": 1}'},
             ["ccdf", "--batch", "@spec.json", "--format", "json"],
         ),
     ],
-    ids=["topology-and-paths", "topology", "inline-monitors", "monitor-file", "verify-batch", "ccdf-batch"],
+    ids=["topology-and-paths", "topology", "inline-monitors", "monitor-file", "verify-batch",
+         "at-named-paths", "ccdf-batch"],
 )
 def test_byte_order_mark_is_not_part_of_the_text(files, argv, tmp_path, monkeypatch, capsys):
     # a file saved with a UTF-8 byte-order mark reads as the same text without it
@@ -979,13 +1013,20 @@ def test_list_flags_split_at_whitespace_as_at_commas(flag, argv, workspace, monk
 
 @pytest.mark.parametrize("command", ["analyze", "maxset", "ccdf", "oracle"])
 def test_path_file_refusal_names_its_flag(command, workspace, monkeypatch, capsys):
-    # a line error of the path file names its flag; one of the topology
-    # file keeps its own text, so the two cannot be confused
+    # a line error of the path file names its flag, as does a path file that
+    # is not UTF-8 or is missing; a line error of the topology file keeps its
+    # own text, so the two cannot be confused
     monkeypatch.chdir(workspace)
     (workspace / "bad.paths").write_text("# probes\nm1 zz m2\n")
+    (workspace / "latin.paths").write_bytes(b"\xff\xfe")
     (workspace / "bad.edges").write_text("m1 v1\nv1 v2 m2\n")
-    rc, out, err = run(capsys, command, "--topology", "net.edges", "--paths", "bad.paths")
-    assert (rc, out, err) == (EXIT_VALIDATION, "", "error: --paths: line 2: unknown node 'zz'\n")
+    for name, reason in [
+        ("bad.paths", "line 2: unknown node 'zz'"),
+        ("latin.paths", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ("absent.paths", "[Errno 2] No such file or directory: 'absent.paths'"),
+    ]:
+        rc, out, err = run(capsys, command, "--topology", "net.edges", "--paths", name)
+        assert (rc, out, err) == (EXIT_VALIDATION, "", f"error: --paths: {reason}\n")
     rc, out, err = run(capsys, command, "--topology", "bad.edges", "--paths", "up.paths")
     assert (rc, out, err) == (EXIT_VALIDATION, "", "error: line 2: expected 'u v', got 'v1 v2 m2'\n")
 
@@ -993,8 +1034,15 @@ def test_path_file_refusal_names_its_flag(command, workspace, monkeypatch, capsy
 @pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
 @pytest.mark.parametrize("command", ["ccdf", "verify"])
 def test_batch_json_refusal_names_its_flag(command, inline, workspace, monkeypatch, capsys):
+    # text that is not JSON, or a spec file that is not UTF-8 or is missing
     monkeypatch.chdir(workspace)
     (workspace / "bad.json").write_text("{bad")
-    rc, out, err = run(capsys, command, "--batch", "{bad" if inline else "@bad.json")
-    reason = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
-    assert (rc, out, err) == (EXIT_VALIDATION, "", f"error: --batch: {reason}\n")
+    (workspace / "latin.json").write_bytes(b"\xff\xfe")
+    cases = [
+        ("bad.json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("latin.json", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ("absent.json", "[Errno 2] No such file or directory: 'absent.json'"),
+    ]
+    for name, reason in cases[:1] if inline else cases:
+        rc, out, err = run(capsys, command, "--batch", "{bad" if inline else f"@{name}")
+        assert (rc, out, err) == (EXIT_VALIDATION, "", f"error: --batch: {reason}\n")

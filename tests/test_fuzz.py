@@ -1,12 +1,13 @@
 """Arbitrary input through the CLI: every case exits 0 or 2, and a failure is
 one ``error:`` line on stderr, never a traceback.
 
-The inputs are files (``analyze --topology``, ``analyze --paths``) and inline
-batch specs (``ccdf --batch=``, ``verify --batch=``, in the one-token form so
-a spec that starts with "-" is not read as an option); each gets unstructured
-text and text built from the format's own tokens, so the parsers and the
-checks behind them are both reached. ``main`` runs in process, so an
-exception escaping it fails the test with its traceback.
+The inputs are files (``analyze --topology``, ``analyze --paths``,
+``analyze --monitors @FILE``) and inline batch specs (``ccdf --batch=``,
+``verify --batch=``, in the one-token form so a spec that starts with "-" is
+not read as an option); each gets unstructured text and text built from the
+format's own tokens, so the parsers and the checks behind them are both
+reached, and each file also gets bytes that are not UTF-8. ``main`` runs in
+process, so an exception escaping it fails the test with its traceback.
 """
 
 import json
@@ -35,6 +36,8 @@ lines = st.one_of(
     st.text(max_size=12),
 )
 documents = st.one_of(st.text(), st.lists(lines, max_size=14).map("\n".join))
+#: ...and with a lone surrogate in it, which ``write`` makes bytes that are not UTF-8.
+documents |= st.tuples(documents, st.characters(categories=["Cs"]), documents).map("".join)
 
 #: JSON values of every type. Integers stay small and ``count`` at most 2, so
 #: a spec that happens to be valid runs in milliseconds.
@@ -60,7 +63,9 @@ def write(path, text: str) -> str:
     return str(path)
 
 
-def check(capsys, *argv: str) -> None:
+def check(capsys, *argv: str, flag: str | None = None, text: str = "") -> None:
+    """Run ``argv``; ``text`` is the fuzzed content of the file ``--flag`` names,
+    which, if it is not UTF-8, must be refused in a line that names the flag."""
     rc = main(list(argv))
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -69,19 +74,33 @@ def check(capsys, *argv: str) -> None:
         assert err == ""
     else:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        assert err.startswith(f"error: --{flag}: 'utf-8' codec can't decode"), err
 
 
 @FUZZ
 @given(text=documents)
 def test_analyze_topology_text(tmp_path, capsys, text):
-    check(capsys, "analyze", "--topology", write(tmp_path / "net.edges", text))
+    net = write(tmp_path / "net.edges", text)
+    check(capsys, "analyze", "--topology", net, flag="topology", text=text)
 
 
 @FUZZ
 @given(text=documents)
 def test_analyze_paths_text(tmp_path, capsys, text):
     net = write(tmp_path / "net.edges", read_fixture("golden/net.edges"))
-    check(capsys, "analyze", "--topology", net, "--paths", write(tmp_path / "p.paths", text))
+    paths = write(tmp_path / "p.paths", text)
+    check(capsys, "analyze", "--topology", net, "--paths", paths, flag="paths", text=text)
+
+
+@FUZZ
+@given(text=documents)
+def test_analyze_monitor_file_text(tmp_path, capsys, text):
+    net = write(tmp_path / "net.edges", read_fixture("golden/net.edges"))
+    monitors = "@" + write(tmp_path / "mons.txt", text)
+    check(capsys, "analyze", "--topology", net, "--monitors", monitors, flag="monitors", text=text)
 
 
 @FUZZ
