@@ -9,7 +9,8 @@ probing (csp) and routing-determined paths (up). A definitional brute-force
 oracle and seeded verification batteries back every closed-form result.
 """
 
-from importlib import import_module
+# One import statement, so ``python -X importtime`` lists every module.
+from . import cuts, errors, identify, oracle, probing, randomnet, reports, topology, verify
 
 #: The public API: every exported name, in one row for the module that defines it.
 _EXPORTS = {
@@ -48,10 +49,7 @@ _EXPORTS = {
 }
 
 # Eager, not a lazy __getattr__: perfbench/tracer.py rewraps each name in every module's vars().
-for _module, _names in _EXPORTS.items():
-    _source = import_module(f".{_module}", __name__)
-    globals().update({name: getattr(_source, name) for name in _names})
-del _module, _names, _source, import_module
+globals().update({n: getattr(globals()[m], n) for m, names in _EXPORTS.items() for n in names})
 
-__version__ = VERSION  # bound by the loop above
+__version__ = VERSION  # bound by the line above
 __all__ = sorted(name for names in _EXPORTS.values() for name in names) + ["__version__"]

@@ -13,11 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    EnumerationCapError,
-    GenerationError,
-    OracleCapError,
-)
 from .identify import Analysis, Mechanism
 from .oracle import oracle_k_identifiable, oracle_omega
 from .probing import parse_paths
@@ -370,13 +365,7 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(getattr(args, flag, None), str):
                 setattr(args, flag, _read_text(flag, getattr(args, flag), parse))
         return args.func(args)
-    except (
-        GenerationError,
-        EnumerationCapError,
-        OracleCapError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # every refusal the library raises is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

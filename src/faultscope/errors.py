@@ -1,21 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: every refusal is a ValueError."""
 
 
 class TopologyError(ValueError):
     """Invalid topology input: parse failures, structural violations, bad monitor specs."""
 
 
-class EnumerationCapError(RuntimeError):
-    """Path enumeration refused because the instance exceeds the node cap.
-
-    Raised instead of silently running an exponential enumeration; the cap
-    is fixed, and theorem-based analysis stays available at any size.
-    """
+class EnumerationCapError(ValueError):
+    """Path enumeration refused: the instance is past the fixed node cap (the
+    enumeration is exponential; theorem-based analysis runs at any size)."""
 
 
-class OracleCapError(RuntimeError):
+class OracleCapError(ValueError):
     """Brute-force oracle refused because the instance exceeds its fixed caps."""
 
 
-class GenerationError(RuntimeError):
+class GenerationError(ValueError):
     """Random topology generation gave up (retry limit hit before connectivity)."""

@@ -58,6 +58,15 @@ def gen_er(n: int, p: float, seed: int) -> GenResult:
     )
 
 
+def batch_topology(where: str, n: int, p: float, seed: int, field: str) -> Topology:
+    """``gen_er``'s topology for the batch instance ``where``; a draw that never
+    connects is refused naming the instance and the spec ``field`` p came from."""
+    try:
+        return gen_er(n, p, seed).topology
+    except GenerationError:
+        raise GenerationError(f"{where}: no connected graph on {n} nodes at p={p}, {field}") from None
+
+
 def place_monitors(t: Topology, mu: int, seed: int) -> Topology:
     """Re-monitor ``t`` with a uniform random seeded choice of ``mu`` nodes."""
     if not 1 <= mu <= len(t.nodes):

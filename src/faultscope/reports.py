@@ -17,7 +17,6 @@ import random
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
-from .errors import GenerationError
 from .identify import (
     Analysis,
     IntBounds,
@@ -28,7 +27,7 @@ from .identify import (
     threshold_sweep,
 )
 from .randomnet import (
-    DEFAULT_MAX_NODES, _is_edge_probability, _is_int, _is_list_of, gen_er, read_fields,
+    DEFAULT_MAX_NODES, _is_edge_probability, _is_int, _is_list_of, batch_topology, read_fields,
 )
 from .topology import Topology, check_k, check_members
 
@@ -401,6 +400,11 @@ _BATCH_FIELDS = (
 )
 
 
+def _ccdf_topology(spec: BatchSpec, i: int) -> Topology:
+    """The graph of instance ``i`` of a batch, drawn with seed ``spec.seed + i``."""
+    return batch_topology(f"ccdf[{i}]", spec.n, spec.p, spec.seed + i, "set by batch spec field 'p'")
+
+
 def _ccdf_instance(task: tuple[BatchSpec, int]) -> list[CcdfRow]:
     """Instance ``index`` of a batch, a (spec, index) task picklable for process pools.
 
@@ -409,13 +413,8 @@ def _ccdf_instance(task: tuple[BatchSpec, int]) -> list[CcdfRow]:
     comparable draw by draw.
     """
     spec, index = task
-    seed = spec.seed + index
-    try:
-        base = gen_er(spec.n, spec.p, seed).topology
-    except GenerationError:
-        what = f"no connected graph on {spec.n} nodes at p={spec.p}, set by batch spec field 'p'"
-        raise GenerationError(f"ccdf[{index}]: {what}") from None
-    rng = random.Random(seed * 1_000_003 + 17)
+    base = _ccdf_topology(spec, index)
+    rng = random.Random((spec.seed + index) * 1_000_003 + 17)
     order = rng.sample(sorted(base.nodes), len(base.nodes))
     rows: list[CcdfRow] = []
     for mu in spec.mus:
@@ -440,6 +439,8 @@ def ccdf_batch(spec: BatchSpec, *, jobs: int = 1) -> CcdfTable:
             "batch spec field 'mus' must be a non-empty list of distinct integers"
             f" in 1..{spec.n - 1}, got {mus}"
         )
+    for i in range(spec.count):  # drawn and dropped: a sparse p is refused before any instance runs
+        _ccdf_topology(spec, i)
     tasks = [(spec, i) for i in range(spec.count)]
     workers = min(jobs, spec.count, os.cpu_count() or 1)
     if workers > 1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import cached_property
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import TopologyError
 
@@ -272,27 +272,37 @@ def _lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _check_names(lineno: int, names: Sequence[str]) -> tuple[str, ...]:
+    """``names`` as a tuple, unless one holds ``+`` (CSV set cells join names at it)
+    or ``,`` (name lists split at it): that is refused naming ``lineno``."""
+    for name in names:
+        if "+" in name or "," in name:
+            raise TopologyError(f"line {lineno}: node name {name!r} may not hold '+' or ','")
+    return tuple(names)
+
+
 def load_topology(text: str, monitors: Iterable[str] | None = None) -> Topology:
     """Parse an edge-list document into a :class:`Topology`.
 
     Format: UTF-8 text, one ``u v`` pair per line, ``#`` starts a comment.
     The monitor set comes either from a ``# monitors: m1 m2 ...`` header line
     (a name list, read before the links) or from the ``monitors`` argument
-    (one name per entry); an explicit argument wins over the header.
+    (one name per entry); an explicit argument wins over the header. A node
+    name holding ``+`` or ``,`` is refused, in the header too.
     """
     lines = enumerate(text.splitlines(), start=1)
     headers = [(n, h[1]) for n, raw in lines if (h := _MONITOR_HEADER.match(raw))]
     if len(headers) > 1:
         raise TopologyError(f"line {headers[1][0]}: repeated monitors header")
+    header = _check_names(headers[0][0], parse_monitor_names(headers[0][1])) if headers else ()
     edges: list[tuple[str, str]] = []
     for lineno, line in _lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise TopologyError(f"line {lineno}: expected 'u v', got {line!r}")
-        edges.append((parts[0], parts[1]))
+        edges.append(_check_names(lineno, parts))
     if not edges:
         raise TopologyError("no edges found")
-    header = parse_monitor_names(headers[0][1]) if headers else ()
     chosen = list(monitors) if monitors is not None else header
     if not chosen:
         raise TopologyError("zero monitors: supply a '# monitors:' header or a monitor list")

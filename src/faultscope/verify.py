@@ -14,13 +14,12 @@ from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .cuts import CutNetwork, two_connected
-from .errors import GenerationError
 from .identify import Analysis, Mechanism, threshold_sweep
 from .oracle import DEFAULT_MAX_CUT_NODES, brute_vertex_cut, check_universe_size, oracle_msc
 from .probing import DEFAULT_MAX_ENUM_NODES
 from .randomnet import (
-    DEFAULT_MAX_NODES, _is_edge_probability, _is_int, _is_list_of, _is_number, check_field,
-    gen_er, place_monitors, random_graph, read_fields,
+    DEFAULT_MAX_NODES, _is_edge_probability, _is_int, _is_list_of, _is_number, batch_topology,
+    check_field, place_monitors, random_graph, read_fields,
 )
 from .reports import json_document
 from .topology import Topology
@@ -132,11 +131,7 @@ def _er_instances(count: int, seed: int, n_range, p_range, monitor_counts) -> It
         n = rng.randint(*n_range)
         p = rng.uniform(*p_range)
         mu = rng.choice(list(monitor_counts))
-        try:
-            base = gen_er(n, p, seed * 31 + i).topology
-        except GenerationError:
-            what = f"no connected graph on {n} nodes at p={p}, drawn from batch spec field 'p_range'"
-            raise GenerationError(f"er[{i}]: {what}") from None
+        base = batch_topology(f"er[{i}]", n, p, seed * 31 + i, "drawn from batch spec field 'p_range'")
         yield place_monitors(base, min(mu, n - 1), seed * 37 + i)
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import faultscope as fs
-from faultscope.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_VERIFY, main
+from faultscope.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_VERIFY, build_parser, main
 
 from conftest import read_fixture, src_env
 
@@ -25,7 +25,7 @@ def no_instance(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("an instance was drawn or loaded")
 
-    for target in ("verify.gen_er", "verify.random_graph", "cli.load_topology"):
+    for target in ("randomnet.gen_er", "verify.random_graph", "cli.load_topology"):
         monkeypatch.setattr(f"faultscope.{target}", never)
 
 
@@ -1046,3 +1046,58 @@ def test_batch_json_refusal_names_its_flag(command, inline, workspace, monkeypat
     for name, reason in cases[:1] if inline else cases:
         rc, out, err = run(capsys, command, "--batch", "{bad" if inline else f"@{name}")
         assert (rc, out, err) == (EXIT_VALIDATION, "", f"error: --batch: {reason}\n")
+
+
+def _gen_file(n: int, p: float, mu: int) -> dict[str, str]:
+    t = fs.place_monitors(fs.gen_er(n, p, 1).topology, mu, 1)
+    return {"net.edges": fs.format_topology(t)}
+
+
+@pytest.mark.parametrize(
+    ("error", "files", "argv", "says"),
+    [
+        (
+            fs.TopologyError,
+            {"net.edges": "# monitors: m1 m2\nm1 a+b\na+b m2\n"},
+            ["analyze"],
+            "line 2: node name 'a+b' may not hold '+' or ','",
+        ),
+        # 16 nodes pass the enumerators' cap of 14; 12 non-monitors the oracle's of 10
+        (fs.EnumerationCapError, _gen_file(16, 0.5, 8), ["analyze", "--exact"], "cap of 14"),
+        (fs.OracleCapError, _gen_file(14, 0.6, 2), ["analyze", "--exact"], "oracle cap 10"),
+        (
+            fs.GenerationError,
+            {},
+            ["gen", "--n", "40", "--p", "0.001", "--seed", "1"],
+            "no connected graph within 1000 retries",
+        ),
+    ],
+    ids=["topology", "enumeration-cap", "oracle-cap", "generation"],
+)
+def test_every_refusal_is_a_value_error_and_exits_2(error, files, argv, says, tmp_path, monkeypatch, capsys):
+    # main catches ValueError and OSError alone: each refusal the library
+    # raises is a ValueError, and one raised from a subcommand exits 2 with one line
+    assert issubclass(error, ValueError)
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    if files:
+        argv = [argv[0], "--topology", "net.edges", *argv[1:]]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(error):
+        args.func(args)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (EXIT_VALIDATION, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and says in line
+
+
+def test_import_time_lists_every_module():
+    # python -X importtime reports a module imported by a statement, not one
+    # loaded through importlib.import_module
+    argv = [sys.executable, "-X", "importtime", "-c", "import faultscope"]
+    proc = subprocess.run(argv, env=src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    listed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert {f"faultscope.{name}" for name in fs._EXPORTS} <= listed
+    assert len(fs._EXPORTS) == 9

@@ -257,9 +257,24 @@ class TestCcdfBatch:
         def never(*args, **kwargs):
             raise AssertionError("an instance was drawn for a batch with a bad jobs")
 
-        monkeypatch.setattr("faultscope.reports.gen_er", never)
+        monkeypatch.setattr("faultscope.randomnet.gen_er", never)
         with pytest.raises(ValueError, match=rf"^jobs must be an integer >= 1, got {jobs!r}$"):
             fs.ccdf_batch(self.SPEC, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sparse_p_refused_before_any_instance_runs(self, jobs, monkeypatch):
+        # every graph is drawn before the first instance is analysed or a pool
+        # is built: instance 2 never connects at this p
+        def never(*args, **kwargs):
+            raise AssertionError("an instance ran before the refusal")
+
+        monkeypatch.setattr("faultscope.reports.ccdf", never)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", never)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        spec = BatchSpec.from_dict({"count": 400, "n": 30, "p": 0.05, "mus": [1], "seed": 1})
+        what = "no connected graph on 30 nodes at p=0.05, set by batch spec field 'p'"
+        with pytest.raises(fs.GenerationError, match=rf"^ccdf\[2\]: {what}$"):
+            fs.ccdf_batch(spec, jobs=jobs)
 
     def test_from_dict(self):
         spec = BatchSpec.from_dict(

@@ -17,15 +17,15 @@ from faultscope.reports import json_document
 
 from conftest import read_fixture, src_env
 
-#: Node names that need CSV quoting (quote, comma) or JSON escaping (quote,
-#: backslash, non-ASCII); the monitors' header cannot hold a comma.
+#: Node names that need CSV quoting (quote) or JSON escaping (quote,
+#: backslash, non-ASCII); no name may hold a comma or a plus.
 ODD_EDGES = """\
 # monitors: m1 m2
 m1 a"x
 a"x b\\y
 b\\y m2
-m1 c,z
-c,z é
+m1 c;z
+c;z é
 é m2
 a"x é
 """
@@ -42,7 +42,7 @@ def odd() -> fs.Topology:
 def odd_many() -> fs.Topology:
     """n=60 with every name made odd: its reports span many blocks."""
     base = fs.place_monitors(fs.gen_er(60, 0.1, 3).topology, 4, 3)
-    name = {v: v if v in base.monitors else f'q"{v}\\é,' for v in base.nodes}
+    name = {v: v if v in base.monitors else f'q"{v}\\é;' for v in base.nodes}
     edges = "".join(f"{name[u]} {name[v]}\n" for u, v in base.edges)
     return fs.load_topology(edges, monitors=sorted(base.monitors))
 
@@ -99,8 +99,8 @@ def test_every_renderer_streams_its_string_bytes(which, request):
 
 
 def test_odd_names_are_quoted_and_escaped(odd):
-    text = fs.analyze(odd, ALL, group=['a"x', "c,z"]).to_csv()
-    assert '"a""x+c,z"' in text and '"c,z"' in text and "b\\y" in text and "é" in text
+    text = fs.analyze(odd, ALL, group=['a"x', "c;z"]).to_csv()
+    assert '"a""x+c;z"' in text and ",c;z," in text and "b\\y" in text and "é" in text
     doc = fs.analyze(odd, ALL).to_json()
     assert '"a\\"x"' in doc and '"b\\\\y"' in doc and '"\\u00e9"' in doc
     assert {row["node"] for row in json.loads(doc)["nodes"]} == set(odd.non_monitors)
@@ -123,22 +123,22 @@ CLI_RUNS = [
     (
         ["analyze", "--set", 'a"x,b\\y'],
         EXIT_OK,
-        "09f1e7fa1ea777463404d99b966bd48fb7931b152a8158e8be758a3da3e15458",
+        "908c18f14d4729752b887b967125a60b079f0c785ca8f08aef8a81b72c5d990d",
     ),
     (
         ["analyze", "--set", 'a"x,b\\y', "--format", "json"],
         EXIT_OK,
-        "09bd77af40dbb433d7c484e1169eed2b01c443030d9119aea9535dfe9405ba94",
+        "1857981a9f6c5ba5502e94c9ad152a00a8a568d0d3f82da87a480a45fde4d3bb",
     ),
     (
         ["maxset"],
         EXIT_OK,
-        "3ef22226867a5405a694429912cbe157dc7cc3e52155f9e5924021118c8a34bb",
+        "9eb5ba0fcd4c9bd352970284be85d3e14be06bdc7846b64e54b420f605e8f499",
     ),
     (
         ["maxset", "--format", "json"],
         EXIT_OK,
-        "30e5031a77e071f2cd487cb727c872fb6ce5c751fa3bc322b6d78a2d7bd7b3df",
+        "9017a888d7c7923047da5c7c2dd32b9e4fba4a915673620c13457e01b53d4cb1",
     ),
     (
         ["maxset", "--set", 'é,b\\y', "--format", "json"],
@@ -163,7 +163,7 @@ CLI_RUNS = [
     (
         ["oracle", "--paths", "odd.paths"],
         EXIT_OK,
-        "98ac337cda508c860b6d67521579e2db4fce309ec3f730640f6cf0e4f480ce0a",
+        "abe788e01f58046f9b92c4aceb8d8453fdad463a32bcabd920ff5d7f0ed713d4",
     ),
 ]
 
@@ -178,7 +178,7 @@ CLI_IDS = [
 def test_cli_destinations_get_the_same_bytes(argv, code, digest, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "odd.edges").write_text(ODD_EDGES, encoding="utf-8")
-    (tmp_path / "odd.paths").write_text('m1 a"x b\\y m2\nm1 c,z é m2\nm1 a"x é m2\n', encoding="utf-8")
+    (tmp_path / "odd.paths").write_text('m1 a"x b\\y m2\nm1 c;z é m2\nm1 a"x é m2\n', encoding="utf-8")
     argv = [argv[0], "--topology", "odd.edges", *argv[1:]]
     assert main(argv) == code
     out = capsys.readouterr().out

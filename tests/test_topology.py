@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import faultscope as fs
@@ -73,6 +75,22 @@ class TestLoadTopology:
         text = "# monitors: m1\nm1 v1 v2\n# Monitors: m2\n"
         with pytest.raises(TopologyError, match="^line 3: repeated monitors header$"):
             fs.load_topology(text)
+
+    @pytest.mark.parametrize(
+        ("text", "where"),
+        [
+            ("# monitors: m1 m2\nm1 a+b\na+b m2\n", "line 2: node name 'a+b'"),
+            ("# monitors: m1 m2\nm1 v1\nv1 a,b\na,b m2\n", "line 3: node name 'a,b'"),
+            # the header is read before the links, and refused at a monitors argument too
+            ("# monitors: m1 a+b\nm1 v1 v2\n", "line 1: node name 'a+b'"),
+        ],
+        ids=["link-plus", "link-comma", "header-plus"],
+    )
+    @pytest.mark.parametrize("monitors", [None, ["m1"]], ids=["header", "argument"])
+    def test_name_that_cannot_round_trip_refused_naming_its_line(self, text, where, monitors):
+        # CSV set cells join a set's names at '+', and name lists split at ','
+        with pytest.raises(TopologyError, match=rf"^{re.escape(where)} may not hold '\+' or ','$"):
+            fs.load_topology(text, monitors=monitors)
 
 
 def test_format_roundtrip(golden):

@@ -39,7 +39,7 @@ def test_battery_argument_refused_before_any_draw(battery, argument, monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("an instance was drawn for a refused argument")
 
-    monkeypatch.setattr("faultscope.verify.gen_er", never)
+    monkeypatch.setattr("faultscope.randomnet.gen_er", never)
     monkeypatch.setattr("faultscope.verify.random_graph", never)
     with pytest.raises(ValueError, match=rf"^{argument} must be "):
         battery()
@@ -123,7 +123,7 @@ class TestVerifyBatchSpec:
         def never(*args, **kwargs):
             raise AssertionError("instances drawn for a spec the oracle refuses")
 
-        monkeypatch.setattr("faultscope.verify.gen_er", never)
+        monkeypatch.setattr("faultscope.randomnet.gen_er", never)
         spec = {"count": 100000, "n_range": [13, 14], "monitor_counts": [1], "seed": 1}
         with pytest.raises(fs.OracleCapError, match="universe size 13 exceeds the oracle cap 10"):
             fs.verify_batch_spec(spec)
@@ -132,7 +132,7 @@ class TestVerifyBatchSpec:
         def never(*args, **kwargs):
             raise AssertionError("instances drawn for a spec with an unknown check")
 
-        monkeypatch.setattr("faultscope.verify.gen_er", never)
+        monkeypatch.setattr("faultscope.randomnet.gen_er", never)
         with pytest.raises(ValueError, match="'checks'"):
             fs.verify_batch_spec({"count": 10**6, "checks": ["bogus"]})
 
@@ -141,14 +141,16 @@ class TestVerifyBatchSpec:
         # instance i + 1 is drawn only once instance i has been checked: the
         # sets check, the last of each instance, sweeps each mechanism once
         log: list[str] = []
-        for name, entry in (("gen_er", "draw"), ("threshold_sweep", "check")):
-            original = getattr(fs.verify, name)
+        for owner, name, entry in (
+            (fs.randomnet, "gen_er", "draw"), (fs.verify, "threshold_sweep", "check")
+        ):
+            original = getattr(owner, name)
 
             def spy(*args, _entry=entry, _original=original, **kwargs):
                 log.append(_entry)
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(fs.verify, name, spy)
+            monkeypatch.setattr(owner, name, spy)
         assert fs.verify_batch_spec({"count": 4, "seed": 2}).ok
         assert log == ["draw", "check", "check", "check"] * 4
 
